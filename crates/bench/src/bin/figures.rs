@@ -6,20 +6,20 @@
 //! ```
 //!
 //! Subcommands: `fig2`, `fig3`, `fig4`, `servers`, `olcount`, `ablation`,
-//! `twolevel`, `lockstat`, `tables`, `infer`, `torture` (`--strided` for the
-//! benchmark-scale sweep, `--fsync` for the fsync-boundary sweep,
-//! `--reanalysis` for the online table-switchover sweep, `--net` for the
-//! network front-end), `wal`, `mtbench`, `pagebench`, `retry`, `stress`,
-//! `saturate`, `all`. `--quick` runs a shorter sweep for smoke-testing. The
+//! `twolevel`, `lockstat`, `tables`, `infer`, `torture` (every workload kit
+//! through every crash-point source — WAL append, fsync, re-analysis, ship —
+//! plus the network front-end sweep), `wal`, `mtbench`, `pagebench`,
+//! `retry`, `stress`, `saturate`, `all`. `--quick` runs a shorter sweep for
+//! smoke-testing. The
 //! deterministic simulator subcommands (everything in `all`) are
 //! byte-identical across runs; `wal`/`mtbench`/`pagebench`/`retry`/`stress`/
 //! `saturate` are wall-clock and intentionally kept out of `all`.
 
 use acc_bench::figures::{
     ablation_table, dump_inferred, dump_tables, fig2, fig3, fig4, lockstat, olcount_table,
-    servers_table, torture, torture_strided, twolevel_table, FigureParams,
+    servers_table, twolevel_table, FigureParams,
 };
-use acc_bench::{mtbench, netbench, pagebench, walbench};
+use acc_bench::{mtbench, netbench, pagebench, torture, walbench};
 
 /// Every subcommand, one line each, for `--help`. `scripts/check.sh` greps
 /// this output against the subcommands the README mentions, so the list must
@@ -27,7 +27,7 @@ use acc_bench::{mtbench, netbench, pagebench, walbench};
 const HELP: &str = "\
 regenerate the paper's figures and tables
 
-usage: figures -- <subcommand> [--quick] [--strided] [--fsync] [--reanalysis] [--ship] [--net] [--schedule]
+usage: figures -- <subcommand> [--quick] [--schedule]
 
 subcommands:
   fig2       paper figure 2: throughput vs multiprogramming level
@@ -42,12 +42,12 @@ subcommands:
   infer      dump the machine-inferred matrices (TPC-C, smallbank,
              saga) as deterministic JSON plus the diff vs the hand
              tables
-  torture    crash-torture sweep (--strided: benchmark scale;
-             --fsync: fsync-boundary sweep; --reanalysis: online
-             table re-analysis with epoch switchover; --ship:
-             WAL-shipping replication crashed at every ship boundary;
-             --net: network front-end tortured with connection faults
-             and crashes at every protocol boundary)
+  torture    crash torture: every workload kit (tpcc, smallbank,
+             saga) through every cut-point source (WAL append,
+             fsync boundary, re-analysis install, ship boundary),
+             one totals line each, then the network front-end
+             tortured with connection faults and a crash sweep;
+             exits 1 on any violation
   wal        group-commit latency/throughput sweep (wall-clock)
   mtbench    multi-thread lock-manager benchmark (wall-clock)
   pagebench  paged B-tree storage benchmark: page ops, splits,
@@ -70,12 +70,16 @@ fn main() {
         print!("{HELP}");
         return;
     }
+    // Reject retired flags (e.g. the old `torture --fsync`) instead of
+    // silently running something else.
+    if let Some(bad) = args
+        .iter()
+        .find(|a| a.starts_with("--") && *a != "--quick" && *a != "--schedule")
+    {
+        eprintln!("unknown flag `{bad}`; see --help");
+        std::process::exit(2);
+    }
     let quick = args.iter().any(|a| a == "--quick");
-    let strided = args.iter().any(|a| a == "--strided");
-    let fsync = args.iter().any(|a| a == "--fsync");
-    let reanalysis = args.iter().any(|a| a == "--reanalysis");
-    let ship = args.iter().any(|a| a == "--ship");
-    let net = args.iter().any(|a| a == "--net");
     let schedule = args.iter().any(|a| a == "--schedule");
     let which = args
         .iter()
@@ -128,19 +132,8 @@ fn main() {
             lockstat(&params);
         }
         "torture" => {
-            if net {
-                netbench::net_torture(quick);
-            } else if ship {
-                walbench::ship_torture(quick);
-            } else if reanalysis {
-                walbench::reanalysis_torture(quick);
-            } else if fsync {
-                walbench::fsync_torture(quick);
-            } else if strided {
-                torture_strided();
-            } else {
-                torture(quick);
-            }
+            torture::figure(quick);
+            netbench::net_torture(quick);
         }
         "wal" => {
             walbench::walbench(quick);

@@ -514,56 +514,6 @@ fn pagestat(seed: u64) {
     );
 }
 
-/// Run the crash-torture sweep (see `acc_tpcc::torture`): a seeded TPC-C mix
-/// crashed at every WAL-append index plus seeded torn-tail and bit-flip
-/// corruptions, each salvaged image recovered, compensated, and audited
-/// against the §3.3.2 consistency conditions. Prints the per-point outcome
-/// log and a summary; exits non-zero on any violation.
-pub fn torture(quick: bool) -> acc_tpcc::torture::TortureReport {
-    torture_with(if quick {
-        acc_tpcc::torture::TortureConfig::smoke(42)
-    } else {
-        acc_tpcc::torture::TortureConfig::standard(42)
-    })
-}
-
-/// The strided benchmark-scale torture variant (`figures -- torture
-/// --strided`): the same sweep and invariants against [`Scale::benchmark`],
-/// whose much longer WAL is crashed at sampled (strided) append indices
-/// instead of every one.
-pub fn torture_strided() -> acc_tpcc::torture::TortureReport {
-    torture_with(acc_tpcc::torture::TortureConfig::benchmark_strided(42))
-}
-
-fn torture_with(cfg: acc_tpcc::torture::TortureConfig) -> acc_tpcc::torture::TortureReport {
-    println!(
-        "\n=== crash torture: {} txns at {} warehouse(s) × {} district(s), seed {} ===",
-        cfg.txns, cfg.scale.warehouses, cfg.scale.districts, cfg.seed
-    );
-    let report = match acc_tpcc::torture::run_torture(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("torture harness failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    print!("{}", report.log);
-    println!(
-        "summary: {} crash points, {} replayed, {} compensated, {} discarded, {} records rejected, {} violations",
-        report.points,
-        report.replayed,
-        report.compensated,
-        report.discarded,
-        report.rejected_records,
-        report.violations
-    );
-    if report.violations > 0 {
-        eprintln!("CONSISTENCY VIOLATIONS under crash torture");
-        std::process::exit(1);
-    }
-    report
-}
-
 /// Dump every machine-*inferred* interference matrix as deterministic JSON
 /// (stable key order, steps id-sorted, no floating point — `scripts/check.sh`
 /// runs this twice and byte-compares), plus the TPC-C diff against the hand

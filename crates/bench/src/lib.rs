@@ -12,6 +12,7 @@ pub mod microbench;
 pub mod mtbench;
 pub mod netbench;
 pub mod pagebench;
+pub mod torture;
 pub mod walbench;
 
 pub use figures::{

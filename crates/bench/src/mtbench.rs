@@ -466,17 +466,6 @@ pub fn mtbench(quick: bool) {
 // Retry-policy calibration
 // ---------------------------------------------------------------------------
 
-struct TpccWorkload {
-    gen: InputGen,
-    districts: i64,
-}
-
-impl Workload for TpccWorkload {
-    fn next_program(&self, rng: &mut SeededRng) -> Box<dyn TxnProgram + Send> {
-        txns::program_for(self.gen.next_input(rng), self.districts)
-    }
-}
-
 /// One closed-loop run of the standard mix at test scale under `retry`.
 fn retry_cell(retry: RetryPolicy, terminals: usize, duration: Duration, seed: u64) -> MtCell {
     let sys = TpccSystem::build();
@@ -485,10 +474,7 @@ fn retry_cell(retry: RetryPolicy, terminals: usize, duration: Duration, seed: u6
     populate(&mut db, &scale, seed);
     let shared = Arc::new(SharedDb::new(db, Arc::clone(&sys.tables) as _));
     let cc = Arc::clone(&sys.acc) as _;
-    let workload: Arc<dyn Workload> = Arc::new(TpccWorkload {
-        gen: InputGen::new(TpccConfig::standard(scale), seed),
-        districts: scale.districts,
-    });
+    let workload: Arc<dyn Workload> = Arc::new(InputGen::new(TpccConfig::standard(scale), seed));
     let report = run_closed_loop(
         &shared,
         &cc,
@@ -679,12 +665,11 @@ pub fn retry_sweep(quick: bool) {
 /// interference tables (no hand analysis exists for this family), audited at
 /// quiescence.
 fn saga_cell(terminals: usize, duration: Duration, seed: u64) -> MtCell {
-    use acc_workloads::torture::KitWorkload;
     use acc_workloads::{saga, WorkloadKit};
     let kit = Arc::new(saga::SagaKit::build(12, 8));
     let shared = Arc::new(SharedDb::new(kit.base(), kit.tables() as _));
     let cc = kit.acc() as _;
-    let workload: Arc<dyn Workload> = Arc::new(KitWorkload(Arc::clone(&kit)));
+    let workload: Arc<dyn Workload> = Arc::clone(&kit) as _;
     let report = run_closed_loop(
         &shared,
         &cc,

@@ -1,4 +1,4 @@
-//! Network front-end experiments: the `torture --net` sweep and the
+//! Network front-end experiments: the network section of `torture` and the
 //! `saturate` open-loop latency sweep.
 //!
 //! **`net_torture`** drives seeded smallbank traffic *through the wire
@@ -13,9 +13,10 @@
 //!    exactly one bucket, and the commits on the durable log equal exactly
 //!    the commit responses the server produced — acknowledged or torn in
 //!    transit, never silent;
-//! 3. a crash sweep over the baseline's WAL: the image is cut at record
-//!    boundaries, salvaged, recovered, compensation resumed — the same §3.4
-//!    pipeline the engine-level tortures prove, here over a log written
+//! 3. a crash sweep over the baseline's WAL: the image goes through the
+//!    shared harness's append sweep ([`torture::run_over`]) — cut at record
+//!    boundaries, salvaged, recovered, compensation resumed and audited
+//!    exactly like every engine-level sweep, here over a log written
 //!    entirely by network-submitted transactions;
 //! 4. a determinism check: the baseline re-run produces a byte-identical
 //!    WAL and outcome log.
@@ -27,6 +28,7 @@
 //! overdrive within 5× of p99 at saturation, excess shed typed, zero lock
 //! leakage — is checked in-process and reported as PASS/FAIL.
 
+use crate::torture::{self, CutSource, TortureConfig};
 use acc_common::events::EventSink;
 use acc_common::faults::ConnPlan;
 use acc_common::{Error, Result, SeededRng};
@@ -35,13 +37,9 @@ use acc_server::{
     run_open_loop, ArrivalSchedule, CallOutcome, Frontend, LoadgenConfig, MemConn, Mix, Response,
     ServerConfig,
 };
-use acc_storage::Database;
-use acc_txn::runner::rollback;
-use acc_txn::{SharedDb, Transaction, TxnState};
 use acc_wal::{recover, Wal};
 use acc_workloads::smallbank::SmallbankKit;
-use acc_workloads::torture::WorkloadKit;
-use std::collections::HashSet;
+use acc_workloads::WorkloadKit;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -170,63 +168,8 @@ fn audit_run(kit: &SmallbankKit, frontend: &Frontend, tally: &Tally) -> Result<(
     Ok(())
 }
 
-/// Byte offsets just after each whole record frame in a WAL image.
-fn record_offsets(image: &[u8]) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while image.len() - pos >= 12 {
-        let len = u32::from_le_bytes(image[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        if image.len() - pos - 12 < len {
-            break;
-        }
-        pos += 12 + len;
-        out.push(pos);
-    }
-    out
-}
-
-/// One crash point over a network-written log: salvage, recover, resume
-/// compensation, audit, account.
-fn crash_point(kit: &SmallbankKit, base: &Database, bytes: &[u8]) -> Result<(usize, usize, usize)> {
-    let salvaged = Wal::from_bytes(bytes);
-    let txns_on_log: HashSet<_> = salvaged.records().iter().map(|r| r.txn()).collect();
-    let mut db = base.clone();
-    let report = recover(&mut db, &salvaged)?;
-    let shared = SharedDb::new(db, kit.tables() as _);
-    let acc = kit.acc();
-    let mut compensated = 0usize;
-    for inf in &report.needs_compensation {
-        let mut program = kit.program_for_inflight(inf)?;
-        let mut txn = Transaction::new(inf.txn, inf.txn_type);
-        txn.steps_completed = inf.steps_completed;
-        txn.step_index = inf.steps_completed;
-        txn.state = TxnState::Active;
-        rollback(&shared, &*acc, program.as_mut(), &mut txn)?;
-        compensated += 1;
-    }
-    let replayed = report.committed.len() + report.aborted.len();
-    let discarded = report.discarded.len();
-    if replayed + compensated + discarded != txns_on_log.len() {
-        return Err(Error::Internal(format!(
-            "crash accounting hole: {} on log, {replayed}+{compensated}+{discarded} accounted",
-            txns_on_log.len()
-        )));
-    }
-    if let Some(violation) = kit.audit(&shared.snapshot_db()).first() {
-        return Err(Error::Internal(format!(
-            "crash point fails audit: {violation}"
-        )));
-    }
-    if shared.total_grants() != 0 {
-        return Err(Error::Internal(
-            "crash-point compensation leaked lock grants".into(),
-        ));
-    }
-    Ok((replayed, compensated, discarded))
-}
-
-/// The `figures -- torture --net` sweep. Panics (figure-harness convention)
-/// if any audit fails.
+/// The network front-end section of `figures -- torture`. Panics
+/// (figure-harness convention) if any audit fails.
 pub fn net_torture(quick: bool) {
     let (requests, fault_plans, max_points) = if quick { (50, 4, 6) } else { (160, 10, 24) };
     let report = run_net_torture(requests, fault_plans, max_points).expect("net torture");
@@ -278,26 +221,31 @@ fn run_net_torture(requests: u64, fault_plans: usize, max_points: usize) -> Resu
         fe.shutdown();
     }
 
-    // Phase 3: crash sweep over the network-written baseline log.
-    let base = kit.base();
-    let offsets = record_offsets(&baseline_image);
-    let stride = offsets.len().div_ceil(max_points).max(1);
-    let (mut points, mut replayed, mut compensated, mut discarded) = (0, 0, 0, 0);
-    for (idx, &off) in offsets.iter().enumerate() {
-        let last = idx == offsets.len() - 1;
-        if idx % stride != 0 && !last {
-            continue;
-        }
-        let (r, c, d) = crash_point(&kit, &base, &baseline_image[..off])?;
-        points += 1;
-        replayed += r;
-        compensated += c;
-        discarded += d;
+    // Phase 3: the shared append sweep over the network-written baseline log.
+    let sweep = torture::run_over(
+        &kit,
+        &TortureConfig {
+            seed: MASTER_SEED,
+            txns: 0,
+            source: CutSource::Append {
+                max_points,
+                torn: 0,
+                flips: 0,
+                injector: 0,
+            },
+        },
+        &baseline_image,
+    )?;
+    if sweep.violations != 0 || sweep.mixed_epoch_lookups != 0 {
+        return Err(Error::Internal(format!(
+            "crash sweep over the network-written log failed its audit:\n{}",
+            sweep.log
+        )));
     }
     let _ = writeln!(
         log,
-        "[net] crash sweep: {points} points, {replayed} replayed, {compensated} compensated, \
-         {discarded} discarded, 0 violations"
+        "[net] crash sweep: {} points, {} replayed, {} compensated, {} discarded, 0 violations",
+        sweep.points, sweep.replayed, sweep.compensated, sweep.discarded
     );
 
     // Phase 4: determinism — same seeds, byte-identical WAL, identical tally.

@@ -208,96 +208,3 @@ pub fn walbench(quick: bool) {
         }
     }
 }
-
-/// The `figures -- torture --fsync` smoke: the fsync-boundary crash sweep
-/// (both devices, tears, injector cross-validation) at smoke scale. Exits
-/// non-zero on any violation so `scripts/check.sh` can gate on it.
-pub fn fsync_torture(quick: bool) {
-    use acc_tpcc::torture::{run_fsync_torture, FsyncTortureConfig};
-    let cfg = if quick {
-        FsyncTortureConfig::smoke(42)
-    } else {
-        FsyncTortureConfig::standard(42)
-    };
-    let report = run_fsync_torture(&cfg).expect("fsync torture harness failed");
-    println!(
-        "fsync torture: {} boundaries, {} crash points, replayed {}, \
-         compensated {}, discarded {}, rejected {} records, {} violations",
-        report.boundaries,
-        report.points,
-        report.replayed,
-        report.compensated,
-        report.discarded,
-        report.rejected_records,
-        report.violations
-    );
-    if report.violations > 0 {
-        eprintln!("{}", report.log);
-        std::process::exit(1);
-    }
-}
-
-/// The `figures -- torture --reanalysis` smoke: an online table re-analysis
-/// (epoch switchover) at every step boundary of the seeded mix, plus the
-/// crash sweep recovering under the edited tables. Exits non-zero on any
-/// consistency violation or mixed-epoch lookup so `scripts/check.sh` can
-/// gate on it.
-pub fn reanalysis_torture(quick: bool) {
-    use acc_tpcc::torture::{run_reanalysis_torture, ReanalysisTortureConfig};
-    let cfg = if quick {
-        ReanalysisTortureConfig::smoke(42)
-    } else {
-        ReanalysisTortureConfig::standard(42)
-    };
-    let report = run_reanalysis_torture(&cfg).expect("reanalysis torture harness failed");
-    println!(
-        "reanalysis torture: {} boundaries, {} switchovers ({} pins drained, \
-         {} immediate), {} crash points under edited tables, replayed {}, \
-         compensated {}, discarded {}, {} violations, {} mixed-epoch lookups",
-        report.boundaries,
-        report.switch_points,
-        report.drained,
-        report.immediate_installs,
-        report.crash_points,
-        report.replayed,
-        report.compensated,
-        report.discarded,
-        report.violations,
-        report.mixed_epoch_lookups
-    );
-    if report.violations > 0 || report.mixed_epoch_lookups > 0 {
-        eprintln!("{}", report.log);
-        std::process::exit(1);
-    }
-}
-
-/// The `figures -- torture --ship` smoke: WAL-shipping replication crashed
-/// at every ship boundary on both sides — leader death after a partial ship
-/// (promote the follower), follower death mid-replay (salvage + chain
-/// handshake + re-ship) — plus hostile-transport and divergence points.
-/// Exits non-zero on any violation so `scripts/check.sh` can gate on it.
-pub fn ship_torture(quick: bool) {
-    use acc_tpcc::torture::{run_ship_torture, ShipTortureConfig};
-    let cfg = if quick {
-        ShipTortureConfig::smoke(42)
-    } else {
-        ShipTortureConfig::standard(42)
-    };
-    let report = run_ship_torture(&cfg).expect("ship torture harness failed");
-    println!(
-        "ship torture: {} ship boundaries, {} points, replayed {}, \
-         compensated {}, discarded {}, {} refusals, {} resumes, {} violations",
-        report.boundaries,
-        report.points,
-        report.replayed,
-        report.compensated,
-        report.discarded,
-        report.refusals,
-        report.resumes,
-        report.violations
-    );
-    if report.violations > 0 {
-        eprintln!("{}", report.log);
-        std::process::exit(1);
-    }
-}

@@ -1,6 +1,6 @@
 //! The follower: verifies shipped batches, persists them to its own WAL
 //! device, and replays the verified prefix through the *existing* recovery
-//! path into its own [`StripedDb`] image.
+//! path into its own [`Database`] image.
 //!
 //! Verification keys off the stream, not the transport: a batch is accepted
 //! only if it starts exactly at the verified frontier, is a whole number of
@@ -18,7 +18,7 @@
 
 use crate::ship::{count_frames, frame_prefix, stream_chain, ShipBatch};
 use acc_common::{Result, TableId, TxnId};
-use acc_storage::{Database, Key, NoCommits, Row, StripedDb, Visibility};
+use acc_storage::{Database, Key, NoCommits, Row, Visibility};
 use acc_wal::{recover, LogDevice, RecoveryReport, Wal};
 
 /// Why a batch was refused. The shipper's answer to any refusal is the same
@@ -96,7 +96,7 @@ pub struct Promoted {
 
 /// A replica fed by [`ShipBatch`]es. Owns its verified byte stream, a local
 /// [`LogDevice`] holding the durable copy of that stream, and a lazily
-/// replayed [`StripedDb`] image at the replay frontier.
+/// replayed [`Database`] image at the replay frontier.
 pub struct Follower {
     /// The pristine pre-workload image recovery replays into.
     base: Database,
@@ -107,7 +107,7 @@ pub struct Follower {
     /// Local durable copy of `stream` (synced at every accepted batch).
     dev: Box<dyn LogDevice>,
     /// Replayed image at `replayed.0` records; rebuilt when stale.
-    replayed: Option<(u64, StripedDb)>,
+    replayed: Option<(u64, Database)>,
 }
 
 impl Follower {
@@ -216,7 +216,7 @@ impl Follower {
 
     /// Replay the verified prefix through the existing recovery path into
     /// this follower's image (cached until the next accepted batch).
-    fn replay(&mut self) -> Result<&StripedDb> {
+    fn replay(&mut self) -> Result<&Database> {
         if self
             .replayed
             .as_ref()
@@ -225,7 +225,7 @@ impl Follower {
             let mut db = self.base.clone();
             let wal = Wal::from_bytes(&self.stream);
             recover(&mut db, &wal)?;
-            self.replayed = Some((self.records, StripedDb::new(db)));
+            self.replayed = Some((self.records, db));
         }
         Ok(&self.replayed.as_ref().expect("just replayed").1)
     }
@@ -237,19 +237,21 @@ impl Follower {
     pub fn read_at(&mut self, table: TableId, key: &Key) -> Result<Option<Row>> {
         let view = self.records.saturating_sub(1);
         let lsn = self.records;
-        self.replay()?.with_table(table, |t| {
-            match t.read_at(key, view, TxnId(u64::MAX), &NoCommits) {
-                Visibility::Visible(img) => Ok(img),
-                Visibility::Tainted => Err(acc_common::Error::Recovery(format!(
-                    "tainted read on a replayed image at replay_lsn {lsn}"
-                ))),
-            }
-        })?
+        match self
+            .replay()?
+            .table(table)?
+            .read_at(key, view, TxnId(u64::MAX), &NoCommits)
+        {
+            Visibility::Visible(img) => Ok(img),
+            Visibility::Tainted => Err(acc_common::Error::Recovery(format!(
+                "tainted read on a replayed image at replay_lsn {lsn}"
+            ))),
+        }
     }
 
     /// A consistent snapshot of the replayed image (audits, tests).
     pub fn snapshot(&mut self) -> Result<Database> {
-        Ok(self.replay()?.snapshot())
+        Ok(self.replay()?.clone())
     }
 
     /// Promote this follower to primary at its current replay frontier:

@@ -18,6 +18,7 @@
 
 use crate::follower::ResumePoint;
 use acc_common::{Error, Result};
+use acc_wal::codec::frame_ends;
 use acc_wal::sector::{chain_of, CAPACITY};
 
 /// One frame-aligned slice of the leader's durable record stream.
@@ -63,25 +64,12 @@ pub fn stream_chain(stream: &[u8]) -> u64 {
     chain
 }
 
-/// The longest prefix of `bytes` that is a whole number of record frames
-/// (`[len: u32 LE][checksum: u64 LE][payload]`), with the frame count.
-/// Only frame *lengths* are walked — payload checksums are the codec's
-/// business at replay time.
+/// The longest prefix of `bytes` that is a whole number of record frames,
+/// with the frame count. Only frame *lengths* are walked
+/// ([`frame_ends`]) — payload checksums are the codec's business at replay
+/// time.
 pub fn frame_prefix(bytes: &[u8]) -> (usize, u64) {
-    let mut off = 0usize;
-    let mut frames = 0u64;
-    while off + 12 <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes")) as usize;
-        let Some(next) = off.checked_add(12 + len) else {
-            break;
-        };
-        if next > bytes.len() {
-            break;
-        }
-        off = next;
-        frames += 1;
-    }
-    (off, frames)
+    frame_ends(bytes).fold((0, 0), |(_, frames), end| (end, frames + 1))
 }
 
 /// Number of whole record frames in `payload`, or `None` if it does not end
@@ -140,17 +128,9 @@ impl Shipper {
         let (mut aligned, frames) = frame_prefix(window);
         if frames == 0 {
             // One frame exceeds the batch target: ship exactly that frame,
-            // whole (frames are never split).
-            let rest = &durable[start..];
-            if rest.len() < 12 {
-                return None; // durable tail is mid-frame; wait for more
-            }
-            let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-            let whole = len.checked_add(12)?;
-            if whole > rest.len() {
-                return None; // durable tail is mid-frame; wait for more
-            }
-            aligned = whole;
+            // whole (frames are never split). None: the durable tail is
+            // mid-frame; wait for more.
+            aligned = frame_ends(&durable[start..]).next()?;
         }
         let payload = durable[start..start + aligned].to_vec();
         let chain = stream_chain(&durable[..start + aligned]);

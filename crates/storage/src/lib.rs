@@ -14,7 +14,6 @@ pub mod pager;
 pub mod predicate;
 pub mod row;
 pub mod schema;
-pub mod striped;
 pub mod table;
 pub mod undo;
 pub mod version;
@@ -23,7 +22,6 @@ pub use pager::{latch_debug_assert_none_held, PagerCounters};
 pub use predicate::{CmpOp, Predicate};
 pub use row::{Key, Row};
 pub use schema::{Catalog, ColumnDef, ColumnType, TableSchema};
-pub use striped::StripedDb;
 pub use table::{Table, VersionedUpdate};
 pub use undo::UndoRecord;
 pub use version::{ChainEntry, CommitResolver, NoCommits, Visibility};
@@ -63,17 +61,6 @@ impl Database {
         self.tables.iter()
     }
 
-    /// Deconstruct into the table vector (striping hand-off).
-    pub fn into_tables(self) -> Vec<Table> {
-        self.tables
-    }
-
-    /// Reassemble from a table vector (inverse of
-    /// [`Database::into_tables`]).
-    pub fn from_tables(tables: Vec<Table>) -> Self {
-        Database { tables }
-    }
-
     /// Undo a previously returned [`UndoRecord`].
     pub fn apply_undo(&mut self, undo: &UndoRecord) -> Result<()> {
         self.table_mut(undo.table())?.apply_undo(undo)
@@ -82,6 +69,16 @@ impl Database {
     /// Total row count across all tables (test/diagnostic helper).
     pub fn total_rows(&self) -> usize {
         self.tables.iter().map(Table::len).sum()
+    }
+
+    /// Aggregate pager counters across all tables (page latch traffic,
+    /// splits/merges, restarts) — the physical-latching analogue of the
+    /// lock manager's `lockstat`.
+    pub fn pager_counters(&self) -> PagerCounters {
+        self.tables
+            .iter()
+            .map(Table::pager_counters)
+            .fold(PagerCounters::default(), |a, b| a + b)
     }
 }
 

@@ -1423,4 +1423,53 @@ mod tests {
         t.prune_versions(10);
         assert_eq!(t.n_version_chains(), 0);
     }
+
+    #[test]
+    fn concurrent_writers_same_table_hit_different_pages() {
+        // Two writers inserting disjoint keys into ONE table through `&Table`:
+        // they contend only on individual leaf latches.
+        let t = std::sync::Arc::new(table());
+        let handles: Vec<_> = (0..2i64)
+            .map(|w| {
+                let t = std::sync::Arc::clone(&t);
+                std::thread::spawn(move || {
+                    for k in 0..200 {
+                        t.insert(row(w * 1000 + k, 0, 0)).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(t.len(), 400);
+        assert_eq!(t.clone().len(), 400);
+        assert!(t.pager_counters().page_writes > 0);
+    }
+
+    #[test]
+    fn panicking_closure_leaves_table_usable() {
+        // `update_versioned` runs its closure under the writer gate and a
+        // leaf latch. Latches recover poison internally, so a closure that
+        // panics there leaves the table fully usable afterwards.
+        use acc_common::TxnId;
+        let t = table();
+        let (slot, _) = t.insert(row(1, 10, 5)).unwrap();
+        let key = Key::ints(&[1, 10]);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.update_versioned(&key, slot, TxnId(1), |_| panic!("boom"))
+        }));
+        assert!(panicked.is_err());
+        t.insert(row(2, 20, 6)).unwrap();
+        assert!(matches!(
+            t.update_versioned(&key, slot, TxnId(1), |r| {
+                r.set(2, Value::Int(7));
+            })
+            .unwrap(),
+            VersionedUpdate::Applied { .. }
+        ));
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.get(&key).unwrap().1.int(2), 7);
+        assert_eq!(t.clone().len(), 2);
+    }
 }

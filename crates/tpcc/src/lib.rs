@@ -18,8 +18,8 @@
 //! * [`consistency`] — the TPC-C consistency conditions, with the strict
 //!   variants that only serializable execution guarantees separated from the
 //!   semantic-correctness variants the ACC guarantees;
-//! * [`torture`] — the crash-torture harness: recovery + compensation +
-//!   consistency at every WAL crash point, plus seeded corruption;
+//! * [`recovery`] — rebuilding in-flight programs from recovered work areas
+//!   (the crash-torture harness itself lives in `acc-bench`);
 //! * [`trace`] — the same workload as simulator traces for the figure
 //!   harness.
 
@@ -29,7 +29,6 @@ pub mod input;
 pub mod populate;
 pub mod recovery;
 pub mod schema;
-pub mod torture;
 pub mod trace;
 pub mod txns;
 

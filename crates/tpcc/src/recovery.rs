@@ -1,17 +1,16 @@
-//! Resuming TPC-C compensation after a crash.
+//! Rebuilding TPC-C programs after a crash.
 //!
 //! Crash recovery (`acc-wal`) replays durable steps and reports the
 //! transactions that were in flight with at least one completed step. The
 //! paper's system "saves some of its work area in a database table for
 //! compensation" (§5); ours travels with the end-of-step log record. This
-//! module turns a recovered work area back into the right program and runs
-//! its compensating step.
+//! module turns a recovered work area back into the right program;
+//! `acc_txn::runner::resume_compensation` runs its compensating step.
 
 use crate::decompose::ty;
 use crate::txns::{Delivery, NewOrder, Payment};
 use acc_common::{Decimal, Error, Result};
-use acc_txn::runner::rollback;
-use acc_txn::{ConcurrencyControl, SharedDb, Transaction, TxnProgram, TxnState};
+use acc_txn::TxnProgram;
 use acc_wal::InFlight;
 
 fn read_i64(bytes: &[u8], at: usize) -> Option<i64> {
@@ -58,26 +57,6 @@ pub fn program_for_inflight(inflight: &InFlight) -> Result<Box<dyn TxnProgram + 
             inflight.txn
         ))),
     }
-}
-
-/// Run the compensating step for every recovered in-flight transaction.
-/// Returns how many were compensated.
-pub fn resume_compensation(
-    shared: &SharedDb,
-    cc: &dyn ConcurrencyControl,
-    inflight: &[InFlight],
-) -> Result<usize> {
-    let mut done = 0;
-    for inf in inflight {
-        let mut program = program_for_inflight(inf)?;
-        let mut txn = Transaction::new(inf.txn, inf.txn_type);
-        txn.steps_completed = inf.steps_completed;
-        txn.step_index = inf.steps_completed;
-        txn.state = TxnState::Active;
-        rollback(shared, cc, program.as_mut(), &mut txn)?;
-        done += 1;
-    }
-    Ok(done)
 }
 
 #[cfg(test)]

@@ -679,3 +679,11 @@ pub fn program_for(input: crate::input::TxnInput, districts: i64) -> Box<dyn Txn
         crate::input::TxnInput::StockLevel(i) => Box::new(StockLevel::new(i)),
     }
 }
+
+/// The generator as a threaded-engine workload: each call draws the next
+/// input of the configured mix and builds its step-decomposed program.
+impl acc_engine::Workload for crate::input::InputGen {
+    fn next_program(&self, rng: &mut acc_common::SeededRng) -> Box<dyn TxnProgram + Send> {
+        program_for(self.next_input(rng), self.config().scale.districts)
+    }
+}

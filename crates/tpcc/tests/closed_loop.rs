@@ -2,27 +2,15 @@
 //! multi-threaded soak with the consistency audit at quiescence.
 
 use acc_common::faults::{FaultInjector, FaultPlan};
-use acc_common::rng::SeededRng;
 use acc_engine::{run_closed_loop, ClosedLoopConfig, RetryPolicy, Workload};
 use acc_storage::Database;
 use acc_tpcc::decompose::TpccSystem;
 use acc_tpcc::input::{InputGen, TpccConfig};
 use acc_tpcc::schema::{tpcc_catalog, Scale};
-use acc_tpcc::{consistency, populate, txns};
-use acc_txn::{ConcurrencyControl, SharedDb, TwoPhase, TxnProgram};
+use acc_tpcc::{consistency, populate};
+use acc_txn::{ConcurrencyControl, SharedDb, TwoPhase};
 use std::sync::Arc;
 use std::time::Duration;
-
-struct TpccWorkload {
-    gen: InputGen,
-    districts: i64,
-}
-
-impl Workload for TpccWorkload {
-    fn next_program(&self, rng: &mut SeededRng) -> Box<dyn TxnProgram + Send> {
-        txns::program_for(self.gen.next_input(rng), self.districts)
-    }
-}
 
 fn soak(use_acc: bool) {
     let sys = TpccSystem::build();
@@ -37,10 +25,7 @@ fn soak(use_acc: bool) {
     } else {
         Arc::new(TwoPhase)
     };
-    let workload: Arc<dyn Workload> = Arc::new(TpccWorkload {
-        gen: InputGen::new(TpccConfig::standard(scale), 5),
-        districts: scale.districts,
-    });
+    let workload: Arc<dyn Workload> = Arc::new(InputGen::new(TpccConfig::standard(scale), 5));
     let report = run_closed_loop(
         &shared,
         &cc,
@@ -85,10 +70,7 @@ fn closed_loop_acc_survives_spurious_wakeups() {
             .with_fault_injector(Arc::clone(&faults)),
     );
     let cc: Arc<dyn ConcurrencyControl> = Arc::clone(&sys.acc) as _;
-    let workload: Arc<dyn Workload> = Arc::new(TpccWorkload {
-        gen: InputGen::new(TpccConfig::standard(scale), 5),
-        districts: scale.districts,
-    });
+    let workload: Arc<dyn Workload> = Arc::new(InputGen::new(TpccConfig::standard(scale), 5));
     let report = run_closed_loop(
         &shared,
         &cc,

@@ -24,14 +24,14 @@ fn shared(seed: u64) -> Arc<SharedDb> {
 fn new_order_math_matches_spec() {
     let s = shared(1);
     // Pin the tax/discount/price environment so the total is checkable.
-    s.with_table_mut(TABLES.warehouse, |t| {
+    s.with_table(TABLES.warehouse, |t| {
         t.update_with(0, |r| {
             r.set(col::w::TAX, Value::Decimal(Decimal::from_units(1000))); // 10%
         })
         .unwrap();
     })
     .unwrap();
-    s.with_table_mut(TABLES.district, |t| {
+    s.with_table(TABLES.district, |t| {
         let d_slot = t.slot_of(&Key::ints(&[1, 1])).unwrap();
         t.update_with(d_slot, |r| {
             r.set(col::d::TAX, Value::Decimal(Decimal::from_units(500))); // 5%
@@ -39,7 +39,7 @@ fn new_order_math_matches_spec() {
         .unwrap();
     })
     .unwrap();
-    s.with_table_mut(TABLES.customer, |t| {
+    s.with_table(TABLES.customer, |t| {
         let c_slot = t.slot_of(&Key::ints(&[1, 1, 2])).unwrap();
         t.update_with(c_slot, |r| {
             r.set(col::c::DISCOUNT, Value::Decimal(Decimal::from_units(2000)));
@@ -48,7 +48,7 @@ fn new_order_math_matches_spec() {
         .unwrap();
     })
     .unwrap();
-    s.with_table_mut(TABLES.item, |t| {
+    s.with_table(TABLES.item, |t| {
         for item in [1i64, 2] {
             let i_slot = t.slot_of(&Key::ints(&[item])).unwrap();
             t.update_with(i_slot, |r| {
@@ -91,7 +91,7 @@ fn new_order_math_matches_spec() {
 fn new_order_stock_91_rule() {
     let s = shared(2);
     // Force a known stock level below the reorder threshold.
-    s.with_table_mut(TABLES.stock, |t| {
+    s.with_table(TABLES.stock, |t| {
         let slot = t.slot_of(&Key::ints(&[1, 5])).unwrap();
         t.update_with(slot, |r| {
             r.set(col::s::QUANTITY, Value::Int(12));
@@ -312,7 +312,7 @@ fn stock_level_counts_below_threshold() {
     let s = shared(8);
     // Set every stock row's quantity to 50, then drop a couple of recently
     // ordered items below threshold.
-    s.with_table_mut(TABLES.stock, |t| {
+    s.with_table(TABLES.stock, |t| {
         let slots: Vec<_> = t.iter().map(|(s, _)| s).collect();
         for slot in slots {
             t.update_with(slot, |r| {
@@ -341,7 +341,7 @@ fn stock_level_counts_below_threshold() {
         rollback: false,
     });
     run(&s, &TwoPhase, &mut no, WaitMode::Block).unwrap();
-    s.with_table_mut(TABLES.stock, |t| {
+    s.with_table(TABLES.stock, |t| {
         for item in [7i64, 8] {
             let slot = t.slot_of(&Key::ints(&[1, item])).unwrap();
             t.update_with(slot, |r| {

@@ -17,8 +17,8 @@
 //!
 //! # Threading
 //!
-//! [`shared::SharedDb`] decomposes the system's synchronization: table
-//! stripes (`RwLock` per table), a sharded lock table, a dedicated WAL
+//! [`shared::SharedDb`] decomposes the system's synchronization: page
+//! latches inside each table, a sharded lock table, a dedicated WAL
 //! append mutex, and per-ticket parking slots for lock waits. Transactions
 //! run on arbitrary threads in [`shared::WaitMode::Block`], or single-threaded
 //! with [`shared::WaitMode::Fail`] (the deterministic scheduler in

@@ -10,7 +10,7 @@ use acc_common::events::Event;
 use acc_common::faults::BoundaryEdge;
 use acc_common::{Error, Result};
 use acc_storage::UndoRecord;
-use acc_wal::LogRecord;
+use acc_wal::{InFlight, LogRecord};
 use std::time::{Duration, Instant};
 
 /// Why a transaction rolled back.
@@ -217,7 +217,7 @@ pub fn undo_current_step(shared: &SharedDb, txn: &mut Transaction) -> Result<()>
     for undo in undos.iter().rev() {
         let table = undo.table();
         let slot = undo.slot();
-        let (before, after) = shared.with_table_mut(table, |t| -> Result<_> {
+        let (before, after) = shared.with_table(table, |t| -> Result<_> {
             let before = t.row(slot);
             t.apply_undo(undo)?;
             let after = t.row(slot);
@@ -292,7 +292,7 @@ pub fn end_step(
 /// Deregistration happens first so this transaction's own read view stops
 /// clamping the watermark; its *pending* entries are still unprunable
 /// (pruning only drops all-committed prefixes), so the order is safe even
-/// against a concurrent pruner. A poisoned stripe leaves that table's
+/// against a concurrent pruner. A failed table lookup leaves that table's
 /// entries pending forever — readers unwind past them (or resolve them
 /// through the publication while it lasts), which is merely conservative.
 fn finalize_versions(shared: &SharedDb, txn: &Transaction, end_lsn: u64) {
@@ -302,7 +302,7 @@ fn finalize_versions(shared: &SharedDb, txn: &Transaction, end_lsn: u64) {
     }
     let watermark = shared.version_watermark();
     for &table in &txn.version_tables {
-        let _ = shared.with_table_mut(table, |t| {
+        let _ = shared.with_table(table, |t| {
             t.finalize_versions(txn.id, end_lsn);
             if let Some(w) = watermark {
                 t.prune_versions(w);
@@ -471,4 +471,25 @@ pub fn rollback(
     shared.unpin_epoch(txn.epoch_pin.take());
     txn.state = TxnState::Aborted;
     Ok(())
+}
+
+/// Resume compensation after a crash (§3.4): rebuild each recovered
+/// in-flight transaction's program from its durable work area with the
+/// caller's `program_for_inflight`, then run its compensating step through
+/// [`rollback`]. Returns how many transactions were compensated.
+pub fn resume_compensation(
+    shared: &SharedDb,
+    cc: &dyn ConcurrencyControl,
+    inflight: &[InFlight],
+    program_for_inflight: impl Fn(&InFlight) -> Result<Box<dyn TxnProgram + Send>>,
+) -> Result<usize> {
+    for inf in inflight {
+        let mut program = program_for_inflight(inf)?;
+        let mut txn = Transaction::new(inf.txn, inf.txn_type);
+        txn.steps_completed = inf.steps_completed;
+        txn.step_index = inf.steps_completed;
+        txn.state = TxnState::Active;
+        rollback(shared, cc, program.as_mut(), &mut txn)?;
+    }
+    Ok(inflight.len())
 }

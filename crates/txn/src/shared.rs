@@ -1,17 +1,19 @@
-//! The shared system state, decomposed: striped database image, sharded lock
-//! tables, and an independent WAL append path.
+//! The shared system state, decomposed: a page-latched database image,
+//! sharded lock tables, and an independent WAL append path.
 //!
 //! Until PR 3 everything lived behind one `Mutex<Core>` with a broadcast
 //! condvar. Now each concern has its own synchronization:
 //!
-//! * the database image is a [`StripedDb`] — one `RwLock` per table;
+//! * the database image is a plain [`Database`] — every [`Table`] method
+//!   takes `&self` and latches individual B-tree pages, so there is no
+//!   whole-table lock at all;
 //! * the lock table is a [`ShardedLockManager`] — N hash-sharded mutexes;
 //! * the WAL has a dedicated append mutex that assigns LSNs independently of
 //!   lock traffic (group commit can batch fsyncs behind it later);
 //! * lock waits park on per-ticket slots ([`crate::parking`]) — a grant
 //!   wakes exactly its owner instead of `notify_all`-ing every waiter.
 //!
-//! Lock ordering: table stripes, lock shards, the WAL mutex, the doom set
+//! Lock ordering: page latches, lock shards, the WAL mutex, the doom set
 //! and the parking table are all *leaves* relative to each other — no thread
 //! ever holds one while blocking on another, except the sharded manager's
 //! own discipline (one shard at a time, notices posted under the shard
@@ -26,7 +28,7 @@ use acc_lockmgr::{
     EpochPin, InstallOutcome, InterferenceOracle, InterferenceRegistry, LockKind, PinAttempt,
     Request, RequestCtx, RequestOutcome, ShardedLockManager, SharedOracle, SwitchStats, Ticket,
 };
-use acc_storage::{CommitResolver, Database, StripedDb, Table};
+use acc_storage::{CommitResolver, Database, Table};
 use acc_wal::{DurableWal, GroupCommitPolicy, LogDevice, LogRecord, Lsn, Wal};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,13 +50,13 @@ pub enum WaitMode {
 
 /// The shared system: one per simulated database server group.
 pub struct SharedDb {
-    /// The database image, striped per table.
-    db: StripedDb,
+    /// The database image (tables latch per page).
+    db: Database,
     /// The sharded lock table.
     lm: ShardedLockManager,
     /// The WAL behind its own append mutex, plus its durable device and
     /// group-commit batcher: LSN assignment never contends with lock traffic
-    /// or stripe access, and commits park on fsync boundaries
+    /// or table access, and commits park on fsync boundaries
     /// (`DurableWal::sync_to`).
     wal: DurableWal,
     /// Per-ticket parking slots for blocked lock waits.
@@ -116,7 +118,7 @@ impl SharedDb {
         let lm = ShardedLockManager::new(ShardedLockManager::DEFAULT_SHARDS);
         let parking = Parking::new(lm.n_shards());
         SharedDb {
-            db: StripedDb::new(db),
+            db,
             lm,
             wal: DurableWal::default(),
             parking,
@@ -303,15 +305,10 @@ impl SharedDb {
         self.db.table(id)
     }
 
-    /// Run `f` with access to one table.
+    /// Run `f` with access to one table, reading or writing (tables latch
+    /// per page, so both go through `&Table`).
     pub fn with_table<R>(&self, id: TableId, f: impl FnOnce(&Table) -> R) -> Result<R> {
-        self.db.with_table(id, f)
-    }
-
-    /// Run `f` with access to one table (mutating call sites; same as
-    /// [`SharedDb::with_table`] since tables latch per page).
-    pub fn with_table_mut<R>(&self, id: TableId, f: impl FnOnce(&Table) -> R) -> Result<R> {
-        self.db.with_table_mut(id, f)
+        Ok(f(self.db.table(id)?))
     }
 
     /// Aggregate pager counters across all tables — the physical-latch
@@ -321,26 +318,27 @@ impl SharedDb {
     }
 
     /// Clone the current database image (tests, consistency checks). Only
-    /// transactionally consistent at quiescent points: the stripes are
-    /// locked one at a time, so concurrent writers would be interleaved —
-    /// a torn image. Debug builds assert quiescence (no in-flight
-    /// transactions); callers that want a torn diagnostic image of a live
-    /// system must use [`SharedDb::snapshot_db_unchecked`].
+    /// transactionally consistent at quiescent points: tables are cloned one
+    /// at a time by tree walks under short leaf latches, so concurrent
+    /// writers would be interleaved — a torn image. Debug builds assert
+    /// quiescence (no in-flight transactions); callers that want a torn
+    /// diagnostic image of a live system must use
+    /// [`SharedDb::snapshot_db_unchecked`].
     pub fn snapshot_db(&self) -> Database {
         debug_assert_eq!(
             self.active_txns(),
             0,
             "snapshot_db at a non-quiescent point: {} transaction(s) in \
-             flight — the per-stripe snapshot would tear their writes",
+             flight — the per-table snapshot would tear their writes",
             self.active_txns()
         );
-        self.db.snapshot()
+        self.db.clone()
     }
 
     /// [`SharedDb::snapshot_db`] without the quiescence check: a possibly
     /// torn diagnostic read of a live system.
     pub fn snapshot_db_unchecked(&self) -> Database {
-        self.db.snapshot()
+        self.db.clone()
     }
 
     /// Run `f` with the WAL locked (appends, boundary fault hooks).

@@ -223,10 +223,10 @@ impl<'a> StepCtx<'a> {
             // another insert raced us while we waited for the lock.
             let done = self
                 .shared
-                .with_table_mut(table, |t| t.insert_versioned(row.clone(), txn_id, slot))??;
+                .with_table(table, |t| t.insert_versioned(row.clone(), txn_id, slot))??;
             if let Some((s, _key, undo)) = done {
                 self.note_version_table(table);
-                // The WAL append happens outside the table stripe, but the
+                // The WAL append happens outside the page latches, but the
                 // slot's page X lock (held until step end) serializes all
                 // same-slot records, so recovery sees them in mutation order.
                 self.shared.with_wal(|w| {
@@ -262,7 +262,7 @@ impl<'a> StepCtx<'a> {
             // we waited for the lock.
             let outcome = self
                 .shared
-                .with_table_mut(table, |t| t.update_versioned(key, slot, txn_id, &f))??;
+                .with_table(table, |t| t.update_versioned(key, slot, txn_id, &f))??;
             match outcome {
                 VersionedUpdate::Applied { undo, after } => {
                     let before = match &undo {
@@ -292,7 +292,7 @@ impl<'a> StepCtx<'a> {
     pub fn update_slot(&mut self, table: TableId, slot: Slot, f: impl Fn(&mut Row)) -> Result<()> {
         self.lock_item(table, slot, true)?;
         let txn_id = self.txn.id;
-        let (undo, before, after) = self.shared.with_table_mut(table, |t| -> Result<_> {
+        let (undo, before, after) = self.shared.with_table(table, |t| -> Result<_> {
             let key = t
                 .key_of_slot(slot)
                 .ok_or_else(|| Error::NotFound(format!("table#{} slot {slot}", table.raw())))?;
@@ -342,7 +342,7 @@ impl<'a> StepCtx<'a> {
             // find the deleted row's history under its primary key.
             let outcome = self
                 .shared
-                .with_table_mut(table, |t| t.delete_versioned(key, slot, txn_id))??;
+                .with_table(table, |t| t.delete_versioned(key, slot, txn_id))??;
             match outcome {
                 Some((undo, before)) => {
                     let before = Some(before);

@@ -261,7 +261,7 @@ fn prune_watermark_clamps_to_the_durable_frontier() {
     // A prune at the clamped watermark keeps the committed bump readable at
     // the durable view.
     let w = s.version_watermark().unwrap();
-    s.with_table_mut(T, |t| t.prune_versions(w)).unwrap();
+    s.with_table(T, |t| t.prune_versions(w)).unwrap();
     let visible = s
         .with_table(T, |t| {
             match t.read_at(&Key::ints(&[1]), w, tid, &acc_storage::NoCommits) {

@@ -109,7 +109,7 @@ fn readers_straddling_the_finalize_window_see_one_snapshot() {
     assert_eq!(read_n(&s, b), Some(10), "B inside the window");
 
     // Finalization + retirement must be invisible to both readers.
-    s.with_table_mut(T, |t| t.finalize_versions(wid, c_lsn.0))
+    s.with_table(T, |t| t.finalize_versions(wid, c_lsn.0))
         .unwrap();
     s.retire_commit(wid);
     s.deregister_active(wid);

@@ -33,6 +33,28 @@ fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
+/// Bytes of a frame header: `[payload_len: u32 LE][checksum: u64 LE]`.
+const FRAME_HEADER: usize = 12;
+
+/// Byte offsets just past each whole frame at the start of `bytes`: the
+/// `k`-th item is the length of the prefix holding the first `k + 1` frames.
+/// Only headers are walked (payload checksums are [`decode_all`]'s
+/// business); the walk stops at the first torn header or payload, and a
+/// length field pointing past the input ends it without overflow.
+pub fn frame_ends(bytes: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    let mut off = 0usize;
+    std::iter::from_fn(move || {
+        let header = bytes.get(off..off.checked_add(FRAME_HEADER)?)?;
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+        let end = (off + FRAME_HEADER).checked_add(len)?;
+        if end > bytes.len() {
+            return None;
+        }
+        off = end;
+        Some(end)
+    })
+}
+
 /// Append one framed record to `out`.
 pub fn encode_record(rec: &LogRecord, out: &mut Vec<u8>) {
     let mut payload = Vec::new();
@@ -132,7 +154,7 @@ pub fn decode_all(data: &[u8]) -> Vec<LogRecord> {
     let mut buf = Reader::new(data);
     let mut out = Vec::new();
     loop {
-        if buf.remaining() < 12 {
+        if buf.remaining() < FRAME_HEADER {
             return out;
         }
         let len = buf.get_u32_le().expect("12-byte header") as usize;
@@ -322,7 +344,7 @@ mod tests {
         }
         let mut bytes = buf;
         // Flip a byte inside the second record's payload.
-        let first_len = 12 + u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
+        let first_len = frame_ends(&bytes).next().expect("one whole frame");
         bytes[first_len + 20] ^= 0xff;
         let decoded = decode_all(&bytes);
         assert_eq!(decoded.len(), 1, "decoding stops at the corrupt frame");
@@ -333,5 +355,30 @@ mod tests {
     fn empty_input() {
         assert!(decode_all(&[]).is_empty());
         assert!(decode_all(&[1, 2, 3]).is_empty());
+    }
+
+    #[test]
+    fn frame_walker_stops_at_the_first_partial_frame() {
+        let recs = sample_records();
+        let mut buf = Vec::new();
+        let mut want = Vec::new();
+        for r in &recs {
+            encode_record(r, &mut buf);
+            want.push(buf.len());
+        }
+        let ends = |b: &[u8]| frame_ends(b).collect::<Vec<_>>();
+        // Empty input, and input ending exactly on the last frame.
+        assert!(ends(&[]).is_empty());
+        assert_eq!(ends(&buf), want);
+        // A torn header and a torn payload both stop before the frame.
+        let (first, second) = (want[0], want[1]);
+        assert_eq!(ends(&buf[..first + FRAME_HEADER - 1]), [first]);
+        assert_eq!(ends(&buf[..second - 1]), [first]);
+        // A length field claiming more bytes than exist (up to u32::MAX)
+        // ends the walk instead of overflowing or reading past the input.
+        let mut lying = buf[..first].to_vec();
+        lying.extend_from_slice(&u32::MAX.to_le_bytes());
+        lying.extend_from_slice(&[0; 8 + 16]);
+        assert_eq!(ends(&lying), [first]);
     }
 }

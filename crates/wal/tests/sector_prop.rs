@@ -69,21 +69,6 @@ fn encode(records: &[LogRecord]) -> Vec<u8> {
     stream
 }
 
-/// Byte offset of the end of each intact frame in `stream`.
-fn frame_ends(stream: &[u8]) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while stream.len() - pos >= 12 {
-        let len = u32::from_le_bytes(stream[pos..pos + 4].try_into().unwrap()) as usize;
-        if stream.len() - pos - 12 < len {
-            break;
-        }
-        pos += 12 + len;
-        out.push(pos);
-    }
-    out
-}
-
 #[test]
 fn records_survive_any_single_sector_tear_with_zero_silent_loss() {
     let mut rng = SeededRng::new(0x05ec_70a1);
@@ -93,7 +78,7 @@ fn records_survive_any_single_sector_tear_with_zero_silent_loss() {
         let stream = encode(&records);
         let image = sector::seal(&stream);
         let n_sectors = image.len() / sector::SECTOR_SIZE;
-        let ends = frame_ends(&stream);
+        let ends: Vec<usize> = codec::frame_ends(&stream).collect();
 
         // Tear EVERY sector in turn, not a sample: the property must hold at
         // any offset.

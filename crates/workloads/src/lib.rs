@@ -15,17 +15,12 @@
 //! * [`saga`] — an order-fulfilment saga with up to four reservation legs
 //!   before payment and shipping; crashing late in a long saga exercises
 //!   compensation chains up to six completed steps deep.
-//! * [`torture`] — a workload-generic crash/switchover torture harness:
-//!   baseline, live [`install_oracle`](acc_txn::SharedDb::install_oracle)
-//!   switchover from fully-conservative default tables to the inferred ones,
-//!   determinism double-run, and a crash-at-every-WAL-append sweep with
-//!   resumed compensation and the family's own consistency audit at every
-//!   point.
+//! * [`kit`] — the [`WorkloadKit`] trait both families implement: what the
+//!   crash-torture harness (`acc-bench`) needs to populate, drive, recover
+//!   and audit a family.
 
+pub mod kit;
 pub mod saga;
 pub mod smallbank;
-pub mod torture;
 
-pub use torture::{
-    run_workload_torture, WorkloadKit, WorkloadTortureConfig, WorkloadTortureReport,
-};
+pub use kit::WorkloadKit;

@@ -1,6 +1,6 @@
 //! The two bring-your-own-workload families end to end: matrix shape as the
-//! inference derives it, the four-phase crash/switchover torture protocol,
-//! and a short multi-threaded closed-loop burn for each family.
+//! inference derives it and a short multi-threaded closed-loop burn for each
+//! family. (Their crash sweeps run in `acc-bench`'s torture tests.)
 //!
 //! Nothing here consults a hand-written interference table — the matrices
 //! under test are exactly what [`acc_core::Inference`] produced from the
@@ -10,8 +10,7 @@ use acc_core::{InterferenceTables, DIRTY};
 use acc_engine::{run_closed_loop, ClosedLoopConfig, RetryPolicy, Workload};
 use acc_lockmgr::InterferenceOracle;
 use acc_txn::SharedDb;
-use acc_workloads::torture::KitWorkload;
-use acc_workloads::{run_workload_torture, saga, smallbank, WorkloadKit, WorkloadTortureConfig};
+use acc_workloads::{saga, smallbank, WorkloadKit};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -108,71 +107,6 @@ fn inference_decisions_cover_every_declared_step() {
 }
 
 // ---------------------------------------------------------------------------
-// Torture: four-phase protocol per family.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn smallbank_survives_the_torture_protocol() {
-    let kit = smallbank::SmallbankKit::build(8);
-    let cfg = WorkloadTortureConfig {
-        seed: 0xB4A2,
-        txns: 120,
-        max_append_points: 80,
-    };
-    let report = run_workload_torture(&kit, &cfg).expect("torture protocol");
-    assert_eq!(
-        report.violations, 0,
-        "consistency violations:\n{}",
-        report.log
-    );
-    assert!(
-        report.points >= 40,
-        "only {} crash points swept",
-        report.points
-    );
-    assert!(
-        report.compensated > 0,
-        "sweep never resumed a compensation — mix too shallow?\n{}",
-        report.log
-    );
-    // Determinism of the sweep itself: the outcome log is a pure function
-    // of the config.
-    let again = run_workload_torture(&kit, &cfg).expect("torture re-run");
-    assert_eq!(report.log, again.log, "torture log not deterministic");
-}
-
-#[test]
-fn saga_survives_the_torture_protocol_with_deep_chains() {
-    let kit = saga::SagaKit::build(6, 4);
-    let cfg = WorkloadTortureConfig {
-        seed: 0x5A6A,
-        txns: 110,
-        max_append_points: 90,
-    };
-    let report = run_workload_torture(&kit, &cfg).expect("torture protocol");
-    assert_eq!(
-        report.violations, 0,
-        "consistency violations:\n{}",
-        report.log
-    );
-    assert!(
-        report.points >= 40,
-        "only {} crash points swept",
-        report.points
-    );
-    // The whole reason this family exists: crash points late in a four-leg
-    // saga leave compensation chains far past TPC-C's two-to-three steps.
-    assert!(
-        report.max_comp_depth >= 5,
-        "deepest resumed chain was {} completed steps — want >= 5\n{}",
-        report.max_comp_depth,
-        report.log
-    );
-    let again = run_workload_torture(&kit, &cfg).expect("torture re-run");
-    assert_eq!(report.log, again.log, "torture log not deterministic");
-}
-
-// ---------------------------------------------------------------------------
 // Concurrency: a short closed-loop burn under the inferred tables, audited
 // at quiescence. (The release-mode stress gate runs the long version; this
 // keeps the property in the plain test suite.)
@@ -181,7 +115,7 @@ fn saga_survives_the_torture_protocol_with_deep_chains() {
 fn burn(kit: Arc<dyn WorkloadKit>, seed: u64) {
     let shared = Arc::new(SharedDb::new(kit.base(), kit.tables() as _));
     let cc: Arc<dyn acc_txn::ConcurrencyControl> = kit.acc();
-    let workload: Arc<dyn Workload> = Arc::new(KitWorkload(Arc::new(KitRef(Arc::clone(&kit)))));
+    let workload: Arc<dyn Workload> = Arc::clone(&kit) as _;
     let report = run_closed_loop(
         &shared,
         &cc,
@@ -202,37 +136,6 @@ fn burn(kit: Arc<dyn WorkloadKit>, seed: u64) {
         kit.name()
     );
     assert_eq!(shared.total_grants(), 0, "{}: grants leaked", kit.name());
-}
-
-/// A [`WorkloadKit`] forwarder so the trait-object kit can ride through the
-/// generic [`KitWorkload`] adapter.
-struct KitRef(Arc<dyn WorkloadKit>);
-
-impl WorkloadKit for KitRef {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn base(&self) -> acc_storage::Database {
-        self.0.base()
-    }
-    fn tables(&self) -> Arc<InterferenceTables> {
-        self.0.tables()
-    }
-    fn acc(&self) -> Arc<acc_core::Acc> {
-        self.0.acc()
-    }
-    fn next_program(&self, rng: &mut acc_common::SeededRng) -> Box<dyn acc_txn::TxnProgram + Send> {
-        self.0.next_program(rng)
-    }
-    fn program_for_inflight(
-        &self,
-        inf: &acc_wal::InFlight,
-    ) -> acc_common::Result<Box<dyn acc_txn::TxnProgram + Send>> {
-        self.0.program_for_inflight(inf)
-    }
-    fn audit(&self, db: &acc_storage::Database) -> Vec<String> {
-        self.0.audit(db)
-    }
 }
 
 #[test]

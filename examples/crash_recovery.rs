@@ -17,6 +17,7 @@
 use assertional_acc::prelude::*;
 use assertional_acc::tpcc;
 use assertional_acc::tpcc::input::{NewOrderInput, OrderLineInput, PaymentInput};
+use assertional_acc::txn::runner::resume_compensation;
 use std::sync::Arc;
 
 fn fresh_base(scale: &tpcc::Scale, seed: u64) -> Database {
@@ -114,7 +115,12 @@ fn main() -> Result<()> {
 
     // --- 4. resume compensation -------------------------------------------
     let recovered = Arc::new(SharedDb::new(recovered_db, Arc::clone(&sys.tables) as _));
-    let n = tpcc::recovery::resume_compensation(&recovered, &*sys.acc, &report.needs_compensation)?;
+    let n = resume_compensation(
+        &recovered,
+        &*sys.acc,
+        &report.needs_compensation,
+        tpcc::recovery::program_for_inflight,
+    )?;
     println!("compensated {n} in-flight transaction(s)");
 
     let db = recovered.snapshot_db();

@@ -15,17 +15,6 @@ use assertional_acc::tpcc;
 use std::sync::Arc;
 use std::time::Duration;
 
-struct TpccWorkload {
-    gen: tpcc::InputGen,
-    districts: i64,
-}
-
-impl Workload for TpccWorkload {
-    fn next_program(&self, rng: &mut acc_common::rng::SeededRng) -> Box<dyn TxnProgram + Send> {
-        tpcc::txns::program_for(self.gen.next_input(rng), self.districts)
-    }
-}
-
 fn build_shared(seed: u64) -> (Arc<SharedDb>, tpcc::TpccSystem, tpcc::Scale) {
     let sys = tpcc::TpccSystem::build();
     let scale = tpcc::Scale::benchmark();
@@ -58,10 +47,8 @@ fn main() {
         } else {
             Arc::new(TwoPhase)
         };
-        let workload: Arc<dyn Workload> = Arc::new(TpccWorkload {
-            gen: tpcc::InputGen::new(tpcc::TpccConfig::standard(scale), 7),
-            districts: scale.districts,
-        });
+        let workload: Arc<dyn Workload> =
+            Arc::new(tpcc::InputGen::new(tpcc::TpccConfig::standard(scale), 7));
         let report = run_closed_loop(
             &shared,
             &cc,

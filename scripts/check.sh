@@ -18,57 +18,14 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test =="
 cargo test --workspace --offline -q
 
-echo "== durable WAL tests (sector framing, devices, group commit) =="
-cargo test -p acc-wal -p acc-txn --offline -q --test sector_prop --test group_commit
-
-echo "== oracle edge cases + epoch registry tests =="
-cargo test -p acc-core --offline -q --test oracle_edges
-cargo test -p acc-lockmgr --offline -q registry
-
-echo "== interference inference: brute-force soundness + differential vs hand tables =="
-cargo test -p acc-core --offline -q --test infer_prop
-cargo test -p acc-tpcc --offline -q --test infer_diff
-
-echo "== bring-your-own workloads: inferred-table torture + switchover + 8-thread burns =="
-cargo test -p acc-workloads --offline -q
-
-echo "== MVCC-lite visibility property tests + version-read observability =="
-cargo test -p acc-storage --offline -q --test visibility_prop
-cargo test --offline -q --test observability
-
-echo "== paged storage: pager + B-tree units, model-based tree property tests =="
-cargo test -p acc-storage --offline -q --lib pager
-cargo test -p acc-storage --offline -q --lib btree
-cargo test -p acc-storage --offline -q --lib table
-cargo test -p acc-storage --offline -q --test tree_prop
-
 echo "== pagebench smoke (page-latch protocol, release) =="
 cargo run -p acc-bench --release --offline --bin figures -- pagebench --quick >/dev/null
 
-echo "== crash-torture smoke (bounded sweep) =="
-cargo run -p acc-bench --release --offline --bin figures -- torture --quick >/dev/null
-
-echo "== fsync-boundary torture smoke (both devices) =="
-cargo run -p acc-bench --release --offline --bin figures -- torture --fsync --quick
-
-echo "== reanalysis torture smoke (epoch switchover at step boundaries) =="
-cargo run -p acc-bench --release --offline --bin figures -- torture --reanalysis --quick
-
-echo "== WAL-shipping replication tests (shipper, follower, transports, pump) =="
-cargo test -p acc-repl --offline -q
-
-echo "== ship torture smoke (every ship boundary, both sides) =="
-cargo run -p acc-bench --release --offline --bin figures -- torture --ship --quick
+echo "== crash torture smoke (every kit x every cut-point source, plus the network front-end) =="
+cargo run -p acc-bench --release --offline --bin figures -- torture --quick
 
 echo "== multi-thread stress smoke (8-terminal closed loop, release) =="
 cargo run -p acc-bench --release --offline --bin figures -- stress --quick
-
-echo "== server front-end: wire/session/admission units + TCP round-trip smoke =="
-cargo test -p acc-server --offline -q
-cargo test -p acc-server --offline -q --test frontend tcp_round_trip
-
-echo "== network torture smoke (connection faults + crashes at protocol boundaries) =="
-cargo run -p acc-bench --release --offline --bin figures -- torture --net --quick
 
 echo "== determinism: two consecutive 'figures -- tables' runs byte-identical =="
 t1="$(mktemp)"; t2="$(mktemp)"

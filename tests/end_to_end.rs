@@ -5,6 +5,7 @@ use assertional_acc::tpcc::{
     self,
     input::{CustomerSelector, NewOrderInput, OrderLineInput, PaymentInput},
 };
+use assertional_acc::txn::runner::resume_compensation;
 use std::sync::Arc;
 
 fn fresh_base(scale: &tpcc::Scale, seed: u64) -> Database {
@@ -127,8 +128,13 @@ fn recovery_is_sound_at_every_crash_point() {
             .unwrap_or_else(|e| panic!("recovery failed at cut {cut}: {e}"));
 
         let shared = SharedDb::new(db, Arc::clone(&sys.tables) as _);
-        let n = tpcc::recovery::resume_compensation(&shared, &*sys.acc, &report.needs_compensation)
-            .unwrap_or_else(|e| panic!("compensation failed at cut {cut}: {e}"));
+        let n = resume_compensation(
+            &shared,
+            &*sys.acc,
+            &report.needs_compensation,
+            tpcc::recovery::program_for_inflight,
+        )
+        .unwrap_or_else(|e| panic!("compensation failed at cut {cut}: {e}"));
         assert_eq!(n, report.needs_compensation.len());
 
         let violations = tpcc::consistency::check(&shared.snapshot_db(), false);
