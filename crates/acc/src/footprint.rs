@@ -1,9 +1,9 @@
 //! Step write footprints: what a step type may change, declared at design
 //! time.
 //!
-//! Beyond the table/column/cardinality shape the hand analysis consumes,
+//! Beyond the table/column/cardinality shape that decides flat overlap,
 //! footprints carry three machine-checkable *semantic refinements* that the
-//! automatic inference pass ([`crate::infer`]) turns into proof obligations:
+//! inference ([`crate::infer`]) uses to discharge overlap obligations:
 //! the write [`Effect`] (assignment vs. commutative delta), the key
 //! [`Region`] the footprint is confined to, and — on assertion read
 //! footprints — delta tolerance. Each refinement is a designer declaration,
@@ -71,11 +71,11 @@ pub struct TableFootprint {
     /// predicate depends on *which rows exist* (counts, existence,
     /// aggregates) — not just on column values of fixed rows.
     pub cardinality: bool,
-    /// Write-side refinement: how the touched columns change. Ignored by
-    /// the hand analysis; consumed by [`crate::infer`].
+    /// Write-side refinement: how the touched columns change. Never changes
+    /// flat overlap; [`crate::infer`] uses it to discharge obligations.
     pub effect: Effect,
-    /// Which rows the footprint is confined to. Ignored by the hand
-    /// analysis; consumed by [`crate::infer`].
+    /// Which rows the footprint is confined to. Never changes flat overlap;
+    /// [`crate::infer`] uses it to discharge obligations.
     pub region: Region,
     /// Read-side refinement: the predicate is invariant under other
     /// transactions' commutative deltas to these columns ("includes my
@@ -177,19 +177,11 @@ impl StepFootprint {
             writes,
         }
     }
-
-    /// True if any write overlaps any of the given read footprints.
-    pub fn interferes_with(&self, reads: &[TableFootprint]) -> bool {
-        self.writes
-            .iter()
-            .any(|w| reads.iter().any(|r| w.overlaps(r)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acc_common::StepTypeId;
 
     const T: TableId = TableId(0);
     const U: TableId = TableId(1);
@@ -218,8 +210,8 @@ mod tests {
 
     #[test]
     fn refinement_builders_do_not_change_flat_overlap() {
-        // The hand analysis sees exactly the same overlap geometry whether
-        // or not a footprint carries refinements.
+        // Flat overlap is the same whether or not a footprint carries
+        // refinements; only the inference's obligations read them.
         let plain = TableFootprint::columns(T, [1]);
         let refined = TableFootprint::columns(T, [1]).delta().own(KeySpace(0));
         let read = TableFootprint::columns(T, [1]).tolerates_deltas();
@@ -236,22 +228,5 @@ mod tests {
             TableFootprint::columns(T, [0]).within(5, 9).region,
             Region::Range(5, 9)
         );
-    }
-
-    #[test]
-    fn step_footprint_interference() {
-        // The paper's §5.1 example: new-order increments the district
-        // counter (col 2), payment updates the district YTD (col 3). Their
-        // footprints do not overlap, so the analysis lets them interleave.
-        let district = TableId(7);
-        let new_order = StepFootprint::new(
-            StepTypeId(1),
-            "new-order-s1",
-            vec![TableFootprint::columns(district, [2])],
-        );
-        let counter_assertion = [TableFootprint::columns(district, [2])];
-        let ytd_assertion = [TableFootprint::columns(district, [3])];
-        assert!(new_order.interferes_with(&counter_assertion));
-        assert!(!new_order.interferes_with(&ytd_assertion));
     }
 }

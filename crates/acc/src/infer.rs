@@ -1,12 +1,13 @@
-//! Automatic interference inference (§3.2, mechanized).
+//! The design-time interference analysis (§3.1–3.2), mechanized.
 //!
-//! [`Analysis`](crate::analysis::Analysis) reproduces the paper's *output* —
-//! the designer reads the maximally reduced proof and declares safe pairs by
-//! hand. This module reproduces the paper's *method*: given step footprints
-//! and assertion templates enriched with the semantic refinements of
-//! [`crate::footprint`] ([`Effect`], [`Region`], delta tolerance), it derives
-//! the step×template interference matrix for an arbitrary workload, with no
-//! escape hatch to declare a pair safe.
+//! Given step footprints and assertion templates enriched with the semantic
+//! refinements of [`crate::footprint`] ([`Effect`], [`Region`], delta
+//! tolerance), [`Inference`] derives the step×template interference matrix
+//! for an arbitrary workload. Whatever the footprints cannot prove, the
+//! designer may still declare safe with a recorded justification — the
+//! paper's hand proofs from the maximally reduced proof — but only there:
+//! declaring a cell the footprints already prove is a design-time error, so
+//! each workload's declarations are exactly its inference gap.
 //!
 //! # Proof obligations
 //!
@@ -28,7 +29,8 @@
 //!    so the tolerance survives aborts).
 //!
 //! Any undischarged obligation makes the pair interfere — the conservative
-//! default the paper prescribes when the analysis cannot prove safety.
+//! default the paper prescribes when the analysis cannot prove safety —
+//! unless the designer declared it safe.
 //!
 //! # Guard templates, uniformly
 //!
@@ -56,19 +58,33 @@
 //! all-clear row, which also makes them eligible for coordination-free
 //! version reads.
 //!
-//! Inference is deliberately *incomplete*: hand declarations resting on
-//! temporal or item-identity arguments the refinement vocabulary cannot
-//! express (TPC-C's "applies only to orders it atomically claimed, which are
-//! committed") come out conservatively interfering. [`diff`] makes exactly
-//! that gap visible.
+//! Inference is deliberately *incomplete*: arguments resting on temporal or
+//! item-identity facts the refinement vocabulary cannot express (TPC-C's
+//! "applies only to orders it atomically claimed, which are committed") come
+//! out conservatively interfering until declared.
 
-use crate::analysis::Decision;
 use crate::assertion::AssertionRegistry;
 use crate::footprint::{Effect, Region, StepFootprint, TableFootprint};
 use crate::tables::InterferenceTables;
 use acc_common::{AssertionTemplateId, StepTypeId};
 use acc_lockmgr::InterferenceOracle;
 use std::collections::{HashMap, HashSet};
+
+/// One recorded analysis decision.
+#[derive(Debug, Clone)]
+pub struct Decision {
+    /// Step type.
+    pub step: StepTypeId,
+    /// The step type's name, as registered with its footprint.
+    pub step_name: String,
+    /// Assertion template.
+    pub template: AssertionTemplateId,
+    /// Final verdict.
+    pub interferes: bool,
+    /// How the verdict was reached: the discharging proof, the designer's
+    /// declaration, or the blocking obligation.
+    pub why: String,
+}
 
 /// Row-disjointness proof between two confined footprints, if one exists.
 fn region_disjoint(w: &Region, r: &Region) -> Option<String> {
@@ -127,14 +143,10 @@ fn delta_poison(w: &TableFootprint, all: &[StepFootprint]) -> Option<String> {
 /// One write/read footprint obligation: proved (`Ok`) with the discharging
 /// argument, or unproved (`Err`) with what blocked it.
 fn obligation(w: &TableFootprint, r: &TableFootprint) -> Result<Option<String>, String> {
-    if w.table != r.table {
+    if !w.overlaps(r) {
         return Ok(None);
     }
     let card_overlap = w.cardinality && r.cardinality;
-    let col_overlap = w.columns.intersection(&r.columns).next().is_some();
-    if !card_overlap && !col_overlap {
-        return Ok(None);
-    }
     if let Some(proof) = region_disjoint(&w.region, &r.region) {
         return Ok(Some(proof));
     }
@@ -164,12 +176,12 @@ fn obligation(w: &TableFootprint, r: &TableFootprint) -> Result<Option<String>, 
     ))
 }
 
-/// The inference builder. Mirrors [`Analysis`](crate::analysis::Analysis)
-/// minus `declare_safe`/`declare_interferes`: everything not proved from the
-/// footprints is conservative.
+/// Derives the interference tables: everything neither proved from the
+/// footprints nor declared safe is conservative.
 pub struct Inference<'a> {
     registry: &'a AssertionRegistry,
     steps: Vec<StepFootprint>,
+    safe: HashMap<(StepTypeId, AssertionTemplateId), String>,
     committed_readers: Vec<StepTypeId>,
 }
 
@@ -179,6 +191,7 @@ impl<'a> Inference<'a> {
         Inference {
             registry,
             steps: Vec::new(),
+            safe: HashMap::new(),
             committed_readers: Vec::new(),
         }
     }
@@ -204,6 +217,30 @@ impl<'a> Inference<'a> {
         self
     }
 
+    /// Record the designer's proof that `step` cannot invalidate `template`
+    /// although the footprints cannot show it (in the paper: an argument
+    /// read off the maximally reduced proof). Panics if `step` is not yet
+    /// registered or `template` is not in the registry; [`build`](Self::build)
+    /// panics if the footprints already prove the cell, so a workload's
+    /// declarations are exactly what inference cannot derive.
+    pub fn declare_safe(
+        mut self,
+        step: StepTypeId,
+        template: AssertionTemplateId,
+        why: impl Into<String>,
+    ) -> Self {
+        assert!(
+            self.steps.iter().any(|s| s.step_type == step),
+            "declaration for unregistered step {step:?}"
+        );
+        assert!(
+            (template.raw() as usize) < self.registry.len(),
+            "declaration for template {template:?} outside the registry"
+        );
+        self.safe.insert((step, template), why.into());
+        self
+    }
+
     /// Declare that an (analyzed) step type must only read committed data —
     /// a requirement of the step's *specification* (§3.3), not something
     /// footprints could ever derive.
@@ -213,7 +250,8 @@ impl<'a> Inference<'a> {
     }
 
     /// Run the inference. Panics if a template's read footprint claims a
-    /// `Fresh` region (freshness is a write-side notion).
+    /// `Fresh` region (freshness is a write-side notion), or if a declared
+    /// cell is one the footprints prove anyway.
     pub fn build(self) -> (InterferenceTables, Vec<Decision>) {
         let n = self.registry.len();
         for t in self.registry.iter() {
@@ -229,13 +267,24 @@ impl<'a> Inference<'a> {
         let mut decisions = Vec::new();
         for step in &self.steps {
             for template in self.registry.iter() {
-                let (interferes, why) = if template.read_guard {
+                let (mut interferes, mut why) = if template.read_guard {
                     Self::guard_verdict(step, &self.steps)
                 } else {
                     Self::template_verdict(step, &template.reads)
                 };
+                if let Some(declared) = self.safe.get(&(step.step_type, template.id)) {
+                    assert!(
+                        interferes,
+                        "step {:?} x template {:?} is declared safe, but the footprints \
+                         already prove it ({why})",
+                        step.step_type, template.id
+                    );
+                    interferes = false;
+                    why = format!("declared safe: {declared}");
+                }
                 decisions.push(Decision {
                     step: step.step_type,
+                    step_name: step.name.clone(),
                     template: template.id,
                     interferes,
                     why,
@@ -329,81 +378,24 @@ impl<'a> Inference<'a> {
     }
 }
 
-/// Where two interference tables disagree, per matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum DiffKind {
-    /// The write matrix (`write_interferes`).
-    Write,
-    /// The read matrix (`read_interferes`).
-    Read,
-}
-
-/// Cell-for-cell comparison of two oracles over the same step/template grid.
-#[derive(Debug, Default)]
-pub struct TableDiff {
-    /// Cells where `probe` admits what `reference` blocks — for a soundness
-    /// differential this set must be empty.
-    pub more_permissive: Vec<(StepTypeId, AssertionTemplateId, DiffKind)>,
-    /// Cells where `probe` blocks what `reference` admits — the visible cost
-    /// of mechanical inference vs. hand proofs.
-    pub less_permissive: Vec<(StepTypeId, AssertionTemplateId, DiffKind)>,
-}
-
-impl TableDiff {
-    /// True when the two tables agree on every probed cell.
-    pub fn is_empty(&self) -> bool {
-        self.more_permissive.is_empty() && self.less_permissive.is_empty()
-    }
-}
-
-/// Compare `probe` (e.g. an inferred table) against `reference` (e.g. the
-/// hand table) over every (step, template) cell of both matrices.
-pub fn diff(
-    probe: &dyn InterferenceOracle,
-    reference: &dyn InterferenceOracle,
-    steps: &[StepTypeId],
-    n_templates: usize,
-) -> TableDiff {
-    let mut out = TableDiff::default();
-    for &s in steps {
-        for t in 0..n_templates {
-            let t = AssertionTemplateId(t as u32);
-            for (kind, p, r) in [
-                (
-                    DiffKind::Write,
-                    probe.write_interferes(s, t),
-                    reference.write_interferes(s, t),
-                ),
-                (
-                    DiffKind::Read,
-                    probe.read_interferes(s, t),
-                    reference.read_interferes(s, t),
-                ),
-            ] {
-                match (p, r) {
-                    (false, true) => out.more_permissive.push((s, t, kind)),
-                    (true, false) => out.less_permissive.push((s, t, kind)),
-                    _ => {}
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Render a table as deterministic JSON: steps sorted by id, templates in id
-/// order, stable key order, no floating point. Byte-identical across runs of
-/// the same analysis — `figures -- infer` is double-run-compared on this.
+/// Render a table as deterministic JSON: steps sorted by id (named as in the
+/// `decisions` that built it), templates in id order, stable key order, no
+/// floating point. Byte-identical across runs of the same analysis —
+/// `figures -- tables` is double-run-compared on this.
 pub fn matrix_json(
     tables: &InterferenceTables,
     registry: &AssertionRegistry,
-    step_names: &[(StepTypeId, &str)],
+    decisions: &[Decision],
 ) -> String {
     fn esc(s: &str) -> String {
         s.replace('\\', "\\\\").replace('"', "\\\"")
     }
-    let mut steps: Vec<_> = step_names.to_vec();
+    let mut steps: Vec<(StepTypeId, &str)> = decisions
+        .iter()
+        .map(|d| (d.step, d.step_name.as_str()))
+        .collect();
     steps.sort_by_key(|(s, _)| *s);
+    steps.dedup_by_key(|(s, _)| *s);
     let mut out = String::from("{\n  \"templates\": [\n");
     let n = registry.len();
     for (i, t) in registry.iter().enumerate() {
@@ -641,38 +633,10 @@ mod tests {
     }
 
     #[test]
-    fn diff_flags_both_directions() {
-        let mut reg = AssertionRegistry::new();
-        let pred = reg.define("pred", vec![TableFootprint::columns(T, [1])], None);
-        let s = StepTypeId(1);
-        // Probe: conservative on (s, pred); admits (s, DIRTY).
-        let (probe, _) = Inference::new(&reg)
-            .step(StepFootprint::new(
-                s,
-                "s",
-                vec![TableFootprint::columns(T, [1]).delta()],
-            ))
-            .build();
-        // Reference: the hand table declares the opposite pattern.
-        let (reference, _) = crate::analysis::Analysis::new(&reg)
-            .step(StepFootprint::new(
-                s,
-                "s",
-                vec![TableFootprint::columns(T, [1])],
-            ))
-            .declare_safe(s, pred, "hand argument")
-            .build();
-        let d = diff(&probe, &reference, &[s], reg.len());
-        assert_eq!(d.less_permissive, vec![(s, pred, DiffKind::Write)]);
-        assert_eq!(d.more_permissive, vec![(s, DIRTY, DiffKind::Write)]);
-        assert!(!d.is_empty());
-    }
-
-    #[test]
     fn matrix_json_is_deterministic_and_ordered() {
         let mut reg = AssertionRegistry::new();
         let _ = reg.define("a \"quoted\" name", vec![], None);
-        let (tables, _) = Inference::new(&reg)
+        let (tables, decisions) = Inference::new(&reg)
             .step(StepFootprint::new(StepTypeId(2), "later", vec![]))
             .step(StepFootprint::new(
                 StepTypeId(1),
@@ -680,22 +644,79 @@ mod tests {
                 vec![TableFootprint::columns(T, [0])],
             ))
             .build();
-        let a = matrix_json(
-            &tables,
-            &reg,
-            &[(StepTypeId(2), "later"), (StepTypeId(1), "earlier")],
-        );
-        let b = matrix_json(
-            &tables,
-            &reg,
-            &[(StepTypeId(1), "earlier"), (StepTypeId(2), "later")],
-        );
-        assert_eq!(a, b);
-        // Steps come out id-sorted regardless of declaration order.
+        let a = matrix_json(&tables, &reg, &decisions);
+        let reversed: Vec<_> = decisions.iter().rev().cloned().collect();
+        assert_eq!(a, matrix_json(&tables, &reg, &reversed));
+        // Steps come out id-sorted regardless of declaration order, once
+        // each, named as registered.
         let i1 = a.find("\"earlier\"").unwrap();
         let i2 = a.find("\"later\"").unwrap();
         assert!(i1 < i2, "{a}");
+        assert_eq!(a.matches("\"earlier\"").count(), 1, "{a}");
         assert!(a.contains("\\\"quoted\\\""));
         assert!(a.contains("\"version_read_safe\": true"));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate footprint")]
+    fn duplicate_step_panics() {
+        let reg = AssertionRegistry::new();
+        let fp = || StepFootprint::new(StepTypeId(1), "s", vec![]);
+        let _ = Inference::new(&reg).step(fp()).step(fp());
+    }
+
+    #[test]
+    fn declared_cell_flips_to_safe_with_its_justification() {
+        let mut reg = AssertionRegistry::new();
+        let pred = reg.define("pred", vec![TableFootprint::rows(T, [1])], None);
+        let s = StepTypeId(1);
+        let (tables, decisions) = Inference::new(&reg)
+            .step(StepFootprint::new(
+                s,
+                "unconfined",
+                vec![TableFootprint::rows(T, [1])],
+            ))
+            .declare_safe(s, pred, "rows are claimed atomically")
+            .build();
+        assert!(!tables.write_interferes(s, pred));
+        // Only the declared cell moves; DIRTY keeps its conservative default.
+        assert!(tables.write_interferes(s, DIRTY));
+        let d = decisions.iter().find(|d| d.template == pred).unwrap();
+        assert!(!d.interferes);
+        assert_eq!(d.why, "declared safe: rows are claimed atomically");
+        assert_eq!(d.step_name, "unconfined");
+    }
+
+    #[test]
+    #[should_panic(expected = "already prove it")]
+    fn declaring_a_provable_cell_panics() {
+        let mut reg = AssertionRegistry::new();
+        let pred = reg.define("pred", vec![TableFootprint::columns(T, [1])], None);
+        let s = StepTypeId(1);
+        let _ = Inference::new(&reg)
+            .step(StepFootprint::new(
+                s,
+                "other-column",
+                vec![TableFootprint::columns(T, [2])],
+            ))
+            .declare_safe(s, pred, "redundant")
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "unregistered step")]
+    fn declaring_for_an_unregistered_step_panics() {
+        let reg = AssertionRegistry::new();
+        let _ = Inference::new(&reg).declare_safe(StepTypeId(1), DIRTY, "no such step");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the registry")]
+    fn declaring_an_out_of_range_template_panics() {
+        let reg = AssertionRegistry::new();
+        let s = StepTypeId(1);
+        let _ = Inference::new(&reg)
+            .step(StepFootprint::new(s, "s", vec![]))
+            .declare_safe(s, AssertionTemplateId(1), "no such template");
     }
 }

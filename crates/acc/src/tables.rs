@@ -31,7 +31,7 @@ pub struct InterferenceTables {
 }
 
 impl InterferenceTables {
-    /// Build from raw parts (use [`crate::analysis::Analysis`] normally).
+    /// Build from raw parts (use [`crate::infer::Inference`] normally).
     pub fn from_parts(
         write: HashMap<StepTypeId, Vec<bool>>,
         read_guards: HashSet<AssertionTemplateId>,

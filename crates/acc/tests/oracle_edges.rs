@@ -16,7 +16,7 @@
 
 use acc_common::ids::LEGACY_STEP;
 use acc_common::{AssertionTemplateId, StepTypeId, TableId};
-use acc_core::{Analysis, AssertionRegistry, StepFootprint, TableFootprint, DIRTY};
+use acc_core::{AssertionRegistry, Inference, StepFootprint, TableFootprint, DIRTY};
 use acc_lockmgr::{InterferenceOracle, NoInterference, TotalInterference};
 
 const T_ORDERS: TableId = TableId(0);
@@ -37,7 +37,7 @@ fn small_system() -> (AssertionRegistry, StepTypeId, AssertionTemplateId) {
 #[test]
 fn unknown_step_type_is_conservative_on_writes_and_guards_on_reads() {
     let (reg, writer, tmpl) = small_system();
-    let (tables, _) = Analysis::new(&reg)
+    let (tables, _) = Inference::new(&reg)
         .step(StepFootprint::new(
             writer,
             "writer",
@@ -78,7 +78,7 @@ fn empty_template_set_still_guards_dirty_and_rejects_out_of_range_ids() {
     let reg = AssertionRegistry::new();
     assert_eq!(reg.len(), 1);
     let step = StepTypeId(3);
-    let (tables, decisions) = Analysis::new(&reg)
+    let (tables, decisions) = Inference::new(&reg)
         .step(StepFootprint::new(
             step,
             "lonely writer",
@@ -109,7 +109,7 @@ fn empty_template_set_still_guards_dirty_and_rejects_out_of_range_ids() {
 fn declared_safe_against_dirty_survives_an_empty_template_set() {
     let reg = AssertionRegistry::new();
     let step = StepTypeId(4);
-    let (tables, decisions) = Analysis::new(&reg)
+    let (tables, decisions) = Inference::new(&reg)
         .step(StepFootprint::new(
             step,
             "blind insert",
@@ -130,7 +130,7 @@ fn template_with_no_footprint_conflicts_with_nothing_analyzed() {
     // over state outside the database. No write footprint can overlap it.
     let vacuous = reg.define("vacuous: no table referenced", vec![], None);
     let writer = StepTypeId(11);
-    let (tables, decisions) = Analysis::new(&reg)
+    let (tables, decisions) = Inference::new(&reg)
         .step(StepFootprint::new(
             writer,
             "writer",
@@ -164,7 +164,7 @@ fn template_with_no_footprint_conflicts_with_nothing_analyzed() {
 fn committed_reader_blocks_on_guards_but_not_plain_templates() {
     let (reg, writer, tmpl) = small_system();
     let reader = StepTypeId(8);
-    let (tables, _) = Analysis::new(&reg)
+    let (tables, _) = Inference::new(&reg)
         .step(StepFootprint::new(
             writer,
             "writer",

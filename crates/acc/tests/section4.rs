@@ -20,7 +20,7 @@
 
 use acc_common::{Decimal, Error, Result, StepTypeId, TableId, TxnTypeId, Value};
 use acc_core::{
-    Acc, Analysis, AssertionInstance, AssertionRegistry, StepFootprint, StepSpec, TableFootprint,
+    Acc, AssertionInstance, AssertionRegistry, Inference, StepFootprint, StepSpec, TableFootprint,
     TxnSpec, DIRTY,
 };
 use acc_storage::{Catalog, ColumnType, Database, Key, Row, TableSchema};
@@ -134,7 +134,7 @@ fn system(n_items: i64, stock_each: i64) -> System {
         None,
     );
 
-    let (tables, _decisions) = Analysis::new(&reg)
+    let (tables, _decisions) = Inference::new(&reg)
         .step(StepFootprint::new(
             NO_S1,
             "new-order: counter + header",

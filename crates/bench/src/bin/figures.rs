@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Subcommands: `fig2`, `fig3`, `fig4`, `servers`, `olcount`, `ablation`,
-//! `twolevel`, `lockstat`, `tables`, `infer`, `torture` (every workload kit
+//! `twolevel`, `lockstat`, `tables`, `torture` (every workload kit
 //! through every crash-point source — WAL append, fsync, re-analysis, ship —
 //! plus the network front-end sweep), `wal`, `mtbench`, `pagebench`,
 //! `retry`, `stress`, `saturate`, `all`. `--quick` runs a shorter sweep for
@@ -16,8 +16,8 @@
 //! `saturate` are wall-clock and intentionally kept out of `all`.
 
 use acc_bench::figures::{
-    ablation_table, dump_inferred, dump_tables, fig2, fig3, fig4, lockstat, olcount_table,
-    servers_table, twolevel_table, FigureParams,
+    ablation_table, dump_tables, fig2, fig3, fig4, lockstat, olcount_table, servers_table,
+    twolevel_table, FigureParams,
 };
 use acc_bench::{mtbench, netbench, pagebench, torture, walbench};
 
@@ -38,10 +38,9 @@ subcommands:
   ablation   assertion-template ablation table
   twolevel   two-level (global argument) analysis table
   lockstat   lock/step observability counter dump
-  tables     dump the design-time interference tables
-  infer      dump the machine-inferred matrices (TPC-C, smallbank,
-             saga) as deterministic JSON plus the diff vs the hand
-             tables
+  tables     dump the design-time interference tables (TPC-C,
+             smallbank, saga) as deterministic JSON plus every
+             decision's proof, declaration or blocking obligation
   torture    crash torture: every workload kit (tpcc, smallbank,
              saga) through every cut-point source (WAL append,
              fsync boundary, re-analysis install, ship boundary),
@@ -122,9 +121,6 @@ fn main() {
         "tables" => {
             dump_tables();
         }
-        "infer" => {
-            dump_inferred();
-        }
         "twolevel" => {
             twolevel_table(&params);
         }
@@ -167,7 +163,7 @@ fn main() {
             twolevel_table(&params);
         }
         other => {
-            eprintln!("unknown experiment `{other}`; use fig2|fig3|fig4|servers|olcount|ablation|twolevel|lockstat|tables|infer|torture|wal|mtbench|pagebench|retry|stress|saturate|all");
+            eprintln!("unknown experiment `{other}`; use fig2|fig3|fig4|servers|olcount|ablation|twolevel|lockstat|tables|torture|wal|mtbench|pagebench|retry|stress|saturate|all");
             std::process::exit(2);
         }
     }

@@ -514,103 +514,41 @@ fn pagestat(seed: u64) {
     );
 }
 
-/// Dump every machine-*inferred* interference matrix as deterministic JSON
-/// (stable key order, steps id-sorted, no floating point — `scripts/check.sh`
-/// runs this twice and byte-compares), plus the TPC-C diff against the hand
-/// tables. TPC-C is the differential anchor; smallbank and the fulfilment
-/// saga have no hand tables at all — what prints here is what their torture
-/// and stress gates actually run under.
-pub fn dump_inferred() {
-    use acc_core::infer::{diff, matrix_json, DiffKind};
+/// Dump every workload's design-time interference analysis — TPC-C,
+/// smallbank and the fulfilment saga — the paper's "interference tables …
+/// constructed at design time" (§5.1) as an inspectable artifact: each
+/// matrix as deterministic JSON (stable key order, steps id-sorted, no
+/// floating point — `scripts/check.sh` runs this twice and byte-compares),
+/// then every decision with its proof, declaration or blocking obligation.
+/// What prints here is what the workloads run under.
+pub fn dump_tables() {
+    use acc_core::{matrix_json, AssertionRegistry, Decision, InterferenceTables};
     use acc_workloads::{saga, smallbank};
 
-    let hand = TpccSystem::build();
-    let inferred = TpccSystem::infer();
-    let steps: Vec<_> = TpccSystem::step_names().iter().map(|(s, _)| *s).collect();
-    let d = diff(
-        &inferred.tables,
-        hand.tables.as_ref(),
-        &steps,
-        hand.registry.len(),
-    );
-
-    println!("== tpcc (inferred) ==");
-    print!(
-        "{}",
-        matrix_json(
-            &inferred.tables,
-            &inferred.registry,
-            &TpccSystem::step_names()
-        )
-    );
-    println!("== tpcc inferred vs hand ==");
-    println!("more_permissive: {}", d.more_permissive.len());
-    for (s, t, k) in &d.more_permissive {
-        println!(
-            "  UNSOUND step {} x template {} ({})",
-            s.raw(),
-            t.raw(),
-            if *k == DiffKind::Write {
-                "write"
-            } else {
-                "read"
-            }
-        );
-    }
-    println!("less_permissive: {}", d.less_permissive.len());
-    for (s, t, k) in &d.less_permissive {
-        println!(
-            "  conservative: step {} x template {} ({})",
-            s.raw(),
-            t.raw(),
-            if *k == DiffKind::Write {
-                "write"
-            } else {
-                "read"
-            }
-        );
+    fn dump(
+        name: &str,
+        tables: &InterferenceTables,
+        registry: &AssertionRegistry,
+        decisions: &[Decision],
+    ) {
+        println!("== {name} ==");
+        print!("{}", matrix_json(tables, registry, decisions));
+        println!("decisions ({}):", decisions.len());
+        for d in decisions {
+            println!(
+                "  step {:>2} × template {}: {:<10} — {}",
+                d.step.raw(),
+                d.template.raw(),
+                if d.interferes { "INTERFERES" } else { "safe" },
+                d.why
+            );
+        }
     }
 
-    let sb = smallbank::SmallbankKit::build(10);
-    println!("== smallbank (inferred) ==");
-    print!(
-        "{}",
-        matrix_json(&sb.tables, &sb.registry, &smallbank::step_names())
-    );
-
-    let sg = saga::SagaKit::build(6, 4);
-    println!("== saga (inferred) ==");
-    print!(
-        "{}",
-        matrix_json(&sg.tables, &sg.registry, &saga::step_names())
-    );
-}
-
-/// Dump the TPC-C design-time analysis: the step×template interference
-/// matrix and every recorded decision with its justification — the paper's
-/// "interference tables … constructed at design time" (§5.1), as an
-/// inspectable artifact.
-pub fn dump_tables() {
     let sys = TpccSystem::build();
-    println!("TPC-C interference matrix (rows: step types; cols: template ids; X = interferes):\n");
-    print!("{}", sys.tables.dump());
-    println!("\ntemplates:");
-    for t in sys.registry.iter() {
-        println!(
-            "  [{}] {}{}",
-            t.id.raw(),
-            t.name,
-            if t.read_guard { "  (guard)" } else { "" }
-        );
-    }
-    println!("\ndecisions ({}):", sys.decisions.len());
-    for d in &sys.decisions {
-        println!(
-            "  step {:>2} × template {}: {:<10} — {}",
-            d.step.raw(),
-            d.template.raw(),
-            if d.interferes { "INTERFERES" } else { "safe" },
-            d.why
-        );
-    }
+    dump("tpcc", &sys.tables, &sys.registry, &sys.decisions);
+    let sb = smallbank::SmallbankKit::build(10);
+    dump("smallbank", &sb.tables, &sb.registry, &sb.decisions);
+    let sg = saga::SagaKit::build(6, 4);
+    dump("saga", &sg.tables, &sg.registry, &sg.decisions);
 }

@@ -19,6 +19,17 @@
 //! | `STK` | stock-level | read `d_next_o_id`, scan recent lines, count low stock (read-committed) |
 //! | `NO_CS`/`PAY_CS`/`DLV_CS` | compensating steps |
 //!
+//! # One footprint list, every table
+//!
+//! Each step type's write footprint is written down once, refined with its
+//! effect (commutative deltas) and key region (fresh order ids, the orders
+//! a delivery claimed, a payment's own history row). [`acc_core::Inference`]
+//! derives every interference table from that list: the one-level tables
+//! (plus six declared cells, all about Delivery's atomic claim, which the
+//! footprint vocabulary cannot express) and the §3.2 two-level tables (the
+//! same list with every refinement reset, plus eight global-argument
+//! declarations).
+//!
 //! # The §5.1 conflict, resolved by column analysis
 //!
 //! New-order's `NO_S1` writes `d_next_o_id`; payment's `PAY_S1` writes
@@ -29,10 +40,9 @@
 
 use crate::schema::{col, TABLES};
 
-use acc_core::analysis::Decision;
 use acc_core::{
-    Acc, Analysis, AssertionRegistry, Inference, InterferenceTables, StepFootprint, StepSpec,
-    TableFootprint, TxnSpec, DIRTY,
+    Acc, AssertionRegistry, Decision, Effect, Inference, InterferenceTables, Region, StepFootprint,
+    StepSpec, TableFootprint, TxnSpec, DIRTY,
 };
 use std::sync::Arc;
 
@@ -62,7 +72,7 @@ pub mod step {
     pub const DLV_CS: StepTypeId = StepTypeId(22);
 }
 
-/// Key spaces for the inference footprints ([`TpccSystem::infer`]).
+/// Key spaces of the refined step footprints.
 pub mod ks {
     use acc_core::KeySpace;
     /// Order ids allocated from `d_next_o_id`: each new-order instance holds
@@ -89,10 +99,10 @@ pub mod ks {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableEdit {
     /// Define an extra "backlog audit" template that reads the ORDER and
-    /// NEW-ORDER row sets. No step is declared safe against it, so every
-    /// writer whose footprint overlaps (new-order's header step, delivery's
-    /// claim step, both their compensations) becomes interfering —
-    /// the "add an assertion template" direction.
+    /// NEW-ORDER row sets of every order. Nothing discharges or declares
+    /// those overlaps, so every writer whose footprint overlaps (new-order's
+    /// header step, delivery's claim step, both their compensations) becomes
+    /// interfering — the "add an assertion template" direction.
     AddAudit,
     /// Rebuild without the audit template — the "remove a template"
     /// direction. Lookups against the departed id fall off the matrix and
@@ -126,163 +136,41 @@ pub struct Templates {
     pub audit: Option<acc_common::AssertionTemplateId>,
 }
 
-/// The product of [`TpccSystem::infer`]: the machine-derived matrix over the
-/// base TPC-C templates (same ids as the hand system's), plus its own
-/// registry (the enriched read footprints) and decision log.
-pub struct InferredTpcc {
-    /// The enriched template registry (base ids, refined read footprints).
-    pub registry: AssertionRegistry,
-    /// The machine-derived interference matrix.
-    pub tables: InterferenceTables,
-    /// Every recorded inference decision, with the discharging proof or the
-    /// blocking obligation.
-    pub decisions: Vec<Decision>,
-}
-
 /// The complete design-time product: templates, interference tables, policy.
 pub struct TpccSystem {
     /// Template registry.
     pub registry: Arc<AssertionRegistry>,
     /// The run-time lookup tables (the system-wide interference oracle).
     pub tables: Arc<InterferenceTables>,
-    /// The tables a *two-level* ACC (§3.2) would have to use: identical
-    /// footprints, but declarations that rest on item identity ("its own
-    /// order's lines", "distinct claimed orders") are unavailable to an
-    /// analysis that cannot see item identity at run time, so those pairs
-    /// stay conservatively interfering. Used only by the §3.2 comparison
-    /// experiment.
+    /// The tables a *two-level* ACC (§3.2) would have to use: the same
+    /// footprints with every key-region and delta refinement reset, since an
+    /// analysis that cannot see item identity at run time cannot rely on "its
+    /// own order's lines" or "distinct claimed orders". Only global
+    /// (commutativity, monotonicity) arguments are declared. Used only by the
+    /// §3.2 comparison experiment.
     pub two_level_tables: Arc<InterferenceTables>,
     /// The ACC policy with all five decompositions.
     pub acc: Arc<Acc>,
     /// Template handles.
     pub templates: Templates,
-    /// Every recorded analysis decision (documentation artifact).
+    /// Every recorded decision behind `tables`: its proof, declaration or
+    /// blocking obligation.
     pub decisions: Vec<Decision>,
+    /// Every recorded decision behind `two_level_tables`.
+    pub two_level_decisions: Vec<Decision>,
+}
+
+/// The same footprint as seen by a two-level analysis: every write an
+/// assignment to any row.
+fn unrefined(mut fp: StepFootprint) -> StepFootprint {
+    for w in &mut fp.writes {
+        w.effect = Effect::Assign;
+        w.region = Region::All;
+    }
+    fp
 }
 
 impl TpccSystem {
-    /// The shared step footprints: both the one-level and the §3.2
-    /// two-level analyses start from exactly these write sets.
-    fn footprinted_analysis(reg: &AssertionRegistry) -> Analysis<'_> {
-        use step::*;
-        Analysis::new(reg)
-            .step(StepFootprint::new(
-                NO_S1,
-                "new-order: header",
-                vec![
-                    TableFootprint::columns(TABLES.district, [col::d::NEXT_O_ID]),
-                    TableFootprint::rows(
-                        TABLES.order,
-                        [
-                            col::o::W_ID,
-                            col::o::D_ID,
-                            col::o::ID,
-                            col::o::C_ID,
-                            col::o::ENTRY_D,
-                            col::o::CARRIER_ID,
-                            col::o::OL_CNT,
-                            col::o::ALL_LOCAL,
-                        ],
-                    ),
-                    TableFootprint::rows(TABLES.new_order, [0, 1, 2]),
-                ],
-            ))
-            .step(StepFootprint::new(
-                NO_S2,
-                "new-order: one line",
-                vec![
-                    TableFootprint::columns(
-                        TABLES.stock,
-                        [col::s::QUANTITY, col::s::YTD, col::s::ORDER_CNT],
-                    ),
-                    TableFootprint::rows(TABLES.order_line, (0..10).collect::<Vec<_>>()),
-                ],
-            ))
-            .step(StepFootprint::new(
-                PAY_S1,
-                "payment: warehouse/district ytd",
-                vec![
-                    TableFootprint::columns(TABLES.warehouse, [col::w::YTD]),
-                    TableFootprint::columns(TABLES.district, [col::d::YTD]),
-                ],
-            ))
-            .step(StepFootprint::new(
-                PAY_S2,
-                "payment: customer + history",
-                vec![
-                    TableFootprint::columns(
-                        TABLES.customer,
-                        [
-                            col::c::BALANCE,
-                            col::c::YTD_PAYMENT,
-                            col::c::PAYMENT_CNT,
-                            col::c::DATA,
-                        ],
-                    ),
-                    TableFootprint::rows(TABLES.history, (0..6).collect::<Vec<_>>()),
-                ],
-            ))
-            .step(StepFootprint::new(OST, "order-status (read-only)", vec![]))
-            .step(StepFootprint::new(
-                DLV_S1,
-                "delivery: claim oldest new-order",
-                vec![TableFootprint::rows(TABLES.new_order, [])],
-            ))
-            .step(StepFootprint::new(
-                DLV_S2,
-                "delivery: apply to order/lines/customer",
-                vec![
-                    TableFootprint::columns(TABLES.order, [col::o::CARRIER_ID]),
-                    TableFootprint::columns(TABLES.order_line, [col::ol::DELIVERY_D]),
-                    TableFootprint::columns(
-                        TABLES.customer,
-                        [col::c::BALANCE, col::c::DELIVERY_CNT],
-                    ),
-                ],
-            ))
-            .step(StepFootprint::new(STK, "stock-level (read-only)", vec![]))
-            // ----- compensating step footprints ---------------------------
-            .step(StepFootprint::new(
-                NO_CS,
-                "new-order compensation",
-                vec![
-                    TableFootprint::rows(TABLES.order, []),
-                    TableFootprint::rows(TABLES.new_order, []),
-                    TableFootprint::rows(TABLES.order_line, []),
-                    TableFootprint::columns(
-                        TABLES.stock,
-                        [col::s::QUANTITY, col::s::YTD, col::s::ORDER_CNT],
-                    ),
-                ],
-            ))
-            .step(StepFootprint::new(
-                PAY_CS,
-                "payment compensation",
-                vec![
-                    TableFootprint::columns(TABLES.warehouse, [col::w::YTD]),
-                    TableFootprint::columns(TABLES.district, [col::d::YTD]),
-                    TableFootprint::columns(
-                        TABLES.customer,
-                        [col::c::BALANCE, col::c::YTD_PAYMENT, col::c::PAYMENT_CNT],
-                    ),
-                    TableFootprint::rows(TABLES.history, []),
-                ],
-            ))
-            .step(StepFootprint::new(
-                DLV_CS,
-                "delivery compensation",
-                vec![
-                    TableFootprint::rows(TABLES.new_order, []),
-                    TableFootprint::columns(TABLES.order, [col::o::CARRIER_ID]),
-                    TableFootprint::columns(TABLES.order_line, [col::ol::DELIVERY_D]),
-                    TableFootprint::columns(
-                        TABLES.customer,
-                        [col::c::BALANCE, col::c::DELIVERY_CNT],
-                    ),
-                ],
-            ))
-    }
-
     /// Run the design-time analysis and build the policy.
     pub fn build() -> TpccSystem {
         Self::build_edited(None)
@@ -297,79 +185,16 @@ impl TpccSystem {
         Self::build_edited(Some(edit))
     }
 
-    /// Step names for reports and the `figures -- infer` JSON dump.
-    pub fn step_names() -> Vec<(acc_common::StepTypeId, &'static str)> {
+    /// The step write footprints, refined with per-footprint facts that hold
+    /// of our implementation: stock/YTD/balance updates are commutative
+    /// deltas compensated by the inverse delta; ORDER/NEW-ORDER/ORDER-LINE
+    /// inserts use the freshly allocated order id ([`ks::ORDER`]); delivery's
+    /// apply and compensation touch only the orders its claim step atomically
+    /// took ([`ks::CLAIM`]); each payment owns its HISTORY key ([`ks::TXN`]).
+    fn footprints() -> Vec<StepFootprint> {
         use step::*;
         vec![
-            (NO_S1, "new-order: header"),
-            (NO_S2, "new-order: one line"),
-            (PAY_S1, "payment: warehouse/district ytd"),
-            (PAY_S2, "payment: customer + history"),
-            (OST, "order-status (read-only)"),
-            (DLV_S1, "delivery: claim oldest new-order"),
-            (DLV_S2, "delivery: apply to order/lines/customer"),
-            (STK, "stock-level (read-only)"),
-            (NO_CS, "new-order compensation"),
-            (PAY_CS, "payment compensation"),
-            (DLV_CS, "delivery compensation"),
-        ]
-    }
-
-    /// Run the *automatic* interference inference over the TPC-C step types
-    /// and base templates — no hand declarations, only footprints enriched
-    /// with the semantic refinements of `acc::footprint` (effects, key
-    /// regions, delta tolerance).
-    ///
-    /// The refinements encode per-footprint facts that hold of our
-    /// implementation: stock/YTD/balance updates are commutative deltas
-    /// compensated by the inverse delta; ORDER/NEW-ORDER/ORDER-LINE inserts
-    /// use the freshly allocated order id ([`ks::ORDER`]); delivery's apply
-    /// and compensation touch only the orders its claim step atomically took
-    /// ([`ks::CLAIM`]); each payment owns its HISTORY key ([`ks::TXN`]).
-    /// Hand declarations resting on *temporal* or cross-step arguments
-    /// ("claimed orders are committed because the claim blocked on DIRTY",
-    /// "compensated orders were never claimable") have no footprint form and
-    /// come out conservatively interfering — `acc::infer::diff` against the
-    /// hand tables makes that cost visible, and the differential test pins
-    /// it.
-    pub fn infer() -> InferredTpcc {
-        use step::*;
-        let mut reg = AssertionRegistry::new();
-        // Same define order as `build_edited`, so template ids line up with
-        // the hand system's and the two matrices are directly comparable.
-        let _no_loop = reg.define(
-            "no-loop: entered lines match loop progress for this order",
-            vec![
-                // "This order" is the instance's own freshly allocated id.
-                TableFootprint::columns(TABLES.order, [col::o::OL_CNT]).own(ks::ORDER),
-                TableFootprint::rows(TABLES.order_line, []).own(ks::ORDER),
-            ],
-            None,
-        );
-        let _pay_mid = reg.define(
-            "pay-mid: w_ytd and d_ytd include this payment's amount",
-            vec![
-                // "Includes my contribution" is invariant under other
-                // payments' commutative additions.
-                TableFootprint::columns(TABLES.warehouse, [col::w::YTD]).tolerates_deltas(),
-                TableFootprint::columns(TABLES.district, [col::d::YTD]).tolerates_deltas(),
-            ],
-            None,
-        );
-        let _dlv_loop = reg.define(
-            "dlv-loop: districts processed so far are fully delivered",
-            vec![
-                TableFootprint::columns(TABLES.order, [col::o::CARRIER_ID]),
-                TableFootprint::columns(TABLES.order_line, [col::ol::DELIVERY_D]),
-                TableFootprint::rows(TABLES.new_order, []),
-                TableFootprint::columns(TABLES.customer, [col::c::BALANCE]).tolerates_deltas(),
-            ],
-            None,
-        );
-        let _dlv_dirty = reg.define_guard("dlv-dirty: uncommitted delivery writes");
-
-        let (tables, decisions) = Inference::new(&reg)
-            .step(StepFootprint::new(
+            StepFootprint::new(
                 NO_S1,
                 "new-order: header",
                 vec![
@@ -390,8 +215,8 @@ impl TpccSystem {
                     .fresh(ks::ORDER),
                     TableFootprint::rows(TABLES.new_order, [0, 1, 2]).fresh(ks::ORDER),
                 ],
-            ))
-            .step(StepFootprint::new(
+            ),
+            StepFootprint::new(
                 NO_S2,
                 "new-order: one line",
                 vec![
@@ -403,23 +228,21 @@ impl TpccSystem {
                     TableFootprint::rows(TABLES.order_line, (0..10).collect::<Vec<_>>())
                         .fresh(ks::ORDER),
                 ],
-            ))
-            .step(StepFootprint::new(
+            ),
+            StepFootprint::new(
                 PAY_S1,
                 "payment: warehouse/district ytd",
                 vec![
                     TableFootprint::columns(TABLES.warehouse, [col::w::YTD]).delta(),
                     TableFootprint::columns(TABLES.district, [col::d::YTD]).delta(),
                 ],
-            ))
-            .step(StepFootprint::new(
+            ),
+            StepFootprint::new(
                 PAY_S2,
                 "payment: customer + history",
-                // The hand footprint also lists `c_data` (the TPC-C spec
-                // rewrites it for bad credit); our implementation only ever
-                // appends fixed-at-execution deltas to the numeric columns,
-                // so the inferred footprint can drop it and declare the rest
-                // a delta.
+                // `c_data` is absent: the TPC-C spec rewrites it for bad
+                // credit, but our implementation only ever adds deltas fixed
+                // at execution to the numeric columns.
                 vec![
                     TableFootprint::columns(
                         TABLES.customer,
@@ -428,19 +251,18 @@ impl TpccSystem {
                     .delta(),
                     TableFootprint::rows(TABLES.history, (0..6).collect::<Vec<_>>()).fresh(ks::TXN),
                 ],
-            ))
-            .step(StepFootprint::new(OST, "order-status (read-only)", vec![]))
-            .step(StepFootprint::new(
+            ),
+            StepFootprint::new(OST, "order-status (read-only)", vec![]),
+            StepFootprint::new(
                 DLV_S1,
                 "delivery: claim oldest new-order",
                 // The claim deletes *some district's oldest* NEW-ORDER row —
                 // which one depends on the live backlog, so no key region
-                // confines it. This is exactly the hand table's temporal
-                // argument ("claims are atomic, hence distinct") that
-                // footprints cannot express.
+                // confines it ("claims are atomic, hence distinct" is a
+                // temporal argument, declared below).
                 vec![TableFootprint::rows(TABLES.new_order, [])],
-            ))
-            .step(StepFootprint::new(
+            ),
+            StepFootprint::new(
                 DLV_S2,
                 "delivery: apply to order/lines/customer",
                 vec![
@@ -453,9 +275,10 @@ impl TpccSystem {
                     )
                     .delta(),
                 ],
-            ))
-            .step(StepFootprint::new(STK, "stock-level (read-only)", vec![]))
-            .step(StepFootprint::new(
+            ),
+            StepFootprint::new(STK, "stock-level (read-only)", vec![]),
+            // ----- compensating step footprints -------------------------------
+            StepFootprint::new(
                 NO_CS,
                 "new-order compensation",
                 vec![
@@ -468,8 +291,8 @@ impl TpccSystem {
                     )
                     .delta(),
                 ],
-            ))
-            .step(StepFootprint::new(
+            ),
+            StepFootprint::new(
                 PAY_CS,
                 "payment compensation",
                 vec![
@@ -482,8 +305,8 @@ impl TpccSystem {
                     .delta(),
                     TableFootprint::rows(TABLES.history, []).own(ks::TXN),
                 ],
-            ))
-            .step(StepFootprint::new(
+            ),
+            StepFootprint::new(
                 DLV_CS,
                 "delivery compensation",
                 vec![
@@ -497,14 +320,8 @@ impl TpccSystem {
                     )
                     .delta(),
                 ],
-            ))
-            .require_committed_reads(OST)
-            .build();
-        InferredTpcc {
-            registry: reg,
-            tables,
-            decisions,
-        }
+            ),
+        ]
     }
 
     fn build_edited(edit: Option<TableEdit>) -> TpccSystem {
@@ -512,16 +329,16 @@ impl TpccSystem {
 
         let mut reg = AssertionRegistry::new();
         let mut no_loop_reads = vec![
-            TableFootprint::columns(TABLES.order, [col::o::OL_CNT]),
-            TableFootprint::rows(TABLES.order_line, []),
+            // "This order" is the instance's own freshly allocated id.
+            TableFootprint::columns(TABLES.order, [col::o::OL_CNT]).own(ks::ORDER),
+            TableFootprint::rows(TABLES.order_line, []).own(ks::ORDER),
         ];
         if edit == Some(TableEdit::WidenNoLoop) {
             // The widened invariant also cares about delivery stamps on this
             // order's lines.
-            no_loop_reads.push(TableFootprint::columns(
-                TABLES.order_line,
-                [col::ol::DELIVERY_D],
-            ));
+            no_loop_reads.push(
+                TableFootprint::columns(TABLES.order_line, [col::ol::DELIVERY_D]).own(ks::ORDER),
+            );
         }
         let no_loop = reg.define(
             "no-loop: entered lines match loop progress for this order",
@@ -531,8 +348,10 @@ impl TpccSystem {
         let pay_mid = reg.define(
             "pay-mid: w_ytd and d_ytd include this payment's amount",
             vec![
-                TableFootprint::columns(TABLES.warehouse, [col::w::YTD]),
-                TableFootprint::columns(TABLES.district, [col::d::YTD]),
+                // "Includes my contribution" is invariant under other
+                // payments' commutative additions.
+                TableFootprint::columns(TABLES.warehouse, [col::w::YTD]).tolerates_deltas(),
+                TableFootprint::columns(TABLES.district, [col::d::YTD]).tolerates_deltas(),
             ],
             None,
         );
@@ -542,7 +361,7 @@ impl TpccSystem {
                 TableFootprint::columns(TABLES.order, [col::o::CARRIER_ID]),
                 TableFootprint::columns(TABLES.order_line, [col::ol::DELIVERY_D]),
                 TableFootprint::rows(TABLES.new_order, []),
-                TableFootprint::columns(TABLES.customer, [col::c::BALANCE]),
+                TableFootprint::columns(TABLES.customer, [col::c::BALANCE]).tolerates_deltas(),
             ],
             None,
         );
@@ -562,49 +381,42 @@ impl TpccSystem {
             None
         };
 
-        let (mut tables, decisions) = Self::footprinted_analysis(&reg)
-            // ----- semantic declarations (each with its §5.1-style proof
-            // ----- sketch) -------------------------------------------------
-            // New-order instances interleave arbitrarily (§4).
-            .declare_safe(NO_S1, no_loop, "order ids are unique: another header insert cannot change this order's line count")
-            .declare_safe(NO_S2, no_loop, "lines are keyed by own order id; stock columns are outside the assertion")
-            .declare_safe(NO_CS, no_loop, "compensation removes only its own order's rows")
-            // Delivery's invariant survives the rest of the mix.
-            .declare_safe(NO_S1, dlv_loop, "a brand-new NEW-ORDER row belongs to an unprocessed order")
-            .declare_safe(NO_S2, dlv_loop, "new lines belong to orders delivery has not claimed (claim deletes the NEW-ORDER row first)")
-            .declare_safe(PAY_S2, dlv_loop, "balance updates commute with delivery's credit")
-            .declare_safe(PAY_CS, dlv_loop, "compensation subtracts its own amount; balance deltas commute with delivery's credit")
-            .declare_safe(DLV_S1, dlv_loop, "concurrent deliveries claim distinct orders (claim is atomic)")
+        let footprints = Self::footprints();
+        let (tables, decisions) = footprints
+            .iter()
+            .cloned()
+            .fold(Inference::new(&reg), Inference::step)
+            // ----- semantic declarations: Delivery's atomic claim, which no
+            // ----- footprint refinement expresses (§5.1-style proof sketches)
+            .declare_safe(
+                NO_S1,
+                dlv_loop,
+                "a brand-new NEW-ORDER row belongs to an unprocessed order",
+            )
+            .declare_safe(
+                NO_CS,
+                dlv_loop,
+                "compensated orders were never claimable (their NEW-ORDER row was DIRTY-pinned)",
+            )
+            .declare_safe(
+                DLV_S1,
+                dlv_loop,
+                "concurrent deliveries claim distinct orders (claim is atomic)",
+            )
             .declare_safe(DLV_S2, dlv_loop, "applies to own claimed orders only")
-            .declare_safe(DLV_CS, dlv_loop, "compensation restores only its own claimed orders")
-            .declare_safe(NO_CS, dlv_loop, "compensated orders were never claimable (their NEW-ORDER row was DIRTY-pinned)")
-            // Payment's interstep assertion is monotone in both YTD columns.
-            .declare_safe(PAY_S1, pay_mid, "ytd additions are monotone: they cannot remove this payment's contribution")
-            .declare_safe(PAY_CS, pay_mid, "compensation subtracts only its own contribution")
-            .declare_safe(DLV_S2, pay_mid, "delivery does not touch ytd columns")
-            // DIRTY (uncommitted-data) declarations: which steps may write
-            // over another decomposed transaction's exposed state.
-            .declare_safe(NO_S1, DIRTY, "d_next_o_id increments commute and are never compensated; header inserts create fresh keys")
-            .declare_safe(NO_S2, DIRTY, "stock decrements commute (compensation restores by increment); line inserts create fresh keys")
-            .declare_safe(PAY_S1, DIRTY, "ytd additions commute (compensation subtracts)")
-            .declare_safe(PAY_S2, DIRTY, "balance additions commute; history keys are fresh")
-            .declare_safe(DLV_S2, DIRTY, "applies only to rows of orders it atomically claimed (committed, since DLV_S1 blocks on DIRTY)")
-            .declare_safe(NO_CS, DIRTY, "restock increments commute; deletes touch own keys")
-            .declare_safe(PAY_CS, DIRTY, "ytd/balance subtractions commute; deletes own history row")
-            .declare_safe(DLV_CS, DIRTY, "restores only its own claimed orders")
-            // Delivery's own guard: concurrent deliveries claim *distinct*
-            // orders (the claim step is atomic), so pages pinned by another
-            // delivery's uncommitted claim are safe for the whole mix; if a
-            // delivery compensates, it restores only its own orders.
-            .declare_safe(NO_S1, dlv_dirty, "new headers create fresh keys on any page")
-            .declare_safe(NO_S2, dlv_dirty, "new lines belong to unclaimed orders")
-            .declare_safe(PAY_S1, dlv_dirty, "ytd columns are disjoint from delivery writes")
-            .declare_safe(PAY_S2, dlv_dirty, "balance additions commute with delivery's credit")
-            .declare_safe(DLV_S1, dlv_dirty, "each claim atomically takes a distinct oldest order")
-            .declare_safe(DLV_S2, dlv_dirty, "applies only to own claimed orders")
-            .declare_safe(NO_CS, dlv_dirty, "compensated orders were never claimable")
-            .declare_safe(PAY_CS, dlv_dirty, "subtracts own amounts only")
-            .declare_safe(DLV_CS, dlv_dirty, "restores own claimed orders only")
+            .declare_safe(
+                DLV_CS,
+                dlv_loop,
+                "compensation restores only its own claimed orders",
+            )
+            // Delivery's own guard: pages pinned by another delivery's
+            // uncommitted claim are safe for the next claim, which
+            // atomically takes a distinct order.
+            .declare_safe(
+                DLV_S1,
+                dlv_dirty,
+                "each claim atomically takes a distinct oldest order",
+            )
             // DLV_S1 deliberately NOT declared safe against DIRTY: delivery
             // must not claim a half-entered order.
             //
@@ -613,16 +425,16 @@ impl TpccSystem {
             // reads (the spec permits read-committed for it).
             .require_committed_reads(OST)
             .build();
-        // Guard templates block committed-readers via read interference; the
-        // write matrix already handles everything else.
-        let _ = &mut tables;
 
         // ---- the two-level analysis (§3.2 comparison) ---------------------
-        // Re-run with the same footprints but only the declarations whose
-        // justification does not mention item identity: commutativity and
-        // monotonicity arguments survive; "own keys / own order / distinct
-        // claims" arguments do not.
-        let (two_level_tables, _) = Self::footprinted_analysis(&reg)
+        // The same footprints without refinements, and only the declarations
+        // whose justification does not mention item identity: commutativity
+        // and monotonicity arguments survive; "own keys / own order /
+        // distinct claims" arguments do not.
+        let (two_level_tables, two_level_decisions) = footprints
+            .into_iter()
+            .map(unrefined)
+            .fold(Inference::new(&reg), Inference::step)
             .declare_safe(
                 PAY_S1,
                 pay_mid,
@@ -632,11 +444,6 @@ impl TpccSystem {
                 PAY_CS,
                 pay_mid,
                 "subtraction of own contribution commutes (global argument)",
-            )
-            .declare_safe(
-                DLV_S2,
-                pay_mid,
-                "delivery never touches ytd columns (footprint argument)",
             )
             .declare_safe(NO_S1, DIRTY, "counter increments commute (global argument)")
             .declare_safe(NO_S2, DIRTY, "stock decrements commute (global argument)")
@@ -750,6 +557,7 @@ impl TpccSystem {
                 audit,
             },
             decisions,
+            two_level_decisions,
         }
     }
 }
@@ -777,7 +585,7 @@ mod tests {
     fn delivery_cannot_claim_inflight_orders() {
         let sys = TpccSystem::build();
         assert!(sys.tables.write_interferes(step::DLV_S1, DIRTY));
-        // …but applying to claimed (committed) orders is declared safe.
+        // …but applying to its own claimed (committed) orders is safe.
         assert!(!sys.tables.write_interferes(step::DLV_S2, DIRTY));
     }
 
@@ -805,14 +613,13 @@ mod tests {
         assert!(sys
             .tables
             .write_interferes(acc_common::ids::LEGACY_STEP, sys.templates.no_loop));
-        // NO_S2 invalidates delivery's line-column assertion? Declared safe.
+        // NO_S2's fresh order lines cannot be the fixed rows delivery's
+        // line-column assertion reads.
         assert!(!sys
             .tables
             .write_interferes(step::NO_S2, sys.templates.dlv_loop));
-        // But NO_S1 *does* interfere with no_loop's order-line cardinality…
-        // no: declared safe. The compensating DLV_CS against no_loop was
-        // never declared: footprints decide (order_line columns vs
-        // cardinality: disjoint).
+        // DLV_CS writes order_line columns; no_loop reads order_line
+        // cardinality: disjoint footprints.
         assert!(!sys
             .tables
             .write_interferes(step::DLV_CS, sys.templates.no_loop));
@@ -873,8 +680,8 @@ mod tests {
                 expect
             );
         }
-        // Declarations still win over the widened overlap: new-order's own
-        // line inserts stay safe against its own assertion.
+        // Proofs survive the widened overlap: new-order's fresh line inserts
+        // stay safe against its own assertion.
         assert!(!wide
             .tables
             .write_interferes(step::NO_S2, wide.templates.no_loop));
@@ -893,8 +700,8 @@ mod tests {
         assert_eq!(sys.templates.no_loop, base.templates.no_loop);
         assert_eq!(sys.templates.dlv_dirty, base.templates.dlv_dirty);
         assert_eq!(sys.decisions.len(), 11 * 6);
-        // Writers into ORDER/NEW-ORDER row sets were never declared safe
-        // against the new template, so the footprint overlap decides.
+        // Writers into ORDER/NEW-ORDER row sets overlap the new template's
+        // unconfined reads, and nothing discharges or declares that.
         for s in [step::NO_S1, step::DLV_S1, step::NO_CS, step::DLV_CS] {
             assert!(sys.tables.write_interferes(s, audit), "step {s:?}");
         }

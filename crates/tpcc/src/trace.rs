@@ -8,7 +8,7 @@
 
 use crate::decompose::{step, ty};
 use crate::input::{InputGen, TpccConfig, TxnKind};
-use crate::schema::TABLES;
+use crate::schema::{tpcc_catalog, TABLES};
 use acc_common::clock::SimTime;
 use acc_common::rng::SeededRng;
 use acc_common::{AssertionTemplateId, ResourceId, TableId};
@@ -36,16 +36,6 @@ impl Default for TraceCosts {
     }
 }
 
-/// Rows per page mirrored from the schema (kept in sync by a test).
-mod rpp {
-    pub const CUSTOMER: i64 = 4;
-    pub const HISTORY: i64 = 8;
-    pub const NEW_ORDER: i64 = 4;
-    pub const ORDER: i64 = 4;
-    pub const ITEM: i64 = 16;
-    pub const STOCK: i64 = 4;
-}
-
 /// Per-district page-space stride so order-derived pages never collide
 /// across districts.
 const DISTRICT_STRIDE: i64 = 1 << 20;
@@ -55,6 +45,8 @@ pub struct TpccTraceSource {
     gen: InputGen,
     costs: TraceCosts,
     templates: crate::decompose::Templates,
+    /// Rows per page of each table, by table id, from the schema.
+    rows_per_page: Vec<i64>,
     next_o: Vec<i64>,
     undelivered: Vec<VecDeque<(i64, i64)>>, // (o_id, ol_cnt) per district
     history_rows: i64,
@@ -81,6 +73,10 @@ impl TpccTraceSource {
             gen: InputGen::new(config, seed),
             costs,
             templates,
+            rows_per_page: tpcc_catalog()
+                .tables()
+                .map(|t| i64::from(t.rows_per_page))
+                .collect(),
             next_o,
             undelivered,
             history_rows: 0,
@@ -97,6 +93,10 @@ impl TpccTraceSource {
         ResourceId::Page(table, page as u32)
     }
 
+    fn rpp(&self, table: TableId) -> i64 {
+        self.rows_per_page[table.raw() as usize]
+    }
+
     fn warehouse_row() -> ResourceId {
         Self::page(TABLES.warehouse, 0)
     }
@@ -107,19 +107,25 @@ impl TpccTraceSource {
 
     fn customer_page(&self, d: i64, c: i64) -> ResourceId {
         let cpd = self.gen.config().scale.customers_per_district;
-        Self::page(TABLES.customer, ((d - 1) * cpd + (c - 1)) / rpp::CUSTOMER)
+        Self::page(
+            TABLES.customer,
+            ((d - 1) * cpd + (c - 1)) / self.rpp(TABLES.customer),
+        )
     }
 
-    fn item_page(i: i64) -> ResourceId {
-        Self::page(TABLES.item, (i - 1) / rpp::ITEM)
+    fn item_page(&self, i: i64) -> ResourceId {
+        Self::page(TABLES.item, (i - 1) / self.rpp(TABLES.item))
     }
 
-    fn stock_page(i: i64) -> ResourceId {
-        Self::page(TABLES.stock, (i - 1) / rpp::STOCK)
+    fn stock_page(&self, i: i64) -> ResourceId {
+        Self::page(TABLES.stock, (i - 1) / self.rpp(TABLES.stock))
     }
 
-    fn order_page(d: i64, o: i64) -> ResourceId {
-        Self::page(TABLES.order, (d - 1) * DISTRICT_STRIDE + o / rpp::ORDER)
+    fn order_page(&self, d: i64, o: i64) -> ResourceId {
+        Self::page(
+            TABLES.order,
+            (d - 1) * DISTRICT_STRIDE + o / self.rpp(TABLES.order),
+        )
     }
 
     fn order_line_page(d: i64, o: i64) -> ResourceId {
@@ -127,15 +133,15 @@ impl TpccTraceSource {
         Self::page(TABLES.order_line, (d - 1) * DISTRICT_STRIDE + o)
     }
 
-    fn new_order_page(d: i64, o: i64) -> ResourceId {
+    fn new_order_page(&self, d: i64, o: i64) -> ResourceId {
         Self::page(
             TABLES.new_order,
-            (d - 1) * DISTRICT_STRIDE + o / rpp::NEW_ORDER,
+            (d - 1) * DISTRICT_STRIDE + o / self.rpp(TABLES.new_order),
         )
     }
 
     fn history_page(&self) -> ResourceId {
-        Self::page(TABLES.history, self.history_rows / rpp::HISTORY)
+        Self::page(TABLES.history, self.history_rows / self.rpp(TABLES.history))
     }
 
     // ----- per-transaction traces -------------------------------------------
@@ -156,10 +162,10 @@ impl TpccTraceSource {
                 Op::read(Self::warehouse_row(), cpu),
                 Op::read(self.customer_page(d, input.c_id), cpu),
                 Op::write(Self::district_row(d), cpu),
-                Op::write(Self::order_page(d, o_id), cpu)
+                Op::write(self.order_page(d, o_id), cpu)
                     .with_lock(ResourceId::Table(TABLES.order), LockMode::IX)
                     .with_templates(tpl.clone()),
-                Op::write(Self::new_order_page(d, o_id), cpu)
+                Op::write(self.new_order_page(d, o_id), cpu)
                     .with_lock(ResourceId::Table(TABLES.new_order), LockMode::IX),
             ],
         };
@@ -168,8 +174,8 @@ impl TpccTraceSource {
             steps.push(StepTrace {
                 step_type: step::NO_S2,
                 ops: vec![
-                    Op::read(Self::item_page(line.i_id), cpu).with_compute(self.costs.compute_time),
-                    Op::write(Self::stock_page(line.i_id), cpu),
+                    Op::read(self.item_page(line.i_id), cpu).with_compute(self.costs.compute_time),
+                    Op::write(self.stock_page(line.i_id), cpu),
                     Op::write(Self::order_line_page(d, o_id), cpu)
                         .with_lock(ResourceId::Table(TABLES.order_line), LockMode::IX)
                         .with_templates(tpl.clone()),
@@ -246,7 +252,7 @@ impl TpccTraceSource {
                 step_type: step::OST,
                 ops: vec![
                     Op::read(self.customer_page(d, c_id), cpu),
-                    Op::read(Self::order_page(d, recent), cpu),
+                    Op::read(self.order_page(d, recent), cpu),
                     Op::read(Self::order_line_page(d, recent), cpu),
                 ],
             }],
@@ -270,11 +276,11 @@ impl TpccTraceSource {
             // the index with page locks — no table-level scan lock.)
             let probe = claimed.map(|(o, _)| o).unwrap_or(self.next_o[d as usize]);
             let mut claim_ops =
-                vec![Op::read(Self::new_order_page(d, probe), cpu)
+                vec![Op::read(self.new_order_page(d, probe), cpu)
                     .with_compute(self.costs.compute_time)];
             if let Some((o_id, _)) = claimed {
                 claim_ops.push(
-                    Op::write(Self::new_order_page(d, o_id), cpu)
+                    Op::write(self.new_order_page(d, o_id), cpu)
                         .with_lock(ResourceId::Table(TABLES.new_order), LockMode::IX),
                 );
             }
@@ -287,7 +293,7 @@ impl TpccTraceSource {
                 Some((o_id, _)) => {
                     let c_id = (o_id % self.gen.config().scale.customers_per_district) + 1;
                     vec![
-                        Op::write(Self::order_page(d, o_id), cpu)
+                        Op::write(self.order_page(d, o_id), cpu)
                             .with_compute(self.costs.compute_time)
                             .with_templates(tpl.clone()),
                         Op::write(Self::order_line_page(d, o_id), cpu).with_templates(tpl.clone()),
@@ -321,7 +327,7 @@ impl TpccTraceSource {
         }
         // Probe a sample of stock pages.
         for _ in 0..8 {
-            ops.push(Op::read(Self::stock_page(self.gen.item(rng)), cpu));
+            ops.push(Op::read(self.stock_page(self.gen.item(rng)), cpu));
         }
         TxnTrace {
             txn_type: ty::STOCK_LEVEL,
@@ -354,7 +360,7 @@ impl TraceSource for TpccTraceSource {
 mod tests {
     use super::*;
     use crate::decompose::TpccSystem;
-    use crate::schema::{tpcc_catalog, Scale};
+    use crate::schema::Scale;
 
     fn source() -> TpccTraceSource {
         let sys = TpccSystem::build();
@@ -364,26 +370,6 @@ mod tests {
             sys.templates,
             TraceCosts::default(),
         )
-    }
-
-    #[test]
-    fn rpp_constants_match_schema() {
-        let cat = tpcc_catalog();
-        assert_eq!(
-            cat.schema(TABLES.customer).rows_per_page as i64,
-            rpp::CUSTOMER
-        );
-        assert_eq!(
-            cat.schema(TABLES.history).rows_per_page as i64,
-            rpp::HISTORY
-        );
-        assert_eq!(
-            cat.schema(TABLES.new_order).rows_per_page as i64,
-            rpp::NEW_ORDER
-        );
-        assert_eq!(cat.schema(TABLES.order).rows_per_page as i64, rpp::ORDER);
-        assert_eq!(cat.schema(TABLES.item).rows_per_page as i64, rpp::ITEM);
-        assert_eq!(cat.schema(TABLES.stock).rows_per_page as i64, rpp::STOCK);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Workload families beyond TPC-C, built entirely on the *inferred*
 //! interference tables.
 //!
-//! TPC-C's decomposition (`acc-tpcc`) was analyzed by hand, with the
-//! automatic inference (`acc_core::infer`) differential-tested against it.
-//! The two families here invert that relationship: neither has a hand table
-//! at all. Each declares honest step footprints and assertion-template read
-//! footprints, runs [`acc_core::Inference`], and installs whatever matrix
-//! comes out — the bring-your-own-workload path a user of the system would
-//! take.
+//! TPC-C's tables (`acc-tpcc`) are inferred too, but close their inference
+//! gap with six hand declarations about Delivery's claim protocol. The two
+//! families here need none at all. Each declares honest step footprints and
+//! assertion-template read footprints, runs [`acc_core::Inference`], and
+//! installs whatever matrix comes out — the bring-your-own-workload path a
+//! user of the system would take.
 //!
 //! * [`smallbank`] — a smallbank-style account/transfer mix: seven
 //!   transaction types over four tables, conservation-of-money invariant,

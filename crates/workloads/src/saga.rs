@@ -27,13 +27,10 @@
 //! revenue equal to the value of completed sagas, per-customer balances
 //! consistent with their completed orders, and saga/item row alignment.
 
-use acc_common::{
-    AssertionTemplateId, Error, Result, SeededRng, StepTypeId, TableId, TxnTypeId, Value,
-};
-use acc_core::analysis::Decision;
+use acc_common::{AssertionTemplateId, Error, Result, SeededRng, TableId, TxnTypeId, Value};
 use acc_core::{
-    Acc, AssertionRegistry, Inference, InterferenceTables, KeySpace, StepFootprint, StepSpec,
-    TableFootprint, TxnSpec, DIRTY,
+    Acc, AssertionRegistry, Decision, Inference, InterferenceTables, KeySpace, StepFootprint,
+    StepSpec, TableFootprint, TxnSpec, DIRTY,
 };
 use acc_storage::{Catalog, ColumnType, Database, Key, Row, TableSchema};
 use acc_txn::{StepCtx, StepOutcome, TxnProgram};
@@ -212,20 +209,6 @@ pub fn populate(skus: i64, customers: i64) -> Database {
         ]))
         .expect("populate ledger");
     db
-}
-
-/// Step names for reports and the `figures -- infer` JSON dump.
-pub fn step_names() -> Vec<(StepTypeId, &'static str)> {
-    use step::*;
-    vec![
-        (FUL_S1, "fulfil: open saga"),
-        (FUL_RES, "fulfil: reserve one leg"),
-        (FUL_PAY, "fulfil: hold payment"),
-        (FUL_SHIP, "fulfil: ship and settle"),
-        (RESTOCK, "restock"),
-        (STATUS, "order-status (read-only)"),
-        (FUL_CS, "fulfil compensation"),
-    ]
 }
 
 /// The complete design-time product for the saga family.

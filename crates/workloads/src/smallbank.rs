@@ -20,13 +20,10 @@
 //! of every savings and checking balance, no balance is negative, and the
 //! three per-account tables hold exactly the same id sets.
 
-use acc_common::{
-    AssertionTemplateId, Error, Result, SeededRng, StepTypeId, TableId, TxnTypeId, Value,
-};
-use acc_core::analysis::Decision;
+use acc_common::{AssertionTemplateId, Error, Result, SeededRng, TableId, TxnTypeId, Value};
 use acc_core::{
-    Acc, AssertionRegistry, Inference, InterferenceTables, KeySpace, StepFootprint, StepSpec,
-    TableFootprint, TxnSpec, DIRTY,
+    Acc, AssertionRegistry, Decision, Inference, InterferenceTables, KeySpace, StepFootprint,
+    StepSpec, TableFootprint, TxnSpec, DIRTY,
 };
 use acc_storage::{Catalog, ColumnType, Database, Key, Row, TableSchema};
 use acc_txn::{StepCtx, StepOutcome, TxnProgram};
@@ -158,24 +155,6 @@ pub fn populate(n: i64) -> Database {
         ]))
         .expect("populate ledger");
     db
-}
-
-/// Step names for reports and the `figures -- infer` JSON dump.
-pub fn step_names() -> Vec<(StepTypeId, &'static str)> {
-    use step::*;
-    vec![
-        (BAL, "balance (read-only)"),
-        (DEP, "deposit-checking"),
-        (TRS, "transact-savings"),
-        (WRC, "write-check"),
-        (SP_S1, "send-payment: debit source"),
-        (SP_S2, "send-payment: credit destination"),
-        (AMG_S1, "amalgamate: drain source"),
-        (AMG_S2, "amalgamate: credit destination"),
-        (OPEN, "open-account"),
-        (SP_CS, "send-payment compensation"),
-        (AMG_CS, "amalgamate compensation"),
-    ]
 }
 
 /// The complete design-time product, machine-derived: templates, inferred

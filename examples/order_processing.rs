@@ -226,7 +226,7 @@ fn build_system() -> (Arc<SharedDb>, Arc<Acc>) {
         ],
         None,
     );
-    let (tables, _) = Analysis::new(&reg)
+    let (tables, _) = Inference::new(&reg)
         .step(StepFootprint::new(
             NO_S1,
             "new-order: counter + header",

@@ -87,7 +87,7 @@ fn main() -> Result<()> {
         None,
     );
 
-    let (tables, decisions) = Analysis::new(&registry)
+    let (tables, decisions) = Inference::new(&registry)
         .step(StepFootprint::new(
             S_DEBIT,
             "transfer: debit",

@@ -142,7 +142,7 @@ fn main() -> Result<()> {
         vec![TableFootprint::rows(LEDGER, [])],
         None,
     );
-    let (tables, _) = Analysis::new(&reg)
+    let (tables, _) = Inference::new(&reg)
         .step(StepFootprint::new(
             S_BUY,
             "buy one lot",

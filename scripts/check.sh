@@ -34,10 +34,12 @@ cargo run -p acc-bench --release --offline --bin figures -- tables > "$t1"
 cargo run -p acc-bench --release --offline --bin figures -- tables > "$t2"
 cmp "$t1" "$t2"
 
-echo "== determinism: two consecutive 'figures -- infer' runs byte-identical =="
-cargo run -p acc-bench --release --offline --bin figures -- infer > "$t1"
-cargo run -p acc-bench --release --offline --bin figures -- infer > "$t2"
-cmp "$t1" "$t2"
+echo "== simulator figures: 'figures -- all --quick' matches the committed golden =="
+# When a figure change is intended, regenerate the golden with
+#   cargo run -p acc-bench --release --offline --bin figures -- all --quick > scripts/figures_all_quick.golden
+# and say in the change description which figures moved and why.
+cargo run -p acc-bench --release --offline --bin figures -- all --quick > "$t1"
+cmp "$t1" scripts/figures_all_quick.golden
 
 echo "== determinism: seeded open-loop arrival schedule byte-identical =="
 cargo run -p acc-bench --release --offline --bin figures -- saturate --schedule --quick > "$t1"

@@ -80,7 +80,7 @@ pub mod prelude {
         TxnTypeId, Value,
     };
     pub use acc_core::{
-        Acc, Analysis, AssertionInstance, AssertionRegistry, InterferenceTables, StepFootprint,
+        Acc, AssertionInstance, AssertionRegistry, Inference, InterferenceTables, StepFootprint,
         StepSpec, TableFootprint, TxnSpec, DIRTY,
     };
     pub use acc_engine::{Stepper, StepperConfig};

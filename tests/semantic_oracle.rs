@@ -208,7 +208,7 @@ fn build_system() -> (Arc<SharedDb>, Arc<Acc>) {
         ],
         None,
     );
-    let (tables, _) = Analysis::new(&reg)
+    let (tables, _) = Inference::new(&reg)
         .step(StepFootprint::new(
             NO_S1,
             "no-s1",
