@@ -8,6 +8,11 @@
 //! produce (§3.1) — which makes this the workhorse for property-testing
 //! semantic correctness over many seeds.
 //!
+//! Each pick advances its transaction through [`acc_txn::runner::advance`],
+//! the same step state machine the threaded front-end runs, so the oracle
+//! checks the deadlock retry, epoch admission and commit/rollback decisions
+//! that serve real traffic.
+//!
 //! Stall handling: when every unfinished transaction is blocked (a deadlock
 //! the lock manager cannot see, because `Fail`-mode requests are withdrawn),
 //! the scheduler rolls back the youngest blocked transaction, mirroring a
@@ -16,10 +21,9 @@
 use acc_common::rng::SeededRng;
 use acc_common::{Error, Result};
 use acc_storage::Database;
-use acc_txn::runner::{commit, end_step, rollback, undo_current_step};
+use acc_txn::runner::{advance, rollback};
 use acc_txn::{
-    AbortReason, ConcurrencyControl, RunOutcome, SharedDb, StepCtx, StepOutcome, Transaction,
-    TxnProgram, WaitMode,
+    AbortReason, ConcurrencyControl, RunOutcome, SharedDb, Transaction, TxnProgram, WaitMode,
 };
 
 /// Scheduler knobs.
@@ -46,7 +50,8 @@ impl Default for StepperConfig {
 pub struct StepperReport {
     /// Final outcome per program.
     pub outcomes: Vec<RunOutcome>,
-    /// The executed schedule: program index per completed step (diagnostic).
+    /// The executed schedule: program index per step that took effect — a
+    /// step that continued or committed its transaction (diagnostic).
     pub schedule: Vec<usize>,
     /// Total step executions, including retried/blocked attempts.
     pub attempts: usize,
@@ -99,7 +104,6 @@ impl<'a> Stepper<'a> {
             })
             .collect();
         let mut resubmits = vec![0u32; programs.len()];
-        let mut deadlock_retried = vec![false; programs.len()];
         let mut schedule = Vec::new();
         let mut attempts = 0usize;
 
@@ -162,79 +166,27 @@ impl<'a> Stepper<'a> {
             }
 
             let program = programs[pick].as_mut();
-            let step_index = txn.step_index;
-            let result = {
-                let mut ctx = StepCtx::new(self.shared, self.cc, &mut txn, WaitMode::Fail);
-                program.step(step_index, &mut ctx)
-            };
-
-            match result {
-                Ok(StepOutcome::Continue) => {
+            match advance(self.shared, self.cc, program, &mut txn, WaitMode::Fail) {
+                Ok(None) => {
                     schedule.push(pick);
-                    deadlock_retried[pick] = false;
-                    if self.cc.decomposed() {
-                        end_step(self.shared, self.cc, &mut txn, program.work_area());
-                    } else {
-                        txn.step_index += 1;
-                    }
                     slots[pick] = Slot::Ready(txn);
-                    self.wake_blocked(&mut slots);
                 }
-                Ok(StepOutcome::Done) => {
-                    schedule.push(pick);
-                    if self.shared.is_doomed(txn.id) {
-                        rollback(self.shared, self.cc, program, &mut txn)?;
-                        slots[pick] = Slot::Finished(RunOutcome::RolledBack(AbortReason::Doomed));
-                        self.requeue(pick, program.txn_type(), &mut slots, &mut resubmits, config);
-                    } else {
-                        let steps = txn.step_index + 1;
-                        commit(self.shared, &mut txn)?;
-                        slots[pick] = Slot::Finished(RunOutcome::Committed { steps });
+                Ok(Some(outcome)) => {
+                    if matches!(outcome, RunOutcome::Committed { .. }) {
+                        schedule.push(pick);
                     }
-                    self.wake_blocked(&mut slots);
-                }
-                Ok(StepOutcome::Abort) => {
-                    rollback(self.shared, self.cc, program, &mut txn)?;
-                    slots[pick] = Slot::Finished(RunOutcome::RolledBack(AbortReason::UserAbort));
-                    self.wake_blocked(&mut slots);
+                    slots[pick] = Slot::Finished(outcome);
+                    self.requeue(pick, program.txn_type(), &mut slots, &mut resubmits, config);
                 }
                 Err(Error::WouldBlock { .. }) => {
-                    undo_current_step(self.shared, &mut txn)?;
-                    if self.cc.decomposed() {
-                        self.shared
-                            .release_where(txn.id, |k, _| k.is_conventional());
-                    }
+                    // Undone and withdrawn; retried once another transaction
+                    // makes progress.
                     slots[pick] = Slot::Blocked(txn);
+                    continue;
                 }
-                Err(Error::Deadlock { .. }) => {
-                    undo_current_step(self.shared, &mut txn)?;
-                    if self.cc.decomposed() {
-                        self.shared
-                            .release_where(txn.id, |k, _| k.is_conventional());
-                    }
-                    if self.cc.decomposed() && !deadlock_retried[pick] {
-                        // §3.4: retry the victim step once before rolling the
-                        // transaction back.
-                        deadlock_retried[pick] = true;
-                        slots[pick] = Slot::Ready(txn);
-                    } else {
-                        rollback(self.shared, self.cc, program, &mut txn)?;
-                        slots[pick] = Slot::Finished(RunOutcome::RolledBack(AbortReason::Deadlock));
-                        self.requeue(pick, program.txn_type(), &mut slots, &mut resubmits, config);
-                    }
-                    self.wake_blocked(&mut slots);
-                }
-                Err(Error::TxnAborted(_)) => {
-                    rollback(self.shared, self.cc, program, &mut txn)?;
-                    slots[pick] = Slot::Finished(RunOutcome::RolledBack(AbortReason::Doomed));
-                    self.requeue(pick, program.txn_type(), &mut slots, &mut resubmits, config);
-                    self.wake_blocked(&mut slots);
-                }
-                Err(e) => {
-                    rollback(self.shared, self.cc, program, &mut txn)?;
-                    return Err(e);
-                }
+                Err(e) => return Err(e),
             }
+            self.wake_blocked(&mut slots);
         }
 
         let outcomes = slots

@@ -6,11 +6,14 @@
 //! The manager is a pure state machine — no threads, no blocking, no clocks.
 //! [`LockManager::request`] either grants, enqueues (FIFO), or reports a
 //! deadlock; [`LockManager::release_where`] hands back the wait tickets that
-//! became grantable. Three different frontends drive it:
+//! became grantable. Two frontends drive it:
 //!
-//! * the threaded engine parks the calling session on a condvar per ticket,
-//! * the deterministic stepper reschedules the step,
-//! * the discrete-event simulator turns grant notices into events.
+//! * the discrete-event simulator drives one `LockManager` directly and
+//!   turns grant notices into events;
+//! * the transaction runtime drives N of them as the shards of a
+//!   [`ShardedLockManager`]: the threaded engine parks a waiter on a slot per
+//!   ticket, and the deterministic stepper withdraws a contested request and
+//!   retries its step later.
 //!
 //! # Lock kinds
 //!
@@ -37,7 +40,9 @@
 //! closes a cycle, the *requester's current step* is the victim — unless the
 //! requester is executing a compensating step, in which case the cycle's
 //! other members are the victims and the compensating request stays queued
-//! (paper §3.4: a compensating step is never aborted).
+//! (paper §3.4: a compensating step is never aborted). One crate-private
+//! function applies this rule to every cycle: enqueue-time detection in both
+//! managers and [`ShardedLockManager::detect_from`]'s timeout re-detection.
 
 pub mod manager;
 pub mod mode;
@@ -47,11 +52,12 @@ pub mod request;
 pub mod sharded;
 mod waitfor;
 
-pub use manager::{Detection, GrantNotice, LockManager, RequestOutcome, Ticket};
+pub use manager::{GrantNotice, LockManager, RequestOutcome, Ticket};
 pub use mode::LockMode;
 pub use oracle::{InterferenceOracle, NoInterference, TotalInterference};
 pub use registry::{
     EpochPin, InstallOutcome, InterferenceRegistry, PinAttempt, SharedOracle, SwitchStats,
 };
 pub use request::{LockKind, Request, RequestCtx};
-pub use sharded::{CycleResolution, ShardedLockManager};
+pub use sharded::ShardedLockManager;
+pub use waitfor::CycleResolution;

@@ -3,8 +3,8 @@
 use crate::mode::{conv_compatible, LockMode};
 use crate::oracle::InterferenceOracle;
 use crate::request::{LockKind, Request, RequestCtx};
-use crate::waitfor::WaitForGraph;
-use acc_common::events::{Event, EventSink, KindRepr, TxnList};
+use crate::waitfor::{break_cycle, CycleResolution, WaitForGraph};
+use acc_common::events::{Event, EventSink, KindRepr};
 use acc_common::{ResourceId, TxnId};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -53,22 +53,6 @@ pub struct GrantNotice {
     pub txn: TxnId,
     /// The resource it now holds.
     pub resource: ResourceId,
-}
-
-/// The result of [`LockManager::detect_from`] when a cycle was found.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Detection {
-    /// Transactions whose current steps must be aborted to break the cycle.
-    pub victims: Vec<TxnId>,
-    /// True if the caller itself is the victim: its queued requests have been
-    /// withdrawn and it must undo its step and retry. False means the caller
-    /// is compensating; the victims are the parties delaying it and the
-    /// caller keeps waiting.
-    pub self_is_victim: bool,
-    /// Waiters that became grantable because the victim's withdrawn requests
-    /// were unclogging their queues. The caller MUST deliver these exactly
-    /// like release notices, or those waiters stall.
-    pub notices: Vec<GrantNotice>,
 }
 
 #[derive(Debug, Clone)]
@@ -285,86 +269,24 @@ impl LockManager {
         ticket: Ticket,
         oracle: &dyn InterferenceOracle,
     ) -> RequestOutcome {
-        let graph = self.wait_graph(oracle);
-        match graph.cycle_through(req.txn) {
-            None => RequestOutcome::Waiting(ticket),
-            Some(cycle) => {
-                if req.ctx.compensating {
-                    // A compensating step is never the victim: abort the
-                    // steps delaying it and keep its request queued. Other
-                    // *compensating* cycle members are equally unabortable —
-                    // exclude them (they resolve their own sub-cycle).
-                    let victims: Vec<TxnId> = cycle
-                        .iter()
-                        .copied()
-                        .filter(|&t| t != req.txn && !self.has_compensating_waiter(t))
-                        .collect();
-                    if self.sink.is_enabled() {
-                        self.sink.emit(Event::Deadlock {
-                            cycle: TxnList::from_slice(&cycle),
-                            victims: TxnList::from_slice(if victims.is_empty() {
-                                std::slice::from_ref(&req.txn)
-                            } else {
-                                &victims
-                            }),
-                            compensating_requester: true,
-                        });
-                        // The degenerate comp-vs-comp retry below is NOT a
-                        // victimization (no step is aborted, the requester
-                        // just re-runs its lock acquisition), so victim
-                        // events are emitted only for real victims.
-                        for &v in &victims {
-                            self.sink.emit(Event::DeadlockVictim {
-                                txn: v,
-                                compensating: false,
-                            });
-                        }
-                    }
-                    if victims.is_empty() {
-                        // Degenerate compensating-vs-compensating deadlock:
-                        // somebody must retry; the requester's conventional
-                        // locks are step-scoped, so retrying it is safe.
-                        self.withdraw_ticket(req.resource, ticket);
-                        return RequestOutcome::Deadlock {
-                            victims: vec![req.txn],
-                            ticket: None,
-                        };
-                    }
-                    RequestOutcome::Deadlock {
-                        victims,
-                        ticket: Some(ticket),
-                    }
-                } else {
-                    if std::env::var_os("LOCKMGR_DEBUG").is_some() {
-                        eprintln!("cycle through {:?}: {cycle:?}", req.txn);
-                        for member in &cycle {
-                            eprintln!(
-                                "  {member:?} blocked by {:?} held: {:?}",
-                                self.blockers_of(*member, oracle),
-                                self.held_resources(*member)
-                            );
-                        }
-                    }
-                    if self.sink.is_enabled() {
-                        self.sink.emit(Event::Deadlock {
-                            cycle: TxnList::from_slice(&cycle),
-                            victims: TxnList::from_slice(std::slice::from_ref(&req.txn)),
-                            compensating_requester: false,
-                        });
-                        self.sink.emit(Event::DeadlockVictim {
-                            txn: req.txn,
-                            compensating: false,
-                        });
-                    }
-                    // The requester's step is the victim; withdraw the
-                    // request (the caller will undo the step and retry).
-                    self.withdraw_ticket(req.resource, ticket);
-                    RequestOutcome::Deadlock {
-                        victims: vec![req.txn],
-                        ticket: None,
-                    }
+        let Some(cycle) = self.wait_graph(oracle).cycle_through(req.txn) else {
+            return RequestOutcome::Waiting(ticket);
+        };
+        let resolution = break_cycle(&self.sink, &cycle, req.txn, req.ctx.compensating, |t| {
+            self.has_compensating_waiter(t)
+        });
+        match resolution {
+            CycleResolution::Retry => {
+                self.withdraw_ticket(req.resource, ticket);
+                RequestOutcome::Deadlock {
+                    victims: vec![req.txn],
+                    ticket: None,
                 }
             }
+            CycleResolution::Doom(victims) => RequestOutcome::Deadlock {
+                victims,
+                ticket: Some(ticket),
+            },
         }
     }
 
@@ -495,148 +417,6 @@ impl LockManager {
     /// so two empty maps mean an empty manager.
     pub(crate) fn is_empty(&self) -> bool {
         self.heads.is_empty() && self.held.is_empty()
-    }
-
-    /// Transactions the given waiting transaction is currently blocked by
-    /// (conflicting holders and earlier queued waiters).
-    pub fn blockers_of(&self, txn: TxnId, oracle: &dyn InterferenceOracle) -> Vec<TxnId> {
-        let mut out = HashSet::new();
-        for head in self.heads.values() {
-            for (i, w) in head.waiting.iter().enumerate() {
-                if w.req.txn != txn {
-                    continue;
-                }
-                for g in &head.granted {
-                    if g.txn != txn && Self::conflicts(w.req.kind, &w.req.ctx, g, oracle) {
-                        out.insert(g.txn);
-                    }
-                }
-                for e in head.waiting.iter().take(i) {
-                    if e.req.txn != txn {
-                        out.insert(e.req.txn);
-                    }
-                }
-            }
-        }
-        let mut v: Vec<TxnId> = out.into_iter().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Re-run deadlock detection from a currently waiting transaction.
-    ///
-    /// Enqueue-time detection sees the graph at the moment a waiter joins; a
-    /// cycle assembled by a later grant/queue mutation on another resource
-    /// can slip past it. Blocked frontends call this periodically from their
-    /// wait loops (timeout-based re-detection, as classic systems did) and
-    /// resolve exactly like [`LockManager::request`] would have:
-    ///
-    /// * `self_is_victim` — the caller's step is the victim; its queued
-    ///   requests have been withdrawn, undo and retry;
-    /// * otherwise — the caller is compensating: the listed other parties
-    ///   must be doomed; the caller keeps waiting;
-    /// * `None` — no cycle through `txn`.
-    ///
-    /// Withdrawing the victim's queued requests can make waiters queued
-    /// behind them grantable; those grants come back in
-    /// [`Detection::notices`] and the caller must deliver them exactly like
-    /// release notices — dropping them strands the newly granted waiters.
-    pub fn detect_from(
-        &mut self,
-        txn: TxnId,
-        oracle: &dyn InterferenceOracle,
-    ) -> Option<Detection> {
-        if !self.is_waiting(txn) {
-            return None;
-        }
-        let cycle = self.wait_graph(oracle).cycle_through(txn)?;
-        let compensating = self.has_compensating_waiter(txn);
-        if compensating {
-            let victims: Vec<TxnId> = cycle
-                .iter()
-                .copied()
-                .filter(|&t| t != txn && !self.has_compensating_waiter(t))
-                .collect();
-            if self.sink.is_enabled() {
-                self.sink.emit(Event::Deadlock {
-                    cycle: TxnList::from_slice(&cycle),
-                    victims: TxnList::from_slice(if victims.is_empty() {
-                        std::slice::from_ref(&txn)
-                    } else {
-                        &victims
-                    }),
-                    compensating_requester: true,
-                });
-                for &v in &victims {
-                    self.sink.emit(Event::DeadlockVictim {
-                        txn: v,
-                        compensating: false,
-                    });
-                }
-            }
-            if victims.is_empty() {
-                // Compensating-vs-compensating: the caller retries.
-                let notices = self.cancel_waiting(txn, oracle);
-                return Some(Detection {
-                    victims: vec![txn],
-                    self_is_victim: true,
-                    notices,
-                });
-            }
-            Some(Detection {
-                victims,
-                self_is_victim: false,
-                notices: Vec::new(),
-            })
-        } else {
-            if self.sink.is_enabled() {
-                self.sink.emit(Event::Deadlock {
-                    cycle: TxnList::from_slice(&cycle),
-                    victims: TxnList::from_slice(std::slice::from_ref(&txn)),
-                    compensating_requester: false,
-                });
-                self.sink.emit(Event::DeadlockVictim {
-                    txn,
-                    compensating: false,
-                });
-            }
-            let notices = self.cancel_waiting(txn, oracle);
-            Some(Detection {
-                victims: vec![txn],
-                self_is_victim: true,
-                notices,
-            })
-        }
-    }
-
-    /// Every transaction currently holding at least one grant (diagnostics).
-    pub fn all_holders(&self) -> Vec<TxnId> {
-        let mut v: Vec<TxnId> = self.held.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Every granted (txn, resource, kind) triple straight from the lock
-    /// heads (diagnostics; cross-check against [`LockManager::all_holders`]).
-    pub fn all_grants(&self) -> Vec<(TxnId, ResourceId, LockKind)> {
-        let mut v: Vec<(TxnId, ResourceId, LockKind)> = self
-            .heads
-            .iter()
-            .flat_map(|(r, h)| h.granted.iter().map(|g| (g.txn, *r, g.kind)))
-            .collect();
-        v.sort_unstable_by_key(|(t, _, _)| *t);
-        v
-    }
-
-    /// Every queued (txn, resource, kind) triple (diagnostics).
-    pub fn all_waiters(&self) -> Vec<(TxnId, ResourceId, LockKind)> {
-        let mut v: Vec<(TxnId, ResourceId, LockKind)> = self
-            .heads
-            .iter()
-            .flat_map(|(r, h)| h.waiting.iter().map(|w| (w.req.txn, *r, w.req.kind)))
-            .collect();
-        v.sort_unstable_by_key(|(t, _, _)| *t);
-        v
     }
 
     /// Withdraw one queued request by ticket, *without* processing the
@@ -1008,6 +788,7 @@ mod tests {
             lm.request(req(3, R, LockKind::S), &NoInterference),
             RequestOutcome::Waiting(_)
         ));
+        assert_eq!(lm.queue_len(R), 2);
         let notices = lm.release_where(t(1), &NoInterference, |_, _| true);
         // X granted first (FIFO), S still waiting behind it.
         assert_eq!(notices.len(), 1);
@@ -1277,18 +1058,6 @@ mod tests {
     }
 
     #[test]
-    fn blockers_reflect_queue_order() {
-        let mut lm = LockManager::new();
-        lm.request(req(1, R, LockKind::X), &NoInterference);
-        lm.request(req(2, R, LockKind::X), &NoInterference);
-        lm.request(req(3, R, LockKind::S), &NoInterference);
-        assert_eq!(lm.blockers_of(t(2), &NoInterference), vec![t(1)]);
-        assert_eq!(lm.blockers_of(t(3), &NoInterference), vec![t(1), t(2)]);
-        assert!(lm.blockers_of(t(1), &NoInterference).is_empty());
-        assert_eq!(lm.queue_len(R), 2);
-    }
-
-    #[test]
     fn three_party_deadlock() {
         let mut lm = LockManager::new();
         let r3 = ResourceId::Named(3);
@@ -1391,83 +1160,6 @@ mod tests {
         let notices = lm.release_all(t(1), &oracle);
         assert_eq!(notices.len(), 1);
         assert!(lm.holds(t(2), R, LockKind::X));
-    }
-
-    #[test]
-    fn detect_from_victim_withdrawal_wakes_queued_waiters() {
-        // Regression: detect_from used to withdraw the victim's queued
-        // requests without draining the queues, stranding waiters that were
-        // blocked only by the victim's FIFO position.
-        //
-        // tC holds S on R. tV (holding X on R2) queues X on R; tW queues S
-        // on R behind it — compatible with tC's S, blocked purely by FIFO.
-        // tC then issues a compensating X request on R2: cycle tC→tV→tC,
-        // with tV doomed but still queued. Timeout re-detection from tV must
-        // victimize tV AND hand back a grant notice for tW.
-        let mut lm = LockManager::new();
-        let (tc, tv, tw) = (t(1), t(2), t(3));
-        lm.request(req(1, R, LockKind::S), &NoInterference);
-        lm.request(req(2, R2, LockKind::X), &NoInterference);
-        assert!(matches!(
-            lm.request(req(2, R, LockKind::X), &NoInterference),
-            RequestOutcome::Waiting(_)
-        ));
-        let tw_ticket = match lm.request(req(3, R, LockKind::S), &NoInterference) {
-            RequestOutcome::Waiting(tk) => tk,
-            other => panic!("expected wait, got {other:?}"),
-        };
-        let mut comp = req(1, R2, LockKind::X);
-        comp.ctx.compensating = true;
-        assert!(matches!(
-            lm.request(comp, &NoInterference),
-            RequestOutcome::Deadlock {
-                ticket: Some(_),
-                ..
-            }
-        ));
-        // The cycle persists (tV stays queued); re-detection from tV fires.
-        let det = lm.detect_from(tv, &NoInterference).expect("cycle persists");
-        assert!(det.self_is_victim);
-        assert_eq!(det.victims, vec![tv]);
-        assert!(
-            det.notices
-                .iter()
-                .any(|n| n.ticket == tw_ticket && n.txn == tw),
-            "waiter behind the withdrawn victim must be granted: {:?}",
-            det.notices
-        );
-        assert!(lm.holds(tw, R, LockKind::S));
-        assert!(lm.holds(tc, R, LockKind::S));
-        assert!(!lm.is_waiting(tv));
-    }
-
-    #[test]
-    fn detect_from_compensating_caller_keeps_waiting() {
-        // Same shape, but re-detection is run from the *compensating* waiter:
-        // the other party is the victim and the caller's request stays put.
-        let mut lm = LockManager::new();
-        lm.request(req(1, R, LockKind::X), &NoInterference);
-        lm.request(req(2, R2, LockKind::X), &NoInterference);
-        assert!(matches!(
-            lm.request(req(2, R, LockKind::X), &NoInterference),
-            RequestOutcome::Waiting(_)
-        ));
-        let mut comp = req(1, R2, LockKind::X);
-        comp.ctx.compensating = true;
-        assert!(matches!(
-            lm.request(comp, &NoInterference),
-            RequestOutcome::Deadlock {
-                ticket: Some(_),
-                ..
-            }
-        ));
-        let det = lm
-            .detect_from(t(1), &NoInterference)
-            .expect("cycle persists");
-        assert!(!det.self_is_victim);
-        assert_eq!(det.victims, vec![t(2)]);
-        assert!(det.notices.is_empty());
-        assert!(lm.is_waiting(t(1)), "compensating request stays queued");
     }
 
     #[test]

@@ -42,24 +42,11 @@
 use crate::manager::{EnqueueOutcome, GrantNotice, LockManager, RequestOutcome, Ticket};
 use crate::oracle::InterferenceOracle;
 use crate::request::{LockKind, Request};
-use crate::waitfor::WaitForGraph;
-use acc_common::events::{Event, EventSink, TxnList};
+use crate::waitfor::{break_cycle, CycleResolution, WaitForGraph};
+use acc_common::events::EventSink;
 use acc_common::{ResourceId, TxnId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// How [`ShardedLockManager::detect_from`] resolved a wait-for cycle. Grant
-/// notices are delivered through the `notify` callback (under the shard
-/// mutexes), not returned.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CycleResolution {
-    /// Transactions whose current steps must be aborted to break the cycle.
-    pub victims: Vec<TxnId>,
-    /// True if the caller itself is the victim: its queued requests have
-    /// been withdrawn and it must undo its step and retry. False means the
-    /// caller is compensating; it dooms the victims and keeps waiting.
-    pub self_is_victim: bool,
-}
 
 /// Tickets carry their shard index in the high 16 bits, so per-shard ticket
 /// counters never collide and a ticket alone is globally unique.
@@ -234,92 +221,54 @@ impl ShardedLockManager {
         let Some(cycle) = self.snapshot_graph(oracle).cycle_through(req.txn) else {
             return RequestOutcome::Waiting(ticket);
         };
-        if !req.ctx.compensating {
-            // Re-verify under the home shard: if a racing release already
-            // granted our ticket, the snapshot's cycle is stale — take the
-            // grant instead of a spurious abort.
-            let mut shard = self.shard(req.resource);
-            if !shard.withdraw_ticket(req.resource, ticket) {
-                return RequestOutcome::Waiting(ticket);
+        // Re-verify under the home shard: if a racing release already
+        // granted our ticket, the snapshot's cycle is stale — take the grant
+        // instead of a spurious abort. A non-compensating requester is its
+        // own victim, so its ticket is withdrawn in the same critical section.
+        let still_queued = {
+            let mut home = self.shard(req.resource);
+            if req.ctx.compensating {
+                home.is_ticket_waiting(req.resource, ticket)
+            } else {
+                home.withdraw_ticket(req.resource, ticket)
             }
-            drop(shard);
-            self.emit_deadlock(&cycle, &[req.txn], &[req.txn], false);
-            return RequestOutcome::Deadlock {
-                victims: vec![req.txn],
-                ticket: None,
-            };
-        }
-        // Compensating requester (§3.4): never the victim; doom the other
-        // cycle members that are not themselves compensating.
-        if !self
-            .shard(req.resource)
-            .is_ticket_waiting(req.resource, ticket)
-        {
+        };
+        if !still_queued {
             return RequestOutcome::Waiting(ticket);
         }
-        let victims: Vec<TxnId> = cycle
-            .iter()
-            .copied()
-            .filter(|&t| t != req.txn && !self.has_compensating_waiter(t))
-            .collect();
-        self.emit_deadlock(
-            &cycle,
-            if victims.is_empty() {
-                std::slice::from_ref(&req.txn)
-            } else {
-                &victims
-            },
-            &victims,
-            true,
-        );
-        if victims.is_empty() {
-            // Degenerate compensating-vs-compensating deadlock: the
-            // requester retries its (step-scoped) lock acquisition.
-            self.shard(req.resource)
-                .withdraw_ticket(req.resource, ticket);
-            return RequestOutcome::Deadlock {
-                victims: vec![req.txn],
-                ticket: None,
-            };
-        }
-        RequestOutcome::Deadlock {
-            victims,
-            ticket: Some(ticket),
-        }
-    }
-
-    /// Emit the deadlock/victim events, mirroring the unsharded manager:
-    /// `victims` is what the `Deadlock` event displays, `victim_events` the
-    /// transactions that get a `DeadlockVictim` event (empty for the
-    /// degenerate comp-vs-comp retry, which is not a victimization).
-    fn emit_deadlock(
-        &self,
-        cycle: &[TxnId],
-        victims: &[TxnId],
-        victim_events: &[TxnId],
-        compensating_requester: bool,
-    ) {
-        let sink = self.sink();
-        if !sink.is_enabled() {
-            return;
-        }
-        sink.emit(Event::Deadlock {
-            cycle: TxnList::from_slice(cycle),
-            victims: TxnList::from_slice(victims),
-            compensating_requester,
+        let resolution = break_cycle(&self.sink(), &cycle, req.txn, req.ctx.compensating, |t| {
+            self.has_compensating_waiter(t)
         });
-        for &v in victim_events {
-            sink.emit(Event::DeadlockVictim {
-                txn: v,
-                compensating: false,
-            });
+        match resolution {
+            CycleResolution::Retry => {
+                if req.ctx.compensating {
+                    self.shard(req.resource)
+                        .withdraw_ticket(req.resource, ticket);
+                }
+                RequestOutcome::Deadlock {
+                    victims: vec![req.txn],
+                    ticket: None,
+                }
+            }
+            CycleResolution::Doom(victims) => RequestOutcome::Deadlock {
+                victims,
+                ticket: Some(ticket),
+            },
         }
     }
 
-    /// Timeout-slice re-detection from a currently waiting transaction —
-    /// the cross-shard counterpart of [`LockManager::detect_from`]. Grant
-    /// notices produced by withdrawing a victim's requests are delivered
-    /// through `notify` under the owning shard's mutex.
+    /// Timeout-slice re-detection from a currently waiting transaction:
+    /// enqueue-time detection sees the graph at the moment a waiter joins,
+    /// so a cycle assembled later by a grant or queue mutation elsewhere
+    /// (possibly on another shard) slips past it. Blocked frontends call
+    /// this from their wait loops, and the cycle is broken exactly as
+    /// [`ShardedLockManager::request`] would have broken it. `None` means
+    /// no cycle runs through `txn`.
+    ///
+    /// On [`CycleResolution::Retry`] the caller's queued requests have been
+    /// withdrawn. Waiters queued behind them may have become grantable; their
+    /// notices are delivered through `notify` under the owning shard's mutex,
+    /// and dropping them strands the newly granted waiters.
     pub fn detect_from(
         &self,
         txn: TxnId,
@@ -331,41 +280,13 @@ impl ShardedLockManager {
         }
         let cycle = self.snapshot_graph(oracle).cycle_through(txn)?;
         let compensating = self.has_compensating_waiter(txn);
-        if compensating {
-            let victims: Vec<TxnId> = cycle
-                .iter()
-                .copied()
-                .filter(|&t| t != txn && !self.has_compensating_waiter(t))
-                .collect();
-            self.emit_deadlock(
-                &cycle,
-                if victims.is_empty() {
-                    std::slice::from_ref(&txn)
-                } else {
-                    &victims
-                },
-                &victims,
-                true,
-            );
-            if victims.is_empty() {
-                self.cancel_waiting(txn, oracle, notify);
-                return Some(CycleResolution {
-                    victims: vec![txn],
-                    self_is_victim: true,
-                });
-            }
-            Some(CycleResolution {
-                victims,
-                self_is_victim: false,
-            })
-        } else {
-            self.emit_deadlock(&cycle, &[txn], &[txn], false);
+        let resolution = break_cycle(&self.sink(), &cycle, txn, compensating, |t| {
+            self.has_compensating_waiter(t)
+        });
+        if resolution == CycleResolution::Retry {
             self.cancel_waiting(txn, oracle, notify);
-            Some(CycleResolution {
-                victims: vec![txn],
-                self_is_victim: true,
-            })
         }
+        Some(resolution)
     }
 
     /// Remove `txn`'s queued requests everywhere. Notices for waiters
@@ -458,41 +379,6 @@ impl ShardedLockManager {
     pub fn total_grants(&self) -> usize {
         self.shards.iter().map(|s| s.lock().total_grants()).sum()
     }
-
-    /// Every granted (txn, resource, kind) triple across shards, sorted by
-    /// transaction.
-    pub fn all_grants(&self) -> Vec<(TxnId, ResourceId, LockKind)> {
-        let mut v: Vec<_> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.lock().all_grants())
-            .collect();
-        v.sort_unstable_by_key(|(t, _, _)| *t);
-        v
-    }
-
-    /// Every queued (txn, resource, kind) triple across shards, sorted by
-    /// transaction.
-    pub fn all_waiters(&self) -> Vec<(TxnId, ResourceId, LockKind)> {
-        let mut v: Vec<_> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.lock().all_waiters())
-            .collect();
-        v.sort_unstable_by_key(|(t, _, _)| *t);
-        v
-    }
-
-    /// Resources `txn` currently holds grants on, sorted.
-    pub fn held_resources(&self, txn: TxnId) -> Vec<ResourceId> {
-        let mut v: Vec<_> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.lock().held_resources(txn))
-            .collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 impl std::fmt::Debug for ShardedLockManager {
@@ -517,6 +403,9 @@ mod tests {
     fn req(txn: u64, r: ResourceId, kind: LockKind) -> Request {
         Request::new(t(txn), r, kind, RequestCtx::plain(StepTypeId(0)))
     }
+
+    const R: ResourceId = ResourceId::Named(1);
+    const R2: ResourceId = ResourceId::Named(2);
 
     #[test]
     fn shard_placement_is_deterministic_and_spread() {
@@ -600,5 +489,77 @@ mod tests {
         // The victim's request was withdrawn; txn 1 still waits on r2.
         assert!(!lm.is_waiting(t(2)));
         assert!(lm.is_waiting(t(1)));
+    }
+
+    #[test]
+    fn detect_from_victim_withdrawal_wakes_queued_waiters() {
+        // Regression: timeout re-detection used to withdraw the victim's
+        // queued requests without draining the queues, stranding waiters
+        // that were blocked only by the victim's FIFO position.
+        //
+        // tC holds S on R. tV (holding X on R2) queues X on R; tW queues S
+        // on R behind it — compatible with tC's S, blocked purely by FIFO.
+        // tC then issues a compensating X request on R2: cycle tC→tV→tC,
+        // with tV doomed but still queued. Re-detection from tV must
+        // victimize tV AND deliver a grant notice for tW.
+        let lm = ShardedLockManager::new(8);
+        let (tc, tv, tw) = (t(1), t(2), t(3));
+        lm.request(req(1, R, LockKind::S), &NoInterference);
+        lm.request(req(2, R2, LockKind::X), &NoInterference);
+        assert!(matches!(
+            lm.request(req(2, R, LockKind::X), &NoInterference),
+            RequestOutcome::Waiting(_)
+        ));
+        let tw_ticket = match lm.request(req(3, R, LockKind::S), &NoInterference) {
+            RequestOutcome::Waiting(tk) => tk,
+            other => panic!("expected wait, got {other:?}"),
+        };
+        let mut comp = req(1, R2, LockKind::X);
+        comp.ctx.compensating = true;
+        assert!(matches!(
+            lm.request(comp, &NoInterference),
+            RequestOutcome::Deadlock {
+                ticket: Some(_),
+                ..
+            }
+        ));
+        // The cycle persists (tV stays queued); re-detection from tV fires.
+        let mut notices = Vec::new();
+        let resolution = lm.detect_from(tv, &NoInterference, &mut |n| notices.push(n));
+        assert_eq!(resolution, Some(CycleResolution::Retry));
+        assert!(
+            notices.iter().any(|n| n.ticket == tw_ticket && n.txn == tw),
+            "waiter behind the withdrawn victim must be granted: {notices:?}"
+        );
+        assert!(lm.holds(tw, R, LockKind::S));
+        assert!(lm.holds(tc, R, LockKind::S));
+        assert!(!lm.is_waiting(tv));
+    }
+
+    #[test]
+    fn detect_from_compensating_caller_keeps_waiting() {
+        // Same shape, but re-detection is run from the *compensating* waiter:
+        // the other party is the victim and the caller's request stays put.
+        let lm = ShardedLockManager::new(8);
+        lm.request(req(1, R, LockKind::X), &NoInterference);
+        lm.request(req(2, R2, LockKind::X), &NoInterference);
+        assert!(matches!(
+            lm.request(req(2, R, LockKind::X), &NoInterference),
+            RequestOutcome::Waiting(_)
+        ));
+        let mut comp = req(1, R2, LockKind::X);
+        comp.ctx.compensating = true;
+        assert!(matches!(
+            lm.request(comp, &NoInterference),
+            RequestOutcome::Deadlock {
+                ticket: Some(_),
+                ..
+            }
+        ));
+        let mut notices = Vec::new();
+        let resolution = lm.detect_from(t(1), &NoInterference, &mut |n| notices.push(n));
+        assert_eq!(resolution, Some(CycleResolution::Doom(vec![t(2)])));
+        assert!(notices.is_empty());
+        assert!(lm.is_waiting(t(1)), "compensating request stays queued");
     }
 }

@@ -1,7 +1,71 @@
-//! Wait-for graph cycle detection.
+//! Wait-for graph cycle detection, and the one rule that breaks a cycle.
 
+use acc_common::events::{Event, EventSink, TxnList};
 use acc_common::TxnId;
 use std::collections::{HashMap, HashSet};
+
+/// How a wait-for cycle through a waiting transaction was broken (§3.4).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CycleResolution {
+    /// The waiter's own step is the victim: its queued request is withdrawn,
+    /// and it undoes its step and retries.
+    Retry,
+    /// The waiter is compensating: these other cycle members are doomed and
+    /// the waiter keeps waiting.
+    Doom(Vec<TxnId>),
+}
+
+/// Break the wait-for `cycle` through `waiter` by the paper's §3.4 rule, and
+/// report it to `sink`. Every deadlock decision of both lock managers goes
+/// through here: enqueue-time detection and timeout re-detection alike.
+///
+/// A non-compensating waiter is its own victim. A compensating waiter is
+/// never the victim: the cycle's other members that are not themselves
+/// compensating (`is_compensating`) are doomed instead. If every other
+/// member is compensating too, nobody is abortable and the waiter retries —
+/// its conventional locks are step-scoped, so that is safe, and it is not a
+/// victimization, so it gets no `DeadlockVictim` event.
+pub(crate) fn break_cycle(
+    sink: &EventSink,
+    cycle: &[TxnId],
+    waiter: TxnId,
+    compensating: bool,
+    is_compensating: impl Fn(TxnId) -> bool,
+) -> CycleResolution {
+    let victims: Vec<TxnId> = if compensating {
+        cycle
+            .iter()
+            .copied()
+            .filter(|&t| t != waiter && !is_compensating(t))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    if sink.is_enabled() {
+        let shown = if victims.is_empty() {
+            std::slice::from_ref(&waiter)
+        } else {
+            &victims
+        };
+        sink.emit(Event::Deadlock {
+            cycle: TxnList::from_slice(cycle),
+            victims: TxnList::from_slice(shown),
+            compensating_requester: compensating,
+        });
+        let victimized = if compensating { &victims[..] } else { shown };
+        for &v in victimized {
+            sink.emit(Event::DeadlockVictim {
+                txn: v,
+                compensating: false,
+            });
+        }
+    }
+    if victims.is_empty() {
+        CycleResolution::Retry
+    } else {
+        CycleResolution::Doom(victims)
+    }
+}
 
 /// A wait-for graph: `waits[t]` is the set of transactions `t` is waiting on.
 #[derive(Debug, Default)]

@@ -273,47 +273,6 @@ impl<'a> Simulator<'a> {
                 }
             }
         }
-        if std::env::var_os("SIM_DEBUG").is_some() {
-            let live: std::collections::HashSet<TxnId> = self
-                .terms
-                .iter()
-                .filter(|t| t.trace.is_some())
-                .map(|t| t.txn)
-                .collect();
-            for txn in self.lm.all_holders() {
-                if !live.contains(&txn) {
-                    eprintln!(
-                        "ORPHAN GRANTS: {txn:?} holds {:?} waiting={}",
-                        self.lm.held_resources(txn),
-                        self.lm.is_waiting(txn)
-                    );
-                }
-            }
-            for (txn, r, kind) in self.lm.all_waiters() {
-                if !live.contains(&txn) {
-                    eprintln!("ORPHAN WAITER: {txn:?} on {r} kind={kind:?}");
-                }
-            }
-            for (txn, r, kind) in self.lm.all_grants() {
-                if !live.contains(&txn) {
-                    eprintln!("PHANTOM GRANT: {txn:?} on {r} kind={kind:?}");
-                }
-            }
-            for (i, term) in self.terms.iter().enumerate() {
-                if term.trace.is_some() {
-                    eprintln!(
-                        "end: terminal {i} txn={:?} phase={:?} step={} op={} rolling_back={} submit={} blockers={:?}",
-                        term.txn,
-                        term.phase,
-                        term.step,
-                        term.op,
-                        term.rolling_back,
-                        term.submit,
-                        self.lm.blockers_of(term.txn, self.oracle)
-                    );
-                }
-            }
-        }
         let servers = self.config.servers;
         let end = self.config.duration;
         self.metrics.report(end, servers, self.lm.sink().counters())
@@ -483,12 +442,6 @@ impl<'a> Simulator<'a> {
                 RequestOutcome::Deadlock { victims, ticket } => {
                     if victims.contains(&self.terms[t].txn) {
                         self.metrics.deadlocks += 1;
-                        if std::env::var_os("SIM_DEBUG").is_some() {
-                            eprintln!(
-                                "deadlock victim: txn={:?} step_type={:?} kind={:?} resource={resource}",
-                                self.terms[t].txn, ctx.step_type, kind
-                            );
-                        }
                         self.deadlock_retry(t);
                         return;
                     }

@@ -4,9 +4,10 @@
 use acc_common::rng::SeededRng;
 use acc_common::Decimal;
 use acc_engine::{Stepper, StepperConfig};
+use acc_lockmgr::InstallOutcome;
 use acc_storage::{Database, Key};
 use acc_tpcc::consistency;
-use acc_tpcc::decompose::TpccSystem;
+use acc_tpcc::decompose::{TableEdit, TpccSystem};
 use acc_tpcc::input::{
     CustomerSelector, DeliveryInput, InputGen, NewOrderInput, OrderLineInput, PaymentInput,
     StockLevelInput, TpccConfig, TxnInput,
@@ -17,7 +18,7 @@ use acc_tpcc::txns::{self, program_for};
 use acc_txn::{
     run, AbortReason, ConcurrencyControl, RunOutcome, SharedDb, TwoPhase, TxnProgram, WaitMode,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn system(scale: Scale, seed: u64) -> (Arc<SharedDb>, TpccSystem) {
@@ -366,4 +367,54 @@ fn legacy_reporting_txn_sees_consistent_totals_during_acc_mix() {
         h.join().unwrap();
     }
     assert_consistent(&shared, true);
+}
+
+#[test]
+fn stepper_drains_an_epoch_switchover_mid_run() {
+    // Re-analyzed tables land at a step boundary while the deterministic
+    // scheduler has transactions in flight. They hold epoch pins, so the
+    // install drains behind them, and `Fail`-mode admissions wait it out:
+    // exactly one switch completes, and no step ever runs under a stale
+    // epoch.
+    let scale = Scale::test();
+    let (shared, sys) = system(scale, 4);
+    let audit = TpccSystem::reanalyze(TableEdit::AddAudit).tables;
+    let installed = Arc::new(Mutex::new(None));
+    let (sh, out) = (Arc::clone(&shared), Arc::clone(&installed));
+    shared.set_step_boundary_hook(Some(Box::new(move |count| {
+        if count == 5 {
+            *out.lock().unwrap() = Some(sh.install_oracle(Arc::clone(&audit) as _));
+        }
+    })));
+    let gen = InputGen::new(TpccConfig::standard(scale), 7);
+    let mut rng = SeededRng::new(7 * 31);
+    let mut programs: Vec<Box<dyn TxnProgram>> = (0..10)
+        .map(|_| program_for(gen.next_input(&mut rng), scale.districts) as _)
+        .collect();
+    let report = Stepper::new(&shared, &*sys.acc)
+        .run_all(
+            &mut programs,
+            &StepperConfig {
+                seed: 7,
+                max_resubmits: 40,
+            },
+        )
+        .unwrap();
+    // Dropping the hook breaks its `Arc<SharedDb>` cycle.
+    shared.set_step_boundary_hook(None);
+
+    assert!(
+        matches!(
+            *installed.lock().unwrap(),
+            Some(InstallOutcome::Draining { .. })
+        ),
+        "the install must drain behind the in-flight pins: {:?}",
+        installed.lock().unwrap()
+    );
+    let reg = shared.registry();
+    assert_eq!(reg.switches(), 1);
+    assert_eq!(reg.mixed_epoch_lookups(), 0);
+    assert_eq!(reg.pins(), 0);
+    assert_eq!(report.outcomes.len(), 10);
+    assert_consistent(&shared, false);
 }

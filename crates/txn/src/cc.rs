@@ -49,8 +49,8 @@ pub trait ConcurrencyControl: Send + Sync {
     fn comp_step_type(&self, txn_type: TxnTypeId) -> Option<StepTypeId>;
 
     /// Lock kinds to acquire on the *item* (page or row resource) for a
-    /// single-row access. Conventional intention locks on the table are added
-    /// by the executor.
+    /// single-row access. The table-level locks that go with it come from
+    /// [`ConcurrencyControl::table_locks`].
     fn item_locks(&self, meta: &TxnMeta, table: TableId, write: bool) -> Vec<LockKind>;
 
     /// Lock kinds to acquire on the *table* resource for a single-row access

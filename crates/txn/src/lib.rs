@@ -15,6 +15,11 @@
 //! The same program runs unchanged under either control, which is what makes
 //! the paper's experiments an apples-to-apples comparison.
 //!
+//! [`runner::advance`] runs one step and decides the transaction's fate:
+//! deadlock retry, epoch admission, commit or rollback. [`runner::run`] loops
+//! over it, and the deterministic scheduler in `acc-engine` calls it once per
+//! scheduling pick, so both run the same step logic.
+//!
 //! # Threading
 //!
 //! [`shared::SharedDb`] decomposes the system's synchronization: page

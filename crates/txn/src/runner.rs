@@ -45,9 +45,10 @@ pub enum RunOutcome {
 /// Run `program` to completion under `cc`.
 ///
 /// With [`WaitMode::Block`] this is the full lifecycle (threads park on lock
-/// waits). With [`WaitMode::Fail`] a contested lock aborts the current
-/// attempt with [`Error::WouldBlock`] after undoing the partial step — the
-/// deterministic scheduler in `acc-engine` catches that error and reschedules.
+/// waits). With [`WaitMode::Fail`] a contested lock rolls the transaction
+/// back and surfaces [`Error::WouldBlock`]; a caller that wants to resume the
+/// blocked step later drives [`advance`] itself, as the deterministic
+/// scheduler in `acc-engine` does.
 pub fn run(
     shared: &SharedDb,
     cc: &dyn ConcurrencyControl,
@@ -72,146 +73,154 @@ pub fn run_with_deadline(
 ) -> Result<(acc_common::TxnId, RunOutcome)> {
     let id = shared.begin_txn(program.txn_type());
     let mut txn = Transaction::new(id, program.txn_type()).with_deadline(deadline);
-    let result = run_existing(shared, cc, program, &mut txn, mode);
-    if matches!(result, Err(Error::WouldBlock { .. })) {
-        // The transaction object dies with this call, so nobody can resume
-        // it: roll it back completely instead of leaking its locks. Callers
-        // that want to resume after a block must use [`run_existing`].
-        rollback(shared, cc, program, &mut txn)?;
+    loop {
+        let result = advance(shared, cc, program, &mut txn, mode);
+        if matches!(result, Err(Error::WouldBlock { .. })) {
+            // The transaction object dies with this call, so nobody can resume
+            // it: roll it back completely instead of leaking its locks.
+            rollback(shared, cc, program, &mut txn)?;
+        }
+        if let Some(outcome) = result? {
+            return Ok((id, outcome));
+        }
     }
-    result.map(|outcome| (id, outcome))
 }
 
-/// Like [`run`], but the caller owns the [`Transaction`] (lets the
-/// deterministic scheduler resume a transaction whose step previously
-/// blocked).
-pub fn run_existing(
+/// Run the next step of `txn` and decide its fate — the one place both
+/// [`run_with_deadline`] and the deterministic scheduler in `acc-engine` do
+/// so. In order: the deadline gate, epoch admission and audit, the step with
+/// its one deadlock retry, the `StepEnd` event; then the step is ended, or
+/// the transaction commits or rolls back.
+///
+/// Returns `Ok(None)` when the step completed and the transaction goes on,
+/// and `Ok(Some(outcome))` once it committed or rolled back. In
+/// [`WaitMode::Fail`], a contested lock or admission returns
+/// [`Error::WouldBlock`] with the partial step undone and its conventional
+/// locks released; the transaction stays in flight, and calling `advance`
+/// again retries the same step. A step that fails with any other error rolls
+/// the transaction back before the error is returned.
+pub fn advance(
     shared: &SharedDb,
     cc: &dyn ConcurrencyControl,
     program: &mut dyn TxnProgram,
     txn: &mut Transaction,
     mode: WaitMode,
-) -> Result<RunOutcome> {
-    let sink = shared.event_sink();
-    loop {
-        // Deadline gate, checked only at step boundaries: never mid-step, so
-        // rollback always starts from a clean step edge (partial-step undo +
-        // compensation of completed steps) and cannot leak a lock or leave a
-        // version chain pending. An expired transaction that already did
-        // work pays for its own compensation — that is the §3.4 contract.
-        if txn.past_deadline() {
-            rollback(shared, cc, program, txn)?;
-            return Ok(RunOutcome::RolledBack(AbortReason::Deadline));
-        }
-        // Step admission: a decomposed transaction pins the current
-        // interference-table epoch before its first step and is audited
-        // against it at every later one — one atomic load per step, never
-        // per lookup (see `InterferenceRegistry::check_pin`).
-        if cc.decomposed() {
-            match &txn.epoch_pin {
-                Some(pin) => {
-                    shared.registry().check_pin(pin);
-                }
-                None => txn.epoch_pin = Some(shared.pin_epoch(txn.id, mode)?),
+) -> Result<Option<RunOutcome>> {
+    // Deadline gate, checked only at step boundaries: never mid-step, so
+    // rollback always starts from a clean step edge (partial-step undo +
+    // compensation of completed steps) and cannot leak a lock or leave a
+    // version chain pending. An expired transaction that already did work
+    // pays for its own compensation — that is the §3.4 contract.
+    if txn.past_deadline() {
+        rollback(shared, cc, program, txn)?;
+        return Ok(Some(RunOutcome::RolledBack(AbortReason::Deadline)));
+    }
+    // Step admission: a decomposed transaction pins the current
+    // interference-table epoch before its first step and is audited against
+    // it at every later one — one atomic load per step, never per lookup
+    // (see `InterferenceRegistry::check_pin`).
+    if cc.decomposed() {
+        match &txn.epoch_pin {
+            Some(pin) => {
+                shared.registry().check_pin(pin);
             }
-        }
-        let mut retried = false;
-        let step_started = Instant::now();
-        let step_result = loop {
-            let mut ctx = StepCtx::new(shared, cc, txn, mode);
-            let outcome = program.step(ctx.txn().step_index, &mut ctx);
-            // Crabbing discipline: every page latch a step takes must be
-            // released before the step hands control back (debug builds
-            // only; a latch held here would deadlock some later descent).
-            acc_storage::latch_debug_assert_none_held("step boundary");
-            match outcome {
-                Ok(outcome) => break Ok(outcome),
-                Err(Error::Deadlock { .. }) if cc.decomposed() && !retried => {
-                    // Paper §3.4: abort the step that completed the cycle and
-                    // restart it once; a recurring deadlock rolls the whole
-                    // transaction back by compensation.
-                    undo_current_step(shared, txn)?;
-                    let oracle = shared.oracle_for(txn.epoch_pin.as_ref());
-                    shared.release_where_with(txn.id, |k, _| k.is_conventional(), &*oracle);
-                    retried = true;
-                }
-                Err(e) => break Err(e),
-            }
-        };
-
-        if sink.is_enabled() && step_result.is_ok() {
-            sink.emit(Event::StepEnd {
-                txn: txn.id,
-                step_index: txn.step_index,
-                micros: step_started.elapsed().as_micros() as u64,
-            });
-        }
-
-        match step_result {
-            Ok(StepOutcome::Continue) => {
-                if cc.decomposed() {
-                    end_step(shared, cc, txn, program.work_area());
-                } else {
-                    txn.step_index += 1;
-                }
-            }
-            Ok(StepOutcome::Done) => {
-                if shared.is_doomed(txn.id) {
-                    rollback(shared, cc, program, txn)?;
-                    return Ok(RunOutcome::RolledBack(AbortReason::Doomed));
-                }
-                // The commit point is a step boundary too: a transaction past
-                // its deadline must never commit, or the submitter's
-                // deadline-exceeded reply would be a lie and a client resubmit
-                // would duplicate its effects. The final step is still
-                // physically undoable here (no end-of-step record yet), so
-                // this rollback undoes it and compensates the earlier steps.
-                if txn.past_deadline() {
-                    rollback(shared, cc, program, txn)?;
-                    return Ok(RunOutcome::RolledBack(AbortReason::Deadline));
-                }
-                let steps = txn.step_index + 1;
-                commit(shared, txn)?;
-                return Ok(RunOutcome::Committed { steps });
-            }
-            Ok(StepOutcome::Abort) => {
-                rollback(shared, cc, program, txn)?;
-                return Ok(RunOutcome::RolledBack(AbortReason::UserAbort));
-            }
-            Err(Error::WouldBlock { txn: t, resource }) => {
-                // Deterministic mode: withdraw cleanly; the scheduler retries
-                // this step later. Undo partial effects so other transactions
-                // see an untouched step. The epoch pin stays: the transaction
-                // is still in flight and resumes under its own tables.
-                undo_current_step(shared, txn)?;
-                if cc.decomposed() {
-                    let oracle = shared.oracle_for(txn.epoch_pin.as_ref());
-                    shared.release_where_with(txn.id, |k, _| k.is_conventional(), &*oracle);
-                }
-                return Err(Error::WouldBlock { txn: t, resource });
-            }
-            Err(Error::Deadlock { .. }) => {
-                rollback(shared, cc, program, txn)?;
-                return Ok(RunOutcome::RolledBack(AbortReason::Deadlock));
-            }
-            Err(Error::TxnAborted(_)) => {
-                rollback(shared, cc, program, txn)?;
-                return Ok(RunOutcome::RolledBack(AbortReason::Doomed));
-            }
-            Err(e) => {
-                // Hard error (schema violation, missing row, …): roll back,
-                // then surface the error to the caller.
-                rollback(shared, cc, program, txn)?;
-                return Err(e);
-            }
+            None => txn.epoch_pin = Some(shared.pin_epoch(txn.id, mode)?),
         }
     }
+    let mut retried = false;
+    let step_started = Instant::now();
+    let step_result = loop {
+        let mut ctx = StepCtx::new(shared, cc, txn, mode);
+        let outcome = program.step(ctx.txn().step_index, &mut ctx);
+        // Crabbing discipline: every page latch a step takes must be
+        // released before the step hands control back (debug builds only; a
+        // latch held here would deadlock some later descent).
+        acc_storage::latch_debug_assert_none_held("step boundary");
+        match outcome {
+            Err(Error::Deadlock { .. }) if cc.decomposed() && !retried => {
+                // Paper §3.4: abort the step that completed the cycle and
+                // restart it once; a recurring deadlock rolls the whole
+                // transaction back by compensation.
+                release_step(shared, cc, txn)?;
+                retried = true;
+            }
+            outcome => break outcome,
+        }
+    };
+
+    let sink = shared.event_sink();
+    if sink.is_enabled() && step_result.is_ok() {
+        sink.emit(Event::StepEnd {
+            txn: txn.id,
+            step_index: txn.step_index,
+            micros: step_started.elapsed().as_micros() as u64,
+        });
+    }
+
+    let reason = match step_result {
+        Ok(StepOutcome::Continue) => {
+            if cc.decomposed() {
+                end_step(shared, cc, txn, program.work_area());
+            } else {
+                txn.step_index += 1;
+            }
+            return Ok(None);
+        }
+        Ok(StepOutcome::Done) if shared.is_doomed(txn.id) => AbortReason::Doomed,
+        // The commit point is a step boundary too: a transaction past its
+        // deadline must never commit, or the submitter's deadline-exceeded
+        // reply would be a lie and a client resubmit would duplicate its
+        // effects. The final step is still physically undoable here (no
+        // end-of-step record yet), so rollback undoes it and compensates the
+        // earlier steps.
+        Ok(StepOutcome::Done) if txn.past_deadline() => AbortReason::Deadline,
+        Ok(StepOutcome::Done) => {
+            let steps = txn.step_index + 1;
+            commit(shared, txn)?;
+            return Ok(Some(RunOutcome::Committed { steps }));
+        }
+        Ok(StepOutcome::Abort) => AbortReason::UserAbort,
+        Err(e @ Error::WouldBlock { .. }) => {
+            // Deterministic mode: withdraw cleanly so other transactions see
+            // an untouched step; the scheduler retries this step later. The
+            // epoch pin stays: the transaction is still in flight and resumes
+            // under its own tables.
+            release_step(shared, cc, txn)?;
+            return Err(e);
+        }
+        Err(Error::Deadlock { .. }) => AbortReason::Deadlock,
+        Err(Error::TxnAborted(_)) => AbortReason::Doomed,
+        Err(e) => {
+            // Hard error (schema violation, missing row, …): roll back, then
+            // surface the error to the caller.
+            rollback(shared, cc, program, txn)?;
+            return Err(e);
+        }
+    };
+    rollback(shared, cc, program, txn)?;
+    Ok(Some(RunOutcome::RolledBack(reason)))
+}
+
+/// Take back an unfinished step: undo its effects and, for a decomposed
+/// transaction, drop the step's conventional locks (a 2PL transaction keeps
+/// its locks to the end).
+fn release_step(
+    shared: &SharedDb,
+    cc: &dyn ConcurrencyControl,
+    txn: &mut Transaction,
+) -> Result<()> {
+    undo_current_step(shared, txn)?;
+    if cc.decomposed() {
+        let oracle = shared.oracle_for(txn.epoch_pin.as_ref());
+        shared.release_where_with(txn.id, |k, _| k.is_conventional(), &*oracle);
+    }
+    Ok(())
 }
 
 /// Physically undo the current step (or, for an undecomposed transaction,
 /// everything), logging each reversal as a compensation-log update so
 /// recovery can replay the net effect.
-pub fn undo_current_step(shared: &SharedDb, txn: &mut Transaction) -> Result<()> {
+fn undo_current_step(shared: &SharedDb, txn: &mut Transaction) -> Result<()> {
     let undos: Vec<UndoRecord> = txn.step_undo.drain(..).collect();
     let txn_id = txn.id;
     for undo in undos.iter().rev() {

@@ -25,8 +25,9 @@ use acc_common::events::{Event, EventSink};
 use acc_common::faults::FaultInjector;
 use acc_common::{Error, ResourceId, Result, TableId, TxnId, TxnTypeId};
 use acc_lockmgr::{
-    EpochPin, InstallOutcome, InterferenceOracle, InterferenceRegistry, LockKind, PinAttempt,
-    Request, RequestCtx, RequestOutcome, ShardedLockManager, SharedOracle, SwitchStats, Ticket,
+    CycleResolution, EpochPin, InstallOutcome, InterferenceOracle, InterferenceRegistry, LockKind,
+    PinAttempt, Request, RequestCtx, RequestOutcome, ShardedLockManager, SharedOracle, SwitchStats,
+    Ticket,
 };
 use acc_storage::{CommitResolver, Database, Table};
 use acc_wal::{DurableWal, GroupCommitPolicy, LogDevice, LogRecord, Lsn, Wal};
@@ -289,7 +290,7 @@ impl SharedDb {
     }
 
     /// The sharded lock table (diagnostics: `holds`, `queue_len`,
-    /// `all_grants`, …).
+    /// `is_waiting`, …).
     pub fn lm(&self) -> &ShardedLockManager {
         &self.lm
     }
@@ -408,11 +409,6 @@ impl SharedDb {
     /// The raw durable device image (sector-framed for a file device).
     pub fn wal_raw_image(&self) -> Vec<u8> {
         self.wal.raw_image()
-    }
-
-    /// The WAL device's short name ("mem" / "file").
-    pub fn wal_device_kind(&self) -> &'static str {
-        self.wal.device_kind()
     }
 
     /// Allocate a transaction id, log its begin record, and mint the
@@ -723,19 +719,22 @@ impl SharedDb {
                     // stays sound even under a storm of injected spurious
                     // wakeups.
                     waited += this_slice;
-                    let det = self
+                    let resolution = self
                         .lm
                         .detect_from(txn, oracle, &mut |n| self.parking.grant(n.ticket));
-                    if let Some(det) = det {
-                        if det.self_is_victim {
+                    match resolution {
+                        Some(CycleResolution::Retry) => {
                             // Our queued requests were withdrawn inside
                             // detect_from (notices already delivered).
                             self.parking.deregister(ticket);
                             return Err(Error::Deadlock { victim: txn });
                         }
-                        for v in det.victims {
-                            self.doom(v);
+                        Some(CycleResolution::Doom(victims)) => {
+                            for v in victims {
+                                self.doom(v);
+                            }
                         }
+                        None => {}
                     }
                     if waited >= self.wait_cap {
                         self.cancel_and_unpark(txn, ticket, oracle);
@@ -751,13 +750,8 @@ impl SharedDb {
     }
 
     /// Release the caller-selected grants of `txn` and wake anyone whose
-    /// request became grantable.
-    pub fn release_where(&self, txn: TxnId, pred: impl Fn(LockKind, &RequestCtx) -> bool) {
-        self.release_where_with(txn, pred, &*self.registry.current());
-    }
-
-    /// [`SharedDb::release_where`] against an explicit oracle snapshot
-    /// (pinned transactions re-evaluate waiters under their own epoch).
+    /// request became grantable. Takes an explicit oracle snapshot: pinned
+    /// transactions re-evaluate waiters under their own epoch.
     pub fn release_where_with(
         &self,
         txn: TxnId,

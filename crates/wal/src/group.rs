@@ -274,11 +274,6 @@ impl DurableWal {
         self.dev.lock().unwrap().raw_image()
     }
 
-    /// The device's short name ("mem" / "file").
-    pub fn device_kind(&self) -> &'static str {
-        self.dev.lock().unwrap().kind()
-    }
-
     /// Park until record `lsn` is durable, leading a batch flush if nobody
     /// else is. Returns `Some(stats)` if this call led the flush that
     /// retired `lsn` (the caller observes the fsync boundary), `None` if a

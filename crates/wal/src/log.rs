@@ -112,14 +112,6 @@ impl Wal {
             faults: None,
         }
     }
-
-    /// Drop all records from `lsn` (inclusive) on — simulates a crash that
-    /// lost the log tail. Resets the staging buffer to the full surviving
-    /// image (valid only if nothing has been drained to a device yet).
-    pub fn truncate(&mut self, lsn: Lsn) {
-        self.records.truncate(lsn.0 as usize);
-        self.staged = self.to_bytes();
-    }
 }
 
 #[cfg(test)]
@@ -152,16 +144,5 @@ mod tests {
         let img = wal.to_bytes();
         let restored = Wal::from_bytes(&img);
         assert_eq!(restored.records(), wal.records());
-    }
-
-    #[test]
-    fn truncate_drops_tail() {
-        let mut wal = Wal::new();
-        for i in 0..5 {
-            wal.append(LogRecord::Commit { txn: TxnId(i) });
-        }
-        wal.truncate(Lsn(2));
-        assert_eq!(wal.len(), 2);
-        assert_eq!(wal.records()[1], LogRecord::Commit { txn: TxnId(1) });
     }
 }

@@ -10,7 +10,7 @@
 //! ```
 
 use assertional_acc::prelude::*;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Condvar, Mutex};
 
 const OFFERS: TableId = TableId(0); // sell orders: (price, offer_id) -> shares
 const LEDGER: TableId = TableId(1); // purchases: (buyer, seq) -> price, shares
@@ -24,36 +24,53 @@ struct Buy {
     buyer: i64,
     want: i64,
     bought: Vec<(Decimal, i64)>, // (price, shares) per completed step
-    /// Rendezvous fired between lots so the demo forces the interleaving.
-    pause: Option<Arc<Barrier>>,
+    /// Turn-taking shared with the other buyer, so the demo forces the
+    /// interleaving.
+    turns: Arc<Turns>,
+}
+
+/// Forces the step interleaving T1, T2, T1, T2: buyer `b` runs its step `i`
+/// on turn `2 * i + b - 1`. No two steps run at once, so no lock cycle can
+/// form and the outcome does not depend on how the threads are scheduled.
+#[derive(Default)]
+struct Turns {
+    next: Mutex<u32>,
+    passed: Condvar,
+}
+
+impl Turns {
+    fn wait_for(&self, turn: u32) {
+        let mut next = self.next.lock().expect("turns not poisoned");
+        while *next < turn {
+            next = self.passed.wait(next).expect("turns not poisoned");
+        }
+    }
+
+    fn pass(&self, turn: u32) {
+        let mut next = self.next.lock().expect("turns not poisoned");
+        *next = (*next).max(turn + 1);
+        self.passed.notify_all();
+    }
 }
 
 impl Buy {
-    fn new(buyer: i64, want: i64) -> Self {
+    fn new(buyer: i64, want: i64, turns: Arc<Turns>) -> Self {
         Buy {
             buyer,
             want,
             bought: Vec::new(),
-            pause: None,
+            turns,
         }
     }
 
     fn still_needed(&self) -> i64 {
         self.want - self.bought.iter().map(|(_, n)| n).sum::<i64>()
     }
-}
 
-impl TxnProgram for Buy {
-    fn txn_type(&self) -> TxnTypeId {
-        TY_BUY
-    }
-
-    fn step(&mut self, i: u32, ctx: &mut StepCtx<'_>) -> Result<StepOutcome> {
+    /// Step `i`: take the cheapest lot still on offer.
+    fn take_lot(&mut self, i: u32, ctx: &mut StepCtx<'_>) -> Result<StepOutcome> {
         self.bought.truncate(i as usize); // idempotent re-execution
-        if let (Some(b), true) = (&self.pause, i == 1) {
-            b.wait();
-            b.wait();
-        }
+
         // Find the cheapest offer with shares left. Offers are keyed
         // (price, offer_id), so the first live row is the cheapest.
         let offers = ctx.scan_prefix(OFFERS, &Key(vec![]))?;
@@ -86,6 +103,20 @@ impl TxnProgram for Buy {
         } else {
             StepOutcome::Continue
         })
+    }
+}
+
+impl TxnProgram for Buy {
+    fn txn_type(&self) -> TxnTypeId {
+        TY_BUY
+    }
+
+    fn step(&mut self, i: u32, ctx: &mut StepCtx<'_>) -> Result<StepOutcome> {
+        let turn = 2 * i + self.buyer as u32 - 1;
+        self.turns.wait_for(turn);
+        let outcome = self.take_lot(i, ctx);
+        self.turns.pass(turn);
+        outcome
     }
 
     fn compensate(&mut self, steps_completed: u32, ctx: &mut StepCtx<'_>) -> Result<()> {
@@ -198,17 +229,16 @@ fn main() -> Result<()> {
     println!("order book: 8 shares @ $30 (two lots of 4), 100 @ $31");
     println!("T1 and T2 each buy 8 shares, steps interleaved T1,T2,T1,T2…\n");
 
-    // Force the §3.1 interleaving with a pair of barriers: each buyer takes
-    // one $30 lot, pauses, then continues — so both finish at $31.
-    let b1 = Arc::new(Barrier::new(2));
+    // Force the §3.1 interleaving: each buyer takes one $30 lot in its first
+    // step and waits for the other's, then continues — so both finish at $31.
+    let turns = Arc::new(Turns::default());
     let mut handles = Vec::new();
     for buyer in [1i64, 2] {
         let shared = Arc::clone(&shared);
         let acc = Arc::clone(&acc);
-        let b = Arc::clone(&b1);
+        let turns = Arc::clone(&turns);
         handles.push(std::thread::spawn(move || {
-            let mut buy = Buy::new(buyer, 8);
-            buy.pause = Some(b);
+            let mut buy = Buy::new(buyer, 8, turns);
             let out = run(&shared, &*acc, &mut buy, WaitMode::Block).expect("buy");
             (buyer, out, buy.bought)
         }));

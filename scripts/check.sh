@@ -18,6 +18,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test =="
 cargo test --workspace --offline -q
 
+echo "== benchmark package: build and test against its own lockfile =="
+# perfbench/ is a separate package; --locked fails on a dependency-edge
+# change its Cargo.lock does not record, and the build lands under target/.
+CARGO_TARGET_DIR="$PWD/target/perfbench" \
+    cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== pagebench smoke (page-latch protocol, release) =="
 cargo run -p acc-bench --release --offline --bin figures -- pagebench --quick >/dev/null
 
@@ -40,6 +46,14 @@ echo "== simulator figures: 'figures -- all --quick' matches the committed golde
 # and say in the change description which figures moved and why.
 cargo run -p acc-bench --release --offline --bin figures -- all --quick > "$t1"
 cmp "$t1" scripts/figures_all_quick.golden
+
+echo "== deterministic examples: output matches the committed golden =="
+# Regenerate for an intended output change with the same loop redirected to
+# scripts/examples.golden. tpcc_demo stays out: it prints wall-clock tps.
+for ex in quickstart order_processing stock_trading crash_recovery; do
+    cargo run -q --release --offline --example "$ex"
+done > "$t1"
+cmp "$t1" scripts/examples.golden
 
 echo "== determinism: seeded open-loop arrival schedule byte-identical =="
 cargo run -p acc-bench --release --offline --bin figures -- saturate --schedule --quick > "$t1"
