@@ -44,7 +44,7 @@
 //!   compensation, **provided** the uncommitted data cannot stem from an
 //!   assignment: an assigner's compensation restores the saved pre-image,
 //!   which would wipe a delta that landed in between. This is a
-//!   whole-system side condition ([`delta_poison`]): every registered step
+//!   whole-system side condition (`delta_poison`): every registered step
 //!   assigning an overlapping column must be fresh-region or provably
 //!   region-disjoint from the delta;
 //! * `Fresh` region — the rows did not exist, so no other transaction's

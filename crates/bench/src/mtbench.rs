@@ -598,9 +598,8 @@ fn transfer_cell(retry: RetryPolicy, terminals: usize, duration: Duration, seed:
             retry,
         },
     );
-    let total: acc_common::Decimal = shared
-        .with_table(ACCOUNTS, |t| t.iter().map(|(_, r)| r.decimal(1)).sum())
-        .expect("accounts table");
+    let t = shared.table(ACCOUNTS).expect("accounts table");
+    let total: acc_common::Decimal = t.iter().map(|(_, r)| r.decimal(1)).sum();
     assert_eq!(
         total,
         acc_common::Decimal::from_int(N_ACCOUNTS * 1000),

@@ -91,9 +91,8 @@ fn closed_loop_runs_and_conserves() {
     assert_eq!(report.retries, 0, "retry disabled but engine resubmitted");
     assert!(report.throughput_tps > 0.0);
     assert!(report.latency.mean_ms >= 0.0);
-    let total: Decimal = shared
-        .with_table(ACCOUNTS, |t| t.iter().map(|(_, r)| r.decimal(1)).sum())
-        .unwrap();
+    let t = shared.table(ACCOUNTS).unwrap();
+    let total: Decimal = t.iter().map(|(_, r)| r.decimal(1)).sum();
     assert_eq!(total, Decimal::from_int(16_000));
     assert_eq!(shared.total_grants(), 0);
 }

@@ -37,9 +37,8 @@ fn shared(n_accounts: i64) -> Arc<SharedDb> {
 }
 
 fn total(shared: &SharedDb) -> Decimal {
-    shared
-        .with_table(ACCOUNTS, |t| t.iter().map(|(_, r)| r.decimal(1)).sum())
-        .unwrap()
+    let t = shared.table(ACCOUNTS).unwrap();
+    t.iter().map(|(_, r)| r.decimal(1)).sum()
 }
 
 /// Two-op transfer; under 2PL it is a single atomic unit, under the

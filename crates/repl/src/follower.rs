@@ -12,9 +12,9 @@
 //!
 //! The follower's replay frontier (`replay_lsn`) is the number of verified
 //! records. Reads are served at that frontier through the versioned-read
-//! machinery ([`Table::read_at`]) over the replayed image — stale by
-//! whatever the ship lag is, but always a transactionally consistent prefix
-//! of the leader's history.
+//! machinery ([`acc_storage::Table::read_at`]) over the replayed image —
+//! stale by whatever the ship lag is, but always a transactionally
+//! consistent prefix of the leader's history.
 
 use crate::ship::{count_frames, frame_prefix, stream_chain, ShipBatch};
 use acc_common::{Result, TableId, TxnId};

@@ -107,8 +107,8 @@ impl ShipTransport for MemTransport {
 
 /// Loopback-TCP transport: the same protocol over a real socket pair, framed
 /// by the workspace-shared [`acc_common::frame`] module. A ship batch maps
-/// 1:1 onto a wire [`Frame`]: `seq`/`start`/`chain` ride the header and the
-/// batch payload is the frame payload.
+/// 1:1 onto a wire [`acc_common::frame::Frame`]: `seq`/`start`/`chain` ride
+/// the header and the batch payload is the frame payload.
 pub mod tcp {
     use super::*;
     use acc_common::frame::{Decoded, Frame, FrameBuf};

@@ -1,5 +1,5 @@
 //! A page directory with per-page latches — the physical layer under the
-//! paged B-tree ([`crate::btree`]).
+//! paged B-tree (the private `btree` module).
 //!
 //! The pager owns a directory of fixed-capacity pages (capacity is enforced
 //! by the tree's split/merge thresholds; the pager just hands out page

@@ -1,6 +1,6 @@
-//! Heap tables over the paged B-tree ([`crate::btree`]): page-granularity
-//! physical latching, slot-stable heap addressing, optional secondary
-//! indices, and per-key MVCC-lite version chains.
+//! Heap tables over the paged B-tree (the private `btree` module):
+//! page-granularity physical latching, slot-stable heap addressing, optional
+//! secondary indices, and per-key MVCC-lite version chains.
 //!
 //! Rows live in *slots*; a freed slot is reused by the next insert, so slot
 //! numbers (and therefore page assignments and lock resources) stay dense and

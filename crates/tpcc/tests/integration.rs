@@ -136,11 +136,8 @@ fn each_transaction_type_runs_under_2pl() {
 #[test]
 fn new_order_rollback_compensates_under_acc() {
     let (shared, sys) = system(Scale::test(), 2);
-    let stock_before: i64 = shared
-        .with_table(TABLES.stock, |t| {
-            t.iter().map(|(_, r)| r.int(col::s::QUANTITY)).sum()
-        })
-        .unwrap();
+    let stock = shared.table(TABLES.stock).unwrap();
+    let stock_before: i64 = stock.iter().map(|(_, r)| r.int(col::s::QUANTITY)).sum();
 
     let mut no = txns::NewOrder::new(NewOrderInput {
         w_id: 1,

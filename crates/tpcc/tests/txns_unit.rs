@@ -24,40 +24,32 @@ fn shared(seed: u64) -> Arc<SharedDb> {
 fn new_order_math_matches_spec() {
     let s = shared(1);
     // Pin the tax/discount/price environment so the total is checkable.
-    s.with_table(TABLES.warehouse, |t| {
-        t.update_with(0, |r| {
-            r.set(col::w::TAX, Value::Decimal(Decimal::from_units(1000))); // 10%
+    let t = s.table(TABLES.warehouse).unwrap();
+    t.update_with(0, |r| {
+        r.set(col::w::TAX, Value::Decimal(Decimal::from_units(1000))); // 10%
+    })
+    .unwrap();
+    let t = s.table(TABLES.district).unwrap();
+    let d_slot = t.slot_of(&Key::ints(&[1, 1])).unwrap();
+    t.update_with(d_slot, |r| {
+        r.set(col::d::TAX, Value::Decimal(Decimal::from_units(500))); // 5%
+    })
+    .unwrap();
+    let t = s.table(TABLES.customer).unwrap();
+    let c_slot = t.slot_of(&Key::ints(&[1, 1, 2])).unwrap();
+    t.update_with(c_slot, |r| {
+        r.set(col::c::DISCOUNT, Value::Decimal(Decimal::from_units(2000)));
+        // 20%
+    })
+    .unwrap();
+    let t = s.table(TABLES.item).unwrap();
+    for item in [1i64, 2] {
+        let i_slot = t.slot_of(&Key::ints(&[item])).unwrap();
+        t.update_with(i_slot, |r| {
+            r.set(col::i::PRICE, Value::Decimal(Decimal::from_int(10)));
         })
         .unwrap();
-    })
-    .unwrap();
-    s.with_table(TABLES.district, |t| {
-        let d_slot = t.slot_of(&Key::ints(&[1, 1])).unwrap();
-        t.update_with(d_slot, |r| {
-            r.set(col::d::TAX, Value::Decimal(Decimal::from_units(500))); // 5%
-        })
-        .unwrap();
-    })
-    .unwrap();
-    s.with_table(TABLES.customer, |t| {
-        let c_slot = t.slot_of(&Key::ints(&[1, 1, 2])).unwrap();
-        t.update_with(c_slot, |r| {
-            r.set(col::c::DISCOUNT, Value::Decimal(Decimal::from_units(2000)));
-            // 20%
-        })
-        .unwrap();
-    })
-    .unwrap();
-    s.with_table(TABLES.item, |t| {
-        for item in [1i64, 2] {
-            let i_slot = t.slot_of(&Key::ints(&[item])).unwrap();
-            t.update_with(i_slot, |r| {
-                r.set(col::i::PRICE, Value::Decimal(Decimal::from_int(10)));
-            })
-            .unwrap();
-        }
-    })
-    .unwrap();
+    }
 
     let mut no = txns::NewOrder::new(NewOrderInput {
         w_id: 1,
@@ -91,12 +83,10 @@ fn new_order_math_matches_spec() {
 fn new_order_stock_91_rule() {
     let s = shared(2);
     // Force a known stock level below the reorder threshold.
-    s.with_table(TABLES.stock, |t| {
-        let slot = t.slot_of(&Key::ints(&[1, 5])).unwrap();
-        t.update_with(slot, |r| {
-            r.set(col::s::QUANTITY, Value::Int(12));
-        })
-        .unwrap();
+    let t = s.table(TABLES.stock).unwrap();
+    let slot = t.slot_of(&Key::ints(&[1, 5])).unwrap();
+    t.update_with(slot, |r| {
+        r.set(col::s::QUANTITY, Value::Int(12));
     })
     .unwrap();
     let mut no = txns::NewOrder::new(NewOrderInput {
@@ -112,10 +102,11 @@ fn new_order_stock_91_rule() {
     });
     run(&s, &TwoPhase, &mut no, WaitMode::Block).unwrap();
     let stock = s
-        .with_table(TABLES.stock, |t| {
-            t.get(&Key::ints(&[1, 5])).unwrap().1.clone()
-        })
-        .unwrap();
+        .table(TABLES.stock)
+        .unwrap()
+        .get(&Key::ints(&[1, 5]))
+        .unwrap()
+        .1;
     // 12 - 4 = 8 < 10 → +91 ⇒ 99 (spec §2.4.2.2).
     assert_eq!(stock.int(col::s::QUANTITY), 99);
     assert_eq!(stock.int(col::s::YTD), 4);
@@ -137,24 +128,27 @@ fn payment_by_last_name_picks_middle_match() {
     run(&s, &TwoPhase, &mut pay, WaitMode::Block).unwrap();
     assert_eq!(pay.c_id, Some(8));
     let cust = s
-        .with_table(TABLES.customer, |t| {
-            t.get(&Key::ints(&[1, 2, 8])).unwrap().1.clone()
-        })
-        .unwrap();
+        .table(TABLES.customer)
+        .unwrap()
+        .get(&Key::ints(&[1, 2, 8]))
+        .unwrap()
+        .1;
     assert_eq!(cust.decimal(col::c::BALANCE), Decimal::from_int(-10));
     assert_eq!(cust.decimal(col::c::YTD_PAYMENT), Decimal::from_int(10));
     assert_eq!(cust.int(col::c::PAYMENT_CNT), 1);
-    assert_eq!(s.with_table(TABLES.history, |t| t.len()).unwrap(), 1);
+    assert_eq!(s.table(TABLES.history).unwrap().len(), 1);
 }
 
 #[test]
 fn payment_missing_name_rolls_back_cleanly() {
     let s = shared(4);
     let ytd_before = s
-        .with_table(TABLES.warehouse, |t| {
-            t.get(&Key::ints(&[1])).unwrap().1.decimal(col::w::YTD)
-        })
-        .unwrap();
+        .table(TABLES.warehouse)
+        .unwrap()
+        .get(&Key::ints(&[1]))
+        .unwrap()
+        .1
+        .decimal(col::w::YTD);
     let mut pay = txns::Payment::new(PaymentInput {
         w_id: 1,
         d_id: 1,
@@ -166,10 +160,12 @@ fn payment_missing_name_rolls_back_cleanly() {
     assert!(matches!(err, acc_common::Error::NotFound(_)));
     // Step-0 effects (w_ytd/d_ytd) were rolled back physically.
     let ytd = s
-        .with_table(TABLES.warehouse, |t| {
-            t.get(&Key::ints(&[1])).unwrap().1.decimal(col::w::YTD)
-        })
-        .unwrap();
+        .table(TABLES.warehouse)
+        .unwrap()
+        .get(&Key::ints(&[1]))
+        .unwrap()
+        .1
+        .decimal(col::w::YTD);
     assert_eq!(ytd, ytd_before);
     assert_eq!(s.total_grants(), 0);
 }
@@ -312,16 +308,14 @@ fn stock_level_counts_below_threshold() {
     let s = shared(8);
     // Set every stock row's quantity to 50, then drop a couple of recently
     // ordered items below threshold.
-    s.with_table(TABLES.stock, |t| {
-        let slots: Vec<_> = t.iter().map(|(s, _)| s).collect();
-        for slot in slots {
-            t.update_with(slot, |r| {
-                r.set(col::s::QUANTITY, Value::Int(50));
-            })
-            .unwrap();
-        }
-    })
-    .unwrap();
+    let t = s.table(TABLES.stock).unwrap();
+    let slots: Vec<_> = t.iter().map(|(s, _)| s).collect();
+    for slot in slots {
+        t.update_with(slot, |r| {
+            r.set(col::s::QUANTITY, Value::Int(50));
+        })
+        .unwrap();
+    }
     let mut no = txns::NewOrder::new(NewOrderInput {
         w_id: 1,
         d_id: 1,
@@ -341,16 +335,14 @@ fn stock_level_counts_below_threshold() {
         rollback: false,
     });
     run(&s, &TwoPhase, &mut no, WaitMode::Block).unwrap();
-    s.with_table(TABLES.stock, |t| {
-        for item in [7i64, 8] {
-            let slot = t.slot_of(&Key::ints(&[1, item])).unwrap();
-            t.update_with(slot, |r| {
-                r.set(col::s::QUANTITY, Value::Int(3));
-            })
-            .unwrap();
-        }
-    })
-    .unwrap();
+    let t = s.table(TABLES.stock).unwrap();
+    for item in [7i64, 8] {
+        let slot = t.slot_of(&Key::ints(&[1, item])).unwrap();
+        t.update_with(slot, |r| {
+            r.set(col::s::QUANTITY, Value::Int(3));
+        })
+        .unwrap();
+    }
     let mut stk = txns::StockLevel::new(StockLevelInput {
         w_id: 1,
         d_id: 1,

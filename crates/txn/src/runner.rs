@@ -9,7 +9,6 @@ use crate::transaction::{Transaction, TxnState};
 use acc_common::events::Event;
 use acc_common::faults::BoundaryEdge;
 use acc_common::{Error, Result};
-use acc_storage::UndoRecord;
 use acc_wal::{InFlight, LogRecord};
 use std::time::{Duration, Instant};
 
@@ -131,7 +130,7 @@ pub fn advance(
     let step_started = Instant::now();
     let step_result = loop {
         let mut ctx = StepCtx::new(shared, cc, txn, mode);
-        let outcome = program.step(ctx.txn().step_index, &mut ctx);
+        let outcome = program.step(ctx.step_index(), &mut ctx);
         // Crabbing discipline: every page latch a step takes must be
         // released before the step hands control back (debug builds only; a
         // latch held here would deadlock some later descent).
@@ -212,7 +211,7 @@ fn release_step(
     undo_current_step(shared, txn)?;
     if cc.decomposed() {
         let oracle = shared.oracle_for(txn.epoch_pin.as_ref());
-        shared.release_where_with(txn.id, |k, _| k.is_conventional(), &*oracle);
+        shared.release_where(txn.id, |k, _| k.is_conventional(), &*oracle);
     }
     Ok(())
 }
@@ -221,28 +220,14 @@ fn release_step(
 /// everything), logging each reversal as a compensation-log update so
 /// recovery can replay the net effect.
 fn undo_current_step(shared: &SharedDb, txn: &mut Transaction) -> Result<()> {
-    let undos: Vec<UndoRecord> = txn.step_undo.drain(..).collect();
-    let txn_id = txn.id;
-    for undo in undos.iter().rev() {
-        let table = undo.table();
-        let slot = undo.slot();
-        let (before, after) = shared.with_table(table, |t| -> Result<_> {
-            let before = t.row(slot);
-            t.apply_undo(undo)?;
-            let after = t.row(slot);
-            Ok((before, after))
-        })??;
+    for undo in std::mem::take(&mut txn.step_undo).iter().rev() {
+        let (table, slot) = (undo.table(), undo.slot());
+        let t = shared.table(table)?;
+        let before = t.row(slot);
+        t.apply_undo(undo)?;
         // Same-slot WAL ordering is protected by this transaction's still-held
         // page X lock (see `StepCtx::insert`).
-        shared.with_wal(|w| {
-            w.append(LogRecord::Update {
-                txn: txn_id,
-                table,
-                slot,
-                before,
-                after,
-            })
-        });
+        shared.log_update(txn.id, table, slot, before, t.row(slot));
     }
     Ok(())
 }
@@ -276,7 +261,7 @@ pub fn end_step(
     shared.flush_wal_batch();
     let meta = txn.meta();
     let oracle = shared.oracle_for(txn.epoch_pin.as_ref());
-    shared.release_where_with(
+    shared.release_where(
         txn.id,
         |kind, _| cc.release_at_step_end(&meta, kind),
         &*oracle,
@@ -311,13 +296,26 @@ fn finalize_versions(shared: &SharedDb, txn: &Transaction, end_lsn: u64) {
     }
     let watermark = shared.version_watermark();
     for &table in &txn.version_tables {
-        let _ = shared.with_table(table, |t| {
+        if let Ok(t) = shared.table(table) {
             t.finalize_versions(txn.id, end_lsn);
             if let Some(w) = watermark {
                 t.prune_versions(w);
             }
-        });
+        }
     }
+}
+
+/// The tail every transaction exit shares, after the caller's own prefix
+/// (finalize, retire or deregister): release everything under the pinned
+/// tables, clear the doom flag, then unpin the epoch — only after every
+/// lock is gone, so a switchover the unpin completes never sees a live
+/// old-epoch grant — and settle the final state.
+fn finish(shared: &SharedDb, txn: &mut Transaction, state: TxnState) {
+    let oracle = shared.oracle_for(txn.epoch_pin.as_ref());
+    shared.release_all(txn.id, &*oracle);
+    shared.clear_doom(txn.id);
+    shared.unpin_epoch(txn.epoch_pin.take());
+    txn.state = state;
 }
 
 /// Commit: log the commit record, park until it is durable (group-commit
@@ -340,7 +338,6 @@ pub fn commit(shared: &SharedDb, txn: &mut Transaction) -> Result<()> {
         shared.publish_commit(txn.id, lsn.0);
         lsn
     });
-    let oracle = shared.oracle_for(txn.epoch_pin.as_ref());
     match shared.sync_wal(lsn) {
         Ok(()) => {
             // The commit is durable; rewrite the chains physically, then
@@ -349,12 +346,7 @@ pub fn commit(shared: &SharedDb, txn: &mut Transaction) -> Result<()> {
             // view covers.
             finalize_versions(shared, txn, lsn.0);
             shared.retire_commit(txn.id);
-            shared.release_all_with(txn.id, &*oracle);
-            shared.clear_doom(txn.id);
-            // Unpin only after every lock is gone: the switchover this may
-            // complete must never see a live old-epoch grant.
-            shared.unpin_epoch(txn.epoch_pin.take());
-            txn.state = TxnState::Committed;
+            finish(shared, txn, TxnState::Committed);
             Ok(())
         }
         Err(e) => {
@@ -369,10 +361,7 @@ pub fn commit(shared: &SharedDb, txn: &mut Transaction) -> Result<()> {
             // the durable prefix decides this transaction's real fate.
             shared.retire_commit(txn.id);
             shared.deregister_active(txn.id);
-            shared.release_all_with(txn.id, &*oracle);
-            shared.clear_doom(txn.id);
-            shared.unpin_epoch(txn.epoch_pin.take());
-            txn.state = TxnState::Aborted;
+            finish(shared, txn, TxnState::Aborted);
             Err(e)
         }
     }
@@ -417,13 +406,11 @@ pub fn rollback(
                 Ok(()) => break,
                 Err(e) if e.is_transient() && attempts < cap => {
                     attempts += 1;
-                    undo_current_step(shared, txn)?;
-                    // Drop the failed attempt's conventional locks so a
-                    // cross-blocked compensating peer can make progress
-                    // before we retry (otherwise two compensations deadlock
-                    // in lockstep through every retry).
-                    let oracle = shared.oracle_for(txn.epoch_pin.as_ref());
-                    shared.release_where_with(txn.id, |k, _| k.is_conventional(), &*oracle);
+                    // Undo the failed attempt and drop its conventional
+                    // locks so a cross-blocked compensating peer can make
+                    // progress before we retry (otherwise two compensations
+                    // deadlock in lockstep through every retry).
+                    release_step(shared, cc, txn)?;
                     // Releasing alone is not enough: the transient failure
                     // may be a comp-vs-comp cycle among *other* waiters that
                     // our request keeps running into, and parked waiters only
@@ -445,11 +432,7 @@ pub fn rollback(
                     // stay pending (readers unwind past them — conservative)
                     // but the active-map entry must not pin the watermark.
                     shared.deregister_active(txn.id);
-                    let oracle = shared.oracle_for(txn.epoch_pin.as_ref());
-                    shared.release_all_with(txn.id, &*oracle);
-                    shared.clear_doom(txn.id);
-                    shared.unpin_epoch(txn.epoch_pin.take());
-                    txn.state = TxnState::Aborted;
+                    finish(shared, txn, TxnState::Aborted);
                     return Err(Error::Internal(if e.is_transient() {
                         format!(
                             "compensation of {} wedged: still transient after \
@@ -474,11 +457,7 @@ pub fn rollback(
     // entry's before-image line up with the settled table state: readers at
     // older views unwind to the same values either way.
     finalize_versions(shared, txn, abort_lsn.0);
-    let oracle = shared.oracle_for(txn.epoch_pin.as_ref());
-    shared.release_all_with(txn.id, &*oracle);
-    shared.clear_doom(txn.id);
-    shared.unpin_epoch(txn.epoch_pin.take());
-    txn.state = TxnState::Aborted;
+    finish(shared, txn, TxnState::Aborted);
     Ok(())
 }
 

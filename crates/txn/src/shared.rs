@@ -10,8 +10,8 @@
 //! * the lock table is a [`ShardedLockManager`] — N hash-sharded mutexes;
 //! * the WAL has a dedicated append mutex that assigns LSNs independently of
 //!   lock traffic (group commit can batch fsyncs behind it later);
-//! * lock waits park on per-ticket slots ([`crate::parking`]) — a grant
-//!   wakes exactly its owner instead of `notify_all`-ing every waiter.
+//! * lock waits park on per-ticket slots (the private `parking` module) — a
+//!   grant wakes exactly its owner instead of `notify_all`-ing every waiter.
 //!
 //! Lock ordering: page latches, lock shards, the WAL mutex, the doom set
 //! and the parking table are all *leaves* relative to each other — no thread
@@ -23,14 +23,14 @@
 use crate::parking::Parking;
 use acc_common::events::{Event, EventSink};
 use acc_common::faults::FaultInjector;
-use acc_common::{Error, ResourceId, Result, TableId, TxnId, TxnTypeId};
+use acc_common::{Error, ResourceId, Result, Slot, TableId, TxnId, TxnTypeId};
 use acc_lockmgr::{
     CycleResolution, EpochPin, InstallOutcome, InterferenceOracle, InterferenceRegistry, LockKind,
     PinAttempt, Request, RequestCtx, RequestOutcome, ShardedLockManager, SharedOracle, SwitchStats,
     Ticket,
 };
-use acc_storage::{CommitResolver, Database, Table};
-use acc_wal::{DurableWal, GroupCommitPolicy, LogDevice, LogRecord, Lsn, Wal};
+use acc_storage::{CommitResolver, Database, Row, Table};
+use acc_wal::{DurableWal, FlushStats, GroupCommitPolicy, LogDevice, LogRecord, Lsn, Wal};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -300,16 +300,10 @@ impl SharedDb {
         self.lm.total_grants()
     }
 
-    /// The table with the given id (tables do their own page-granularity
-    /// latching; no stripe lock is involved anymore).
+    /// The table with the given id, for reading or writing: every `Table`
+    /// method takes `&self` and latches individual pages.
     pub fn table(&self, id: TableId) -> Result<&Table> {
         self.db.table(id)
-    }
-
-    /// Run `f` with access to one table, reading or writing (tables latch
-    /// per page, so both go through `&Table`).
-    pub fn with_table<R>(&self, id: TableId, f: impl FnOnce(&Table) -> R) -> Result<R> {
-        Ok(f(self.db.table(id)?))
     }
 
     /// Aggregate pager counters across all tables — the physical-latch
@@ -347,6 +341,27 @@ impl SharedDb {
         self.wal.with_log(f)
     }
 
+    /// Append one row write's before/after images: the one `Update` append
+    /// that every data write and its physical undo go through.
+    pub(crate) fn log_update(
+        &self,
+        txn: TxnId,
+        table: TableId,
+        slot: Slot,
+        before: Option<Row>,
+        after: Option<Row>,
+    ) {
+        self.with_wal(|w| {
+            w.append(LogRecord::Update {
+                txn,
+                table,
+                slot,
+                before,
+                after,
+            })
+        });
+    }
+
     /// The WAL's full byte image — every appended record, durable or not
     /// (the PR-2 crash model: crash points at append indices).
     pub fn wal_bytes(&self) -> Vec<u8> {
@@ -363,15 +378,7 @@ impl SharedDb {
     /// caller led the flush.
     pub fn sync_wal(&self, lsn: Lsn) -> Result<()> {
         let stats = self.wal.sync_to(lsn)?;
-        if let Some(stats) = stats {
-            let sink = self.lm.sink();
-            if sink.is_enabled() {
-                sink.emit(Event::WalFsync {
-                    records: stats.records as u32,
-                    bytes: stats.bytes as u32,
-                });
-            }
-        }
+        self.emit_fsync(stats);
         Ok(())
     }
 
@@ -380,14 +387,20 @@ impl SharedDb {
     /// swallowed here — they are sticky and surface at the next commit's
     /// [`SharedDb::sync_wal`], the only point that acks durability.
     pub fn flush_wal_batch(&self) {
-        if let Some(stats) = self.wal.flush_if_batchful() {
-            let sink = self.lm.sink();
-            if sink.is_enabled() {
-                sink.emit(Event::WalFsync {
-                    records: stats.records as u32,
-                    bytes: stats.bytes as u32,
-                });
-            }
+        self.emit_fsync(self.wal.flush_if_batchful());
+    }
+
+    /// Emit [`Event::WalFsync`] for a flush this caller led.
+    fn emit_fsync(&self, stats: Option<FlushStats>) {
+        let Some(stats) = stats else {
+            return;
+        };
+        let sink = self.lm.sink();
+        if sink.is_enabled() {
+            sink.emit(Event::WalFsync {
+                records: stats.records as u32,
+                bytes: stats.bytes as u32,
+            });
         }
     }
 
@@ -576,7 +589,10 @@ impl SharedDb {
         self.parking.nudge_txn(txn);
     }
 
-    /// Acquire one lock, honouring the wait mode. Returns:
+    /// Acquire one lock, honouring the wait mode, with interference judged
+    /// by `oracle`: a pinned transaction's epoch snapshot (the step context
+    /// resolves it once per step, see [`SharedDb::oracle_for`]) or, for an
+    /// unpinned caller, the current tables ([`SharedDb::oracle`]). Returns:
     ///
     /// * `Ok(())` — granted (possibly after blocking);
     /// * `Err(WouldBlock)` — `Fail` mode and the lock is contested;
@@ -585,20 +601,6 @@ impl SharedDb {
     /// * `Err(TxnAborted)` — this transaction was doomed by a compensating
     ///   step and must roll back entirely.
     pub fn acquire(
-        &self,
-        txn: TxnId,
-        resource: ResourceId,
-        kind: LockKind,
-        ctx: RequestCtx,
-        mode: WaitMode,
-    ) -> Result<()> {
-        self.acquire_with(txn, resource, kind, ctx, mode, &*self.registry.current())
-    }
-
-    /// [`SharedDb::acquire`] against an explicit oracle snapshot — the hot
-    /// path for pinned transactions (the step context resolves the epoch
-    /// snapshot once per step instead of once per request).
-    pub fn acquire_with(
         &self,
         txn: TxnId,
         resource: ResourceId,
@@ -750,9 +752,9 @@ impl SharedDb {
     }
 
     /// Release the caller-selected grants of `txn` and wake anyone whose
-    /// request became grantable. Takes an explicit oracle snapshot: pinned
-    /// transactions re-evaluate waiters under their own epoch.
-    pub fn release_where_with(
+    /// request became grantable. Waiters are re-evaluated under `oracle`,
+    /// so a pinned transaction releases under its own epoch.
+    pub fn release_where(
         &self,
         txn: TxnId,
         pred: impl Fn(LockKind, &RequestCtx) -> bool,
@@ -762,13 +764,9 @@ impl SharedDb {
             .release_where(txn, oracle, pred, &mut |n| self.parking.grant(n.ticket));
     }
 
-    /// Release everything `txn` holds or waits for.
-    pub fn release_all(&self, txn: TxnId) {
-        self.release_all_with(txn, &*self.registry.current());
-    }
-
-    /// [`SharedDb::release_all`] against an explicit oracle snapshot.
-    pub fn release_all_with(&self, txn: TxnId, oracle: &(dyn InterferenceOracle + Send + Sync)) {
+    /// Release everything `txn` holds or waits for, re-evaluating waiters
+    /// under `oracle` (see [`SharedDb::release_where`]).
+    pub fn release_all(&self, txn: TxnId, oracle: &(dyn InterferenceOracle + Send + Sync)) {
         self.lm
             .release_all(txn, oracle, &mut |n| self.parking.grant(n.ticket));
     }
@@ -809,8 +807,10 @@ mod tests {
 
     const R: ResourceId = ResourceId::Named(1);
 
-    fn plain() -> RequestCtx {
-        RequestCtx::plain(acc_common::StepTypeId(0))
+    /// An unpinned request, judged by the tables `shared()` was built with.
+    fn lock(s: &SharedDb, txn: TxnId, r: ResourceId, kind: LockKind, mode: WaitMode) -> Result<()> {
+        let ctx = RequestCtx::plain(acc_common::StepTypeId(0));
+        s.acquire(txn, r, kind, ctx, mode, &NoInterference)
     }
 
     #[test]
@@ -827,14 +827,11 @@ mod tests {
         let s = shared();
         let t1 = s.begin_txn(TxnTypeId(0));
         let t2 = s.begin_txn(TxnTypeId(0));
-        s.acquire(t1, R, LockKind::X, plain(), WaitMode::Fail)
-            .unwrap();
-        let err = s
-            .acquire(t2, R, LockKind::X, plain(), WaitMode::Fail)
-            .unwrap_err();
+        lock(&s, t1, R, LockKind::X, WaitMode::Fail).unwrap();
+        let err = lock(&s, t2, R, LockKind::X, WaitMode::Fail).unwrap_err();
         assert!(matches!(err, Error::WouldBlock { .. }));
         // The request was withdrawn: releasing t1 leaves the queue empty.
-        s.release_all(t1);
+        s.release_all(t1, &NoInterference);
         assert_eq!(s.lm().queue_len(R), 0);
     }
 
@@ -843,13 +840,11 @@ mod tests {
         let s = shared();
         let t1 = s.begin_txn(TxnTypeId(0));
         let t2 = s.begin_txn(TxnTypeId(0));
-        s.acquire(t1, R, LockKind::X, plain(), WaitMode::Block)
-            .unwrap();
+        lock(&s, t1, R, LockKind::X, WaitMode::Block).unwrap();
         let s2 = Arc::clone(&s);
-        let h =
-            std::thread::spawn(move || s2.acquire(t2, R, LockKind::X, plain(), WaitMode::Block));
+        let h = std::thread::spawn(move || lock(&s2, t2, R, LockKind::X, WaitMode::Block));
         std::thread::sleep(Duration::from_millis(30));
-        s.release_all(t1);
+        s.release_all(t1, &NoInterference);
         h.join().unwrap().unwrap();
         assert!(s.lm().holds(t2, R, LockKind::X));
     }
@@ -859,11 +854,9 @@ mod tests {
         let s = shared();
         let t1 = s.begin_txn(TxnTypeId(0));
         let t2 = s.begin_txn(TxnTypeId(0));
-        s.acquire(t1, R, LockKind::X, plain(), WaitMode::Block)
-            .unwrap();
+        lock(&s, t1, R, LockKind::X, WaitMode::Block).unwrap();
         let s2 = Arc::clone(&s);
-        let h =
-            std::thread::spawn(move || s2.acquire(t2, R, LockKind::X, plain(), WaitMode::Block));
+        let h = std::thread::spawn(move || lock(&s2, t2, R, LockKind::X, WaitMode::Block));
         std::thread::sleep(Duration::from_millis(30));
         s.doom(t2);
         let err = h.join().unwrap().unwrap_err();
@@ -878,9 +871,7 @@ mod tests {
         let s = shared();
         let t1 = s.begin_txn(TxnTypeId(0));
         s.doom(t1);
-        let err = s
-            .acquire(t1, R, LockKind::S, plain(), WaitMode::Block)
-            .unwrap_err();
+        let err = lock(&s, t1, R, LockKind::S, WaitMode::Block).unwrap_err();
         assert_eq!(err, Error::TxnAborted(t1));
     }
 
@@ -889,11 +880,8 @@ mod tests {
         let s = shared();
         let t1 = s.begin_txn(TxnTypeId(0));
         let t2 = s.begin_txn(TxnTypeId(0));
-        s.acquire(t1, R, LockKind::X, plain(), WaitMode::Block)
-            .unwrap();
-        let err = s
-            .acquire(t2, R, LockKind::X, plain(), WaitMode::Block)
-            .unwrap_err();
+        lock(&s, t1, R, LockKind::X, WaitMode::Block).unwrap();
+        let err = lock(&s, t2, R, LockKind::X, WaitMode::Block).unwrap_err();
         assert!(matches!(err, Error::Internal(_)));
     }
 
@@ -907,23 +895,19 @@ mod tests {
         let t2 = s.begin_txn(TxnTypeId(0));
         let t3 = s.begin_txn(TxnTypeId(0));
         let t4 = s.begin_txn(TxnTypeId(0));
-        s.acquire(t1, R, LockKind::X, plain(), WaitMode::Block)
-            .unwrap();
-        s.acquire(t2, r2, LockKind::X, plain(), WaitMode::Block)
-            .unwrap();
+        lock(&s, t1, R, LockKind::X, WaitMode::Block).unwrap();
+        lock(&s, t2, r2, LockKind::X, WaitMode::Block).unwrap();
         let s3 = Arc::clone(&s);
-        let h3 =
-            std::thread::spawn(move || s3.acquire(t3, R, LockKind::X, plain(), WaitMode::Block));
+        let h3 = std::thread::spawn(move || lock(&s3, t3, R, LockKind::X, WaitMode::Block));
         let s4 = Arc::clone(&s);
-        let h4 =
-            std::thread::spawn(move || s4.acquire(t4, r2, LockKind::X, plain(), WaitMode::Block));
+        let h4 = std::thread::spawn(move || lock(&s4, t4, r2, LockKind::X, WaitMode::Block));
         std::thread::sleep(Duration::from_millis(30));
-        s.release_all(t1);
+        s.release_all(t1, &NoInterference);
         h3.join().unwrap().unwrap();
         assert!(s.lm().holds(t3, R, LockKind::X));
         // t4 is still parked; its lock is still held by t2.
         assert!(s.lm().is_waiting(t4));
-        s.release_all(t2);
+        s.release_all(t2, &NoInterference);
         h4.join().unwrap().unwrap();
         assert!(s.lm().holds(t4, r2, LockKind::X));
     }

@@ -1,24 +1,40 @@
 //! `StepCtx`: the data-access API a step executes against.
 //!
-//! Every operation acquires the locks the active [`ConcurrencyControl`]
-//! prescribes (conventional intention + item locks, plus whatever assertional
-//! locks the policy attaches), logs before/after images to the WAL, and
-//! pushes undo records onto the transaction's current-step undo stack.
+//! Each operation resolves its table once and makes one trip through the
+//! locking code (the paper's implemented variant: assertional locks are
+//! taken with the conventional ones, §3.3). Three private helpers hold the
+//! rules every operation shares:
+//!
+//! * the keyed-access loop (`keyed`) resolves a key to its slot, takes the
+//!   active [`ConcurrencyControl`]'s table locks and then its page locks,
+//!   runs the operation under them, and re-resolves the key if it moved
+//!   while the thread waited;
+//! * the version-read helper (`version_read`) serves a read from committed
+//!   row versions, with no lock traffic, when both halves of the gate agree;
+//! * the logged-write helper (`log_write`) appends the write's before/after
+//!   images to the WAL and pushes its undo record onto the transaction's
+//!   current-step undo stack.
 
 use crate::cc::ConcurrencyControl;
 use crate::shared::{SharedDb, WaitMode};
 use crate::transaction::Transaction;
 use acc_common::events::Event;
-use acc_common::{Error, Result, Slot, TableId, TxnId};
-use acc_lockmgr::{LockKind, LockMode, RequestCtx, SharedOracle};
-use acc_storage::{Key, Predicate, Row, UndoRecord, VersionedUpdate, Visibility};
-use acc_wal::LogRecord;
+use acc_common::{Error, ResourceId, Result, Slot, TableId, TxnId};
+use acc_lockmgr::{LockKind, RequestCtx, SharedOracle};
+use acc_storage::{
+    CommitResolver, Key, Predicate, Row, Table, UndoRecord, VersionedUpdate, Visibility,
+};
 
 /// The slot reported for rows produced by a coordination-free version read:
 /// no physical slot is pinned (the image may be historical), so callers must
 /// not dereference it. Read-only steps — the only ones eligible for the fast
 /// path — consume rows, never slots.
 pub const VERSION_READ_SLOT: Slot = Slot::MAX;
+
+/// Tag version-read rows with [`VERSION_READ_SLOT`].
+fn unslotted(rows: Vec<Row>) -> Vec<(Slot, Row)> {
+    rows.into_iter().map(|r| (VERSION_READ_SLOT, r)).collect()
+}
 
 /// The execution context handed to [`crate::program::TxnProgram::step`].
 pub struct StepCtx<'a> {
@@ -55,9 +71,9 @@ impl<'a> StepCtx<'a> {
         self.txn.id
     }
 
-    /// The transaction state (for runner bookkeeping).
-    pub fn txn(&mut self) -> &mut Transaction {
-        self.txn
+    /// Zero-based index of the step being executed.
+    pub fn step_index(&self) -> u32 {
+        self.txn.step_index
     }
 
     fn request_ctx(&self) -> RequestCtx {
@@ -73,113 +89,158 @@ impl<'a> StepCtx<'a> {
         }
     }
 
-    /// The version-read gate: both halves must agree before a read bypasses
-    /// the lock manager. The policy half classifies the step read-only
-    /// (`ConcurrencyControl::version_read_safe`); the oracle half — judged
-    /// by the transaction's *pinned epoch* tables, like every other
-    /// interference decision it causes — requires the step analyzed with an
-    /// all-clear write row (`InterferenceOracle::version_read_safe`).
-    fn version_reads_enabled(&self) -> bool {
-        let meta = self.txn.meta();
-        self.cc.version_read_safe(&meta) && self.oracle.version_read_safe(self.cc.step_type(&meta))
+    /// Acquire each of `kinds` on `resource`, in order.
+    fn acquire(&self, resource: ResourceId, kinds: Vec<LockKind>) -> Result<()> {
+        let ctx = self.request_ctx();
+        for kind in kinds {
+            self.shared
+                .acquire(self.txn.id, resource, kind, ctx, self.mode, &*self.oracle)?;
+        }
+        Ok(())
     }
 
-    /// The transaction's read view (the durable WAL frontier at its begin),
-    /// cached after the first versioned read.
-    fn read_view(&mut self) -> Option<u64> {
+    /// The table half of a single-row access: the policy's intention lock,
+    /// plus whatever table-granularity presence it adds (a decomposed
+    /// policy's guard pin on writes).
+    fn lock_table(&self, table: TableId, write: bool) -> Result<()> {
+        let kinds = self.cc.table_locks(&self.txn.meta(), table, write);
+        self.acquire(ResourceId::Table(table), kinds)
+    }
+
+    /// The page half: the policy's item locks on the page covering `slot`.
+    fn lock_page(&self, t: &Table, slot: Slot, write: bool) -> Result<()> {
+        let kinds = self.cc.item_locks(&self.txn.meta(), t.schema().id, write);
+        self.acquire(t.page_resource(slot), kinds)
+    }
+
+    /// Table-granularity locks for a scan.
+    fn lock_scan(&self, table: TableId) -> Result<()> {
+        let kinds = self.cc.scan_locks(&self.txn.meta(), table);
+        self.acquire(ResourceId::Table(table), kinds)
+    }
+
+    /// The keyed-access loop: resolve `key` to its slot, take the table
+    /// locks and then the page locks, and run `op` on the slot under them.
+    /// `op` answers `None` when the key moved while this thread waited for
+    /// a lock; the loop then re-resolves it. An absent key takes no lock —
+    /// a write to it pins no guard on the table — and yields `None`.
+    fn keyed<R>(
+        &self,
+        t: &Table,
+        key: &Key,
+        write: bool,
+        mut op: impl FnMut(Slot) -> Result<Option<R>>,
+    ) -> Result<Option<R>> {
+        loop {
+            let Some(slot) = t.slot_of(key) else {
+                return Ok(None);
+            };
+            self.lock_table(t.schema().id, write)?;
+            self.lock_page(t, slot, write)?;
+            if let Some(answer) = op(slot)? {
+                return Ok(Some(answer));
+            }
+        }
+    }
+
+    /// The version-read helper. Both halves of the gate must agree before a
+    /// read bypasses the lock manager: the policy half classifies the step
+    /// read-only (`ConcurrencyControl::version_read_safe`); the oracle half
+    /// — judged by the transaction's *pinned epoch* tables, like every
+    /// other interference decision it causes — requires the step analyzed
+    /// with an all-clear write row (`InterferenceOracle::version_read_safe`).
+    ///
+    /// `at` reads as of the transaction's read view (the durable WAL
+    /// frontier at its begin, cached after the first versioned read) and
+    /// answers `None` when the version chains cannot soundly reconstruct
+    /// the image. The helper emits one `VersionRead` or one
+    /// `VersionFallback`; a `None` sends the caller down its locked path.
+    fn version_read<R>(
+        &mut self,
+        table: TableId,
+        at: impl FnOnce(u64, TxnId, &dyn CommitResolver) -> Option<R>,
+    ) -> Option<R> {
+        let meta = self.txn.meta();
+        if !(self.cc.version_read_safe(&meta)
+            && self.oracle.version_read_safe(self.cc.step_type(&meta)))
+        {
+            return None;
+        }
         if self.txn.read_view.is_none() {
             self.txn.read_view = self.shared.read_view_of(self.txn.id);
         }
-        self.txn.read_view
-    }
-
-    /// Count a version-read fast-path hit or a fallback to the lock path.
-    fn emit_version_event(&self, table: TableId, hit: bool) {
+        let view = self.txn.read_view?;
+        let txn = self.txn.id;
+        let answer = at(view, txn, &self.shared.published_commits());
         let sink = self.shared.event_sink();
         if sink.is_enabled() {
-            let txn = self.txn.id;
-            sink.emit(if hit {
+            sink.emit(if answer.is_some() {
                 Event::VersionRead { txn, table }
             } else {
                 Event::VersionFallback { txn, table }
             });
         }
+        answer
     }
 
-    /// Remember that this transaction pushed version entries into `table`
-    /// (commit/rollback finalizes exactly the recorded tables).
-    fn note_version_table(&mut self, table: TableId) {
+    /// The logged-write helper, called once the write is applied under its
+    /// locks: remember the version table (commit and rollback finalize
+    /// exactly the recorded tables), log the before/after images, give the
+    /// batch-flush hint, and push `undo` onto the step's undo stack.
+    fn log_write(&mut self, undo: UndoRecord, after: Option<Row>) {
+        let table = undo.table();
         if !self.txn.version_tables.contains(&table) {
             self.txn.version_tables.push(table);
         }
+        let before = match &undo {
+            UndoRecord::Insert { .. } => None,
+            UndoRecord::Update { before, .. } | UndoRecord::Delete { before, .. } => {
+                Some(before.clone())
+            }
+        };
+        // The WAL append happens outside the page latches, but the slot's
+        // page X lock (held until step end) serializes all same-slot
+        // records, so recovery sees them in mutation order.
+        self.shared
+            .log_update(self.txn.id, table, undo.slot(), before, after);
+        // Batching hint: lets a full batch retire mid-step, so fsync
+        // boundaries can fall inside a step (what a real disk does).
+        self.shared.flush_wal_batch();
+        self.txn.step_undo.push(undo);
     }
 
-    fn acquire(&self, resource: acc_common::ResourceId, kind: LockKind) -> Result<()> {
-        self.shared.acquire_with(
-            self.txn.id,
-            resource,
-            kind,
-            self.request_ctx(),
-            self.mode,
-            &*self.oracle,
-        )
-    }
-
-    /// Take the table intention lock plus the policy's item locks on the
-    /// page covering `slot`.
-    fn lock_item(&self, table: TableId, slot: Slot, write: bool) -> Result<()> {
-        let meta = self.txn.meta();
-        for kind in self.cc.table_locks(&meta, table, write) {
-            self.acquire(acc_common::ResourceId::Table(table), kind)?;
-        }
-        let page = self.shared.with_table(table, |t| t.page_resource(slot))?;
-        for kind in self.cc.item_locks(&meta, table, write) {
-            self.acquire(page, kind)?;
-        }
-        Ok(())
+    /// A locked point read of `key` under the policy's read or write locks.
+    fn read_locked(&self, t: &Table, key: &Key, write: bool) -> Result<Option<Row>> {
+        let row = self.keyed(t, key, write, |slot| {
+            // The row may have moved/vanished while we waited for the lock:
+            // `None` = retry, the inner `Option` is the final answer.
+            Ok(match t.slot_of(key) {
+                Some(s) if s == slot => Some(t.row(slot)),
+                Some(_) => None,
+                None => Some(None),
+            })
+        })?;
+        Ok(row.flatten())
     }
 
     /// Read the row with the given primary key. `None` if absent.
     ///
-    /// When both halves of the version-read gate agree
-    /// ([`StepCtx::version_reads_enabled`]), the read is served from the
-    /// row's committed version chain as of this transaction's read view
-    /// (the durable WAL frontier at its begin) — zero lock-manager traffic. A chain that cannot soundly reconstruct
-    /// the image falls back to the conventional locked read below.
+    /// When both halves of the version-read gate agree, the read is served
+    /// from the row's committed version chain as of this transaction's read
+    /// view (the durable WAL frontier at its begin) — zero lock-manager
+    /// traffic. A chain that cannot soundly reconstruct the image falls
+    /// back to the conventional locked read.
     pub fn read(&mut self, table: TableId, key: &Key) -> Result<Option<Row>> {
-        if self.version_reads_enabled() {
-            if let Some(view) = self.read_view() {
-                let reader = self.txn.id;
-                let vis = self.shared.with_table(table, |t| {
-                    t.read_at(key, view, reader, &self.shared.published_commits())
-                })?;
-                match vis {
-                    Visibility::Visible(row) => {
-                        self.emit_version_event(table, true);
-                        return Ok(row);
-                    }
-                    Visibility::Tainted => self.emit_version_event(table, false),
-                }
+        let t = self.shared.table(table)?;
+        let versioned = self.version_read(table, |view, reader, commits| {
+            match t.read_at(key, view, reader, commits) {
+                Visibility::Visible(row) => Some(row),
+                Visibility::Tainted => None,
             }
-        }
-        loop {
-            let slot = self.shared.with_table(table, |t| t.slot_of(key))?;
-            let Some(slot) = slot else {
-                return Ok(None);
-            };
-            self.lock_item(table, slot, false)?;
-            // The row may have moved/vanished while we waited for the lock:
-            // outer None = retry, inner Option is the final answer.
-            let row: Option<Option<Row>> =
-                self.shared.with_table(table, |t| match t.slot_of(key) {
-                    Some(s) if s == slot => Some(t.row(slot)),
-                    Some(_) => None,    // moved: retry with fresh slot
-                    None => Some(None), // deleted while we waited
-                })?;
-            match row {
-                Some(answer) => return Ok(answer),
-                None => continue,
-            }
+        });
+        match versioned {
+            Some(row) => Ok(row),
+            None => self.read_locked(t, key, false),
         }
     }
 
@@ -188,61 +249,24 @@ impl<'a> StepCtx<'a> {
     /// updated later in the step: going straight to an exclusive lock avoids
     /// the classic S→X upgrade deadlock between two read-modify-write steps.
     pub fn read_for_update(&mut self, table: TableId, key: &Key) -> Result<Option<Row>> {
-        loop {
-            let slot = self.shared.with_table(table, |t| t.slot_of(key))?;
-            let Some(slot) = slot else {
-                return Ok(None);
-            };
-            self.lock_item(table, slot, true)?;
-            let row: Option<Option<Row>> =
-                self.shared.with_table(table, |t| match t.slot_of(key) {
-                    Some(s) if s == slot => Some(t.row(slot)),
-                    Some(_) => None,
-                    None => Some(None),
-                })?;
-            match row {
-                Some(answer) => return Ok(answer),
-                None => continue,
-            }
-        }
+        let t = self.shared.table(table)?;
+        self.read_locked(t, key, true)
     }
 
     /// Insert a row; returns its slot.
     pub fn insert(&mut self, table: TableId, row: Row) -> Result<Slot> {
-        self.acquire(
-            acc_common::ResourceId::Table(table),
-            LockKind::Conventional(LockMode::IX),
-        )?;
-        let txn_id = self.txn.id;
+        let t = self.shared.table(table)?;
+        self.lock_table(table, true)?;
         loop {
-            let slot = self.shared.with_table(table, |t| t.peek_next_slot())?;
-            self.lock_item(table, slot, true)?;
+            let slot = t.peek_next_slot();
+            self.lock_page(t, slot, true)?;
             // `insert_versioned` re-checks the predicted slot, plants the
             // row, and records the pending version (before the insert, the
             // row was absent) atomically under one leaf latch; `None` means
             // another insert raced us while we waited for the lock.
-            let done = self
-                .shared
-                .with_table(table, |t| t.insert_versioned(row.clone(), txn_id, slot))??;
-            if let Some((s, _key, undo)) = done {
-                self.note_version_table(table);
-                // The WAL append happens outside the page latches, but the
-                // slot's page X lock (held until step end) serializes all
-                // same-slot records, so recovery sees them in mutation order.
-                self.shared.with_wal(|w| {
-                    w.append(LogRecord::Update {
-                        txn: self.txn.id,
-                        table,
-                        slot: s,
-                        before: None,
-                        after: Some(row.clone()),
-                    })
-                });
-                // Batching hint: lets a full batch retire mid-step, so fsync
-                // boundaries can fall inside a step (what a real disk does).
-                self.shared.flush_wal_batch();
-                self.txn.step_undo.push(undo);
-                return Ok(s);
+            if let Some((slot, _key, undo)) = t.insert_versioned(row.clone(), self.txn.id, slot)? {
+                self.log_write(undo, Some(row));
+                return Ok(slot);
             }
         }
     }
@@ -250,128 +274,58 @@ impl<'a> StepCtx<'a> {
     /// Update the row with the given key in place. Returns `false` if the
     /// key is absent.
     pub fn update_key(&mut self, table: TableId, key: &Key, f: impl Fn(&mut Row)) -> Result<bool> {
-        let txn_id = self.txn.id;
-        loop {
-            let slot = self.shared.with_table(table, |t| t.slot_of(key))?;
-            let Some(slot) = slot else {
-                return Ok(false);
-            };
-            self.lock_item(table, slot, true)?;
-            // Mutation + pending-version push run atomically under the
-            // leaf's write latch; `Retry` means the key moved or died while
-            // we waited for the lock.
-            let outcome = self
-                .shared
-                .with_table(table, |t| t.update_versioned(key, slot, txn_id, &f))??;
-            match outcome {
-                VersionedUpdate::Applied { undo, after } => {
-                    let before = match &undo {
-                        UndoRecord::Update { before, .. } => Some(before.clone()),
-                        _ => None,
-                    };
-                    self.note_version_table(table);
-                    self.shared.with_wal(|w| {
-                        w.append(LogRecord::Update {
-                            txn: self.txn.id,
-                            table,
-                            slot,
-                            before,
-                            after: Some(after),
-                        })
-                    });
-                    self.shared.flush_wal_batch();
-                    self.txn.step_undo.push(undo);
-                    return Ok(true);
-                }
-                VersionedUpdate::Retry => continue, // moved or deleted: re-resolve
-            }
-        }
+        let t = self.shared.table(table)?;
+        let txn = self.txn.id;
+        // Mutation + pending-version push run atomically under the leaf's
+        // write latch; `Retry` means the key moved or died while we waited
+        // for the lock.
+        let applied = self.keyed(t, key, true, |slot| {
+            Ok(match t.update_versioned(key, slot, txn, &f)? {
+                VersionedUpdate::Applied { undo, after } => Some((undo, after)),
+                VersionedUpdate::Retry => None,
+            })
+        })?;
+        let Some((undo, after)) = applied else {
+            return Ok(false);
+        };
+        self.log_write(undo, Some(after));
+        Ok(true)
     }
 
     /// Update the row at a known slot (must exist).
     pub fn update_slot(&mut self, table: TableId, slot: Slot, f: impl Fn(&mut Row)) -> Result<()> {
-        self.lock_item(table, slot, true)?;
-        let txn_id = self.txn.id;
-        let (undo, before, after) = self.shared.with_table(table, |t| -> Result<_> {
-            let key = t
-                .key_of_slot(slot)
-                .ok_or_else(|| Error::NotFound(format!("table#{} slot {slot}", table.raw())))?;
-            match t.update_versioned(&key, slot, txn_id, &f)? {
-                VersionedUpdate::Applied { undo, after } => {
-                    let before = match &undo {
-                        UndoRecord::Update { before, .. } => Some(before.clone()),
-                        _ => None,
-                    };
-                    Ok((undo, before, Some(after)))
-                }
-                // The page X lock pins the slot; a concurrent move is a
-                // protocol violation, surfaced as the caller's "must exist".
-                VersionedUpdate::Retry => Err(Error::NotFound(format!(
-                    "table#{} slot {slot}",
-                    table.raw()
-                ))),
+        let t = self.shared.table(table)?;
+        self.lock_table(table, true)?;
+        self.lock_page(t, slot, true)?;
+        let missing = || Error::NotFound(format!("table#{} slot {slot}", table.raw()));
+        let key = t.key_of_slot(slot).ok_or_else(missing)?;
+        match t.update_versioned(&key, slot, self.txn.id, &f)? {
+            VersionedUpdate::Applied { undo, after } => {
+                self.log_write(undo, Some(after));
+                Ok(())
             }
-        })??;
-        self.note_version_table(table);
-        self.shared.with_wal(|w| {
-            w.append(LogRecord::Update {
-                txn: self.txn.id,
-                table,
-                slot,
-                before,
-                after,
-            })
-        });
-        self.shared.flush_wal_batch();
-        self.txn.step_undo.push(undo);
-        Ok(())
+            // The page X lock pins the slot; a concurrent move is a
+            // protocol violation, surfaced as the caller's "must exist".
+            VersionedUpdate::Retry => Err(missing()),
+        }
     }
 
     /// Delete the row with the given key. Returns `false` if absent.
     pub fn delete_key(&mut self, table: TableId, key: &Key) -> Result<bool> {
-        let txn_id = self.txn.id;
-        loop {
-            let slot = self.shared.with_table(table, |t| t.slot_of(key))?;
-            let Some(slot) = slot else {
-                return Ok(false);
-            };
-            self.lock_item(table, slot, true)?;
-            // Row removal + the pending delete version run atomically under
-            // the leaf latch; the entry survives as a tombstone so the slot
-            // can be reused by an unrelated key while version readers still
-            // find the deleted row's history under its primary key.
-            let outcome = self
-                .shared
-                .with_table(table, |t| t.delete_versioned(key, slot, txn_id))??;
-            match outcome {
-                Some((undo, before)) => {
-                    let before = Some(before);
-                    self.note_version_table(table);
-                    self.shared.with_wal(|w| {
-                        w.append(LogRecord::Update {
-                            txn: self.txn.id,
-                            table,
-                            slot,
-                            before,
-                            after: None,
-                        })
-                    });
-                    self.shared.flush_wal_batch();
-                    self.txn.step_undo.push(undo);
-                    return Ok(true);
-                }
-                None => continue,
-            }
-        }
-    }
-
-    /// Table-granularity locks for a scan.
-    fn lock_scan(&self, table: TableId) -> Result<()> {
-        let meta = self.txn.meta();
-        for kind in self.cc.scan_locks(&meta, table) {
-            self.acquire(acc_common::ResourceId::Table(table), kind)?;
-        }
-        Ok(())
+        let t = self.shared.table(table)?;
+        let txn = self.txn.id;
+        // Row removal + the pending delete version run atomically under the
+        // leaf latch; the entry survives as a tombstone so the slot can be
+        // reused by an unrelated key while version readers still find the
+        // deleted row's history under its primary key.
+        let deleted = self.keyed(t, key, true, |slot| {
+            Ok(t.delete_versioned(key, slot, txn)?.map(|(undo, _)| undo))
+        })?;
+        let Some(undo) = deleted else {
+            return Ok(false);
+        };
+        self.log_write(undo, None);
+        Ok(true)
     }
 
     /// All rows whose primary key starts with `prefix`, in key order.
@@ -380,30 +334,24 @@ impl<'a> StepCtx<'a> {
     /// the read view and carry [`VERSION_READ_SLOT`] instead of a physical
     /// slot (see there).
     pub fn scan_prefix(&mut self, table: TableId, prefix: &Key) -> Result<Vec<(Slot, Row)>> {
-        if self.version_reads_enabled() {
-            if let Some(view) = self.read_view() {
-                let reader = self.txn.id;
-                let rows = self.shared.with_table(table, |t| {
-                    t.scan_prefix_at(prefix, view, reader, &self.shared.published_commits())
-                })?;
-                if let Some(rows) = rows {
-                    self.emit_version_event(table, true);
-                    return Ok(rows.into_iter().map(|r| (VERSION_READ_SLOT, r)).collect());
-                }
-                self.emit_version_event(table, false);
-            }
+        let t = self.shared.table(table)?;
+        if let Some(rows) = self.version_read(table, |view, reader, commits| {
+            t.scan_prefix_at(prefix, view, reader, commits)
+                .map(unslotted)
+        }) {
+            return Ok(rows);
         }
         self.lock_scan(table)?;
-        self.shared
-            .with_table(table, |t| t.scan_prefix(prefix).collect())
+        Ok(t.scan_prefix(prefix).collect())
     }
 
     /// The first row (in key order) whose primary key starts with `prefix`
     /// — an early-terminating tree descent under the same scan locks as
     /// [`StepCtx::scan_prefix`], for oldest-first pick-one lookups.
     pub fn first_by_prefix(&mut self, table: TableId, prefix: &Key) -> Result<Option<(Slot, Row)>> {
+        let t = self.shared.table(table)?;
         self.lock_scan(table)?;
-        self.shared.with_table(table, |t| t.first_in_prefix(prefix))
+        Ok(t.first_in_prefix(prefix))
     }
 
     /// All rows with primary key in `[lo, hi)`, in key order — one range
@@ -413,27 +361,22 @@ impl<'a> StepCtx<'a> {
     /// Fast-path rows carry [`VERSION_READ_SLOT`]; see
     /// [`StepCtx::scan_prefix`].
     pub fn scan_range(&mut self, table: TableId, lo: &Key, hi: &Key) -> Result<Vec<(Slot, Row)>> {
-        if self.version_reads_enabled() {
-            if let Some(view) = self.read_view() {
-                let reader = self.txn.id;
-                let rows = self.shared.with_table(table, |t| {
-                    t.scan_range_at(lo, hi, view, reader, &self.shared.published_commits())
-                })?;
-                if let Some(rows) = rows {
-                    self.emit_version_event(table, true);
-                    return Ok(rows.into_iter().map(|r| (VERSION_READ_SLOT, r)).collect());
-                }
-                self.emit_version_event(table, false);
-            }
+        let t = self.shared.table(table)?;
+        if let Some(rows) = self.version_read(table, |view, reader, commits| {
+            t.scan_range_at(lo, hi, view, reader, commits)
+                .map(unslotted)
+        }) {
+            return Ok(rows);
         }
         self.lock_scan(table)?;
-        self.shared.with_table(table, |t| t.scan_range(lo, hi))
+        Ok(t.scan_range(lo, hi))
     }
 
     /// All rows satisfying `pred`, in key order.
     pub fn scan(&mut self, table: TableId, pred: &Predicate) -> Result<Vec<(Slot, Row)>> {
+        let t = self.shared.table(table)?;
         self.lock_scan(table)?;
-        self.shared.with_table(table, |t| t.scan(pred).collect())
+        Ok(t.scan(pred).collect())
     }
 
     /// Rows matched through secondary index `idx` by key prefix.
@@ -446,32 +389,18 @@ impl<'a> StepCtx<'a> {
         idx: usize,
         prefix: &Key,
     ) -> Result<Vec<(Slot, Row)>> {
-        if self.version_reads_enabled() {
-            if let Some(view) = self.read_view() {
-                let reader = self.txn.id;
-                let rows = self.shared.with_table(table, |t| {
-                    t.lookup_secondary_at(
-                        idx,
-                        prefix,
-                        view,
-                        reader,
-                        &self.shared.published_commits(),
-                    )
-                })?;
-                if let Some(rows) = rows {
-                    self.emit_version_event(table, true);
-                    return Ok(rows.into_iter().map(|r| (VERSION_READ_SLOT, r)).collect());
-                }
-                self.emit_version_event(table, false);
-            }
+        let t = self.shared.table(table)?;
+        if let Some(rows) = self.version_read(table, |view, reader, commits| {
+            t.lookup_secondary_at(idx, prefix, view, reader, commits)
+                .map(unslotted)
+        }) {
+            return Ok(rows);
         }
         self.lock_scan(table)?;
-        self.shared.with_table(table, |t| {
-            t.lookup_secondary(idx, prefix)
-                .into_iter()
-                .filter_map(|s| t.row(s).map(|r| (s, r)))
-                .collect()
-        })
+        Ok(t.lookup_secondary(idx, prefix)
+            .into_iter()
+            .filter_map(|s| t.row(s).map(|r| (s, r)))
+            .collect())
     }
 
     /// Read a row that must exist (internal-error otherwise) — convenience

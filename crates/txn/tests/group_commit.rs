@@ -261,15 +261,12 @@ fn prune_watermark_clamps_to_the_durable_frontier() {
     // A prune at the clamped watermark keeps the committed bump readable at
     // the durable view.
     let w = s.version_watermark().unwrap();
-    s.with_table(T, |t| t.prune_versions(w)).unwrap();
-    let visible = s
-        .with_table(T, |t| {
-            match t.read_at(&Key::ints(&[1]), w, tid, &acc_storage::NoCommits) {
-                acc_storage::Visibility::Visible(img) => img.map(|r| r.int(1)),
-                acc_storage::Visibility::Tainted => panic!("tainted durable-view read"),
-            }
-        })
-        .unwrap();
+    let t = s.table(T).unwrap();
+    t.prune_versions(w);
+    let visible = match t.read_at(&Key::ints(&[1]), w, tid, &acc_storage::NoCommits) {
+        acc_storage::Visibility::Visible(img) => img.map(|r| r.int(1)),
+        acc_storage::Visibility::Tainted => panic!("tainted durable-view read"),
+    };
     assert_eq!(visible, Some(1), "committed bump lost below the clamp");
     s.deregister_active(tid);
 }

@@ -44,12 +44,13 @@ fn hot_resources_never_lose_a_wakeup() {
                 let a = rng.index(HOT as usize) as u32;
                 let b = HOT + rng.index(HOT as usize) as u32;
                 for r in [ResourceId::Named(a), ResourceId::Named(b)] {
-                    s.acquire(txn, r, LockKind::X, plain(), WaitMode::Block)
+                    let ctx = plain();
+                    s.acquire(txn, r, LockKind::X, ctx, WaitMode::Block, &NoInterference)
                         .unwrap_or_else(|e| {
                             panic!("thread {thread} iter {i}: lost wakeup or stall: {e}")
                         });
                 }
-                s.release_all(txn);
+                s.release_all(txn, &NoInterference);
             }
         }));
     }

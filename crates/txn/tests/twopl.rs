@@ -39,9 +39,8 @@ fn setup(n_accounts: i64, initial: i64) -> Arc<SharedDb> {
 }
 
 fn total_balance(shared: &SharedDb) -> Decimal {
-    shared
-        .with_table(ACCOUNTS, |t| t.iter().map(|(_, r)| r.decimal(1)).sum())
-        .unwrap()
+    let t = shared.table(ACCOUNTS).unwrap();
+    t.iter().map(|(_, r)| r.decimal(1)).sum()
 }
 
 struct Transfer {
@@ -111,9 +110,8 @@ fn user_abort_rolls_back_physically() {
     p.abort_after_debit = true;
     let out = run(&shared, &TwoPhase, &mut p, WaitMode::Block).unwrap();
     assert_eq!(out, RunOutcome::RolledBack(acc_txn::AbortReason::UserAbort));
-    let b0 = shared
-        .with_table(ACCOUNTS, |t| t.get(&Key::ints(&[0])).unwrap().1.decimal(1))
-        .unwrap();
+    let b0 = shared.table(ACCOUNTS).unwrap().get(&Key::ints(&[0]));
+    let b0 = b0.unwrap().1.decimal(1);
     assert_eq!(b0, Decimal::from_int(100));
     assert_eq!(total_balance(&shared), Decimal::from_int(200));
 }
@@ -233,9 +231,8 @@ fn fail_mode_surfaces_would_block_and_leaves_no_trace() {
     let err = run(&shared, &TwoPhase, &mut p, WaitMode::Fail).unwrap_err();
     assert!(matches!(err, Error::WouldBlock { .. }));
     // Its partial effects were undone (it had none before the block).
-    let b1 = shared
-        .with_table(ACCOUNTS, |t| t.get(&Key::ints(&[1])).unwrap().1.decimal(1))
-        .unwrap();
+    let b1 = shared.table(ACCOUNTS).unwrap().get(&Key::ints(&[1]));
+    let b1 = b1.unwrap().1.decimal(1);
     assert_eq!(b1, Decimal::from_int(100));
     // Finish txn 1 so the table drains.
     acc_txn::runner::commit(&shared, &mut txn1).unwrap();

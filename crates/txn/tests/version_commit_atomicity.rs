@@ -60,13 +60,11 @@ fn update_row(s: &SharedDb, txn: &mut Transaction, n: i64) {
 /// The row-1 image a version read serves at `reader`'s registered view.
 fn read_n(s: &SharedDb, reader: TxnId) -> Option<i64> {
     let view = s.read_view_of(reader).expect("reader registered");
-    s.with_table(T, |t| {
-        match t.read_at(&Key::ints(&[1]), view, reader, &s.published_commits()) {
-            Visibility::Visible(img) => img.map(|r| r.int(1)),
-            Visibility::Tainted => panic!("foreign version read tainted"),
-        }
-    })
-    .unwrap()
+    let t = s.table(T).unwrap();
+    match t.read_at(&Key::ints(&[1]), view, reader, &s.published_commits()) {
+        Visibility::Visible(img) => img.map(|r| r.int(1)),
+        Visibility::Tainted => panic!("foreign version read tainted"),
+    }
 }
 
 #[test]
@@ -109,11 +107,10 @@ fn readers_straddling_the_finalize_window_see_one_snapshot() {
     assert_eq!(read_n(&s, b), Some(10), "B inside the window");
 
     // Finalization + retirement must be invisible to both readers.
-    s.with_table(T, |t| t.finalize_versions(wid, c_lsn.0))
-        .unwrap();
+    s.table(T).unwrap().finalize_versions(wid, c_lsn.0);
     s.retire_commit(wid);
     s.deregister_active(wid);
-    s.release_all(wid);
+    s.release_all(wid, &NoInterference);
     assert_eq!(read_n(&s, c), Some(20), "C after finalize");
     assert_eq!(read_n(&s, b), Some(10), "B after finalize");
 

@@ -68,7 +68,7 @@ fn main() -> Result<()> {
     );
     for _ in 0..3 {
         let mut ctx = StepCtx::new(&shared, &*sys.acc, &mut txn, WaitMode::Block);
-        let step_index = ctx.txn().step_index;
+        let step_index = ctx.step_index();
         let out = no.step(step_index, &mut ctx)?;
         assert!(matches!(out, StepOutcome::Continue));
         acc_txn::runner::end_step(&shared, &*sys.acc, &mut txn, no.work_area());

@@ -348,20 +348,16 @@ fn main() -> Result<()> {
     for h in handles {
         println!("  {:?}", h.join().expect("no panic"));
     }
-    shared
-        .with_table(LINES, |t| {
-            for (_, line) in t.iter() {
-                println!(
-                    "  order {} line {}: item {} ordered {} filled {}",
-                    line.int(0),
-                    line.int(1),
-                    line.int(2),
-                    line.int(3),
-                    line.int(4)
-                );
-            }
-        })
-        .expect("lines");
+    for (_, line) in shared.table(LINES).expect("lines").iter() {
+        println!(
+            "  order {} line {}: item {} ordered {} filled {}",
+            line.int(0),
+            line.int(1),
+            line.int(2),
+            line.int(3),
+            line.int(4)
+        );
+    }
     println!(
         "  (interleaved fills: depending on timing this can produce allocations\n   no serial schedule could — e.g. both orders getting part of the cheap stock)"
     );
@@ -433,15 +429,12 @@ fn main() -> Result<()> {
     h.join().expect("no panic");
 
     println!("— 4. compensation returns stock after an abort —");
-    let stock_before: i64 = shared
-        .with_table(STOCK, |t| t.iter().map(|(_, r)| r.int(1)).sum())
-        .expect("stock");
+    let stock = shared.table(STOCK).expect("stock");
+    let stock_before: i64 = stock.iter().map(|(_, r)| r.int(1)).sum();
     let mut aborting = NewOrder::new(7, vec![(0, 1), (1, 1), (2, 1)]);
     aborting.abort_at_last = true;
     let out = run(&shared, &*acc, &mut aborting, WaitMode::Block)?;
-    let stock_after: i64 = shared
-        .with_table(STOCK, |t| t.iter().map(|(_, r)| r.int(1)).sum())
-        .expect("stock");
+    let stock_after: i64 = stock.iter().map(|(_, r)| r.int(1)).sum();
     println!("  {out:?}; stock {stock_before} → {stock_after} (restored)");
     assert_eq!(stock_before, stock_after);
 

@@ -15,6 +15,9 @@ cargo fmt --check
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc (warnings are errors: broken or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo test =="
 cargo test --workspace --offline -q
 

@@ -95,7 +95,7 @@ fn scripted_history(scale: &tpcc::Scale, sys: &tpcc::TpccSystem) -> Vec<u8> {
     );
     for _ in 0..3 {
         let mut ctx = StepCtx::new(&shared, &*sys.acc, &mut txn, WaitMode::Block);
-        let i = ctx.txn().step_index;
+        let i = ctx.step_index();
         inflight.step(i, &mut ctx).expect("forward step");
         acc_txn::runner::end_step(&shared, &*sys.acc, &mut txn, inflight.work_area());
     }
@@ -104,7 +104,7 @@ fn scripted_history(scale: &tpcc::Scale, sys: &tpcc::TpccSystem) -> Vec<u8> {
     // recovery must discard.
     {
         let mut ctx = StepCtx::new(&shared, &*sys.acc, &mut txn, WaitMode::Block);
-        let i = ctx.txn().step_index;
+        let i = ctx.step_index();
         inflight.step(i, &mut ctx).expect("half-done step");
     }
 
@@ -233,5 +233,5 @@ fn facade_prelude_compiles_and_runs() {
     }
     let out = run(&shared, &TwoPhase, &mut Put, WaitMode::Block).expect("put");
     assert!(matches!(out, RunOutcome::Committed { .. }));
-    assert_eq!(shared.with_table(t, |t| t.len()).expect("kv"), 1);
+    assert_eq!(shared.table(t).expect("kv").len(), 1);
 }

@@ -226,7 +226,7 @@ fn district_conflict_interleaves_under_acc() {
     loop {
         let outcome = {
             let mut ctx = StepCtx::new(&shared, &*sys.acc, &mut txn, WaitMode::Block);
-            let i = ctx.txn().step_index;
+            let i = ctx.step_index();
             no.step(i, &mut ctx).expect("new-order line step")
         };
         match outcome {
