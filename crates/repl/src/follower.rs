@@ -90,8 +90,6 @@ pub struct Promoted {
     /// The recovery report: in-flight transactions in `needs_compensation`
     /// still need their §3.4 compensating steps run by the domain layer.
     pub report: RecoveryReport,
-    /// The salvaged log the new primary continues from.
-    pub wal: Wal,
 }
 
 /// A replica fed by [`ShipBatch`]es. Owns its verified byte stream, a local
@@ -256,15 +254,14 @@ impl Follower {
 
     /// Promote this follower to primary at its current replay frontier:
     /// recover the verified prefix (the same path a restarted leader runs)
-    /// and hand back the image, the report, and the salvaged log. In-flight
+    /// and hand back the recovered image and the report. In-flight
     /// transactions surface in `report.needs_compensation`; the caller runs
     /// their §3.4 compensating steps before serving writes — promotion is
     /// recovery, just on another machine.
     pub fn promote(self) -> Result<Promoted> {
         let mut db = self.base;
-        let wal = Wal::from_bytes(&self.stream);
-        let report = recover(&mut db, &wal)?;
-        Ok(Promoted { db, report, wal })
+        let report = recover(&mut db, &Wal::from_bytes(&self.stream))?;
+        Ok(Promoted { db, report })
     }
 }
 

@@ -144,11 +144,12 @@ impl SharedDb {
     }
 
     /// Swap the WAL's durable backend and group-commit policy (defaults to
-    /// an in-memory device flushing on every commit). Builder-order caveat:
-    /// call this *before* [`SharedDb::with_fault_injector`] — the injector is
-    /// installed on the current `DurableWal`, which this replaces.
+    /// an in-memory device flushing on every commit). The fault injector in
+    /// force moves onto the new log, so this and
+    /// [`SharedDb::with_fault_injector`] compose in either order.
     pub fn with_wal_backend(mut self, dev: Box<dyn LogDevice>, policy: GroupCommitPolicy) -> Self {
         self.wal = DurableWal::new(dev, policy);
+        self.wal.set_fault_injector(Arc::clone(&self.faults));
         self
     }
 

@@ -8,7 +8,9 @@
 //!   locks so peers are not wedged behind a corpse.
 //! * The file backend round-trips: a log written through `FileDevice` can be
 //!   reopened, salvages the full durable stream, and keeps appending.
+//! * Swapping the backend keeps an installed fault injector.
 
+use acc_common::faults::{FaultInjector, FaultPlan};
 use acc_common::{Result, TableId, TxnTypeId, Value};
 use acc_lockmgr::NoInterference;
 use acc_storage::{Catalog, ColumnType, Database, Key, Row, TableSchema};
@@ -194,6 +196,8 @@ fn file_backend_reopens_with_the_full_durable_stream_and_extends() {
             bump(&s, id).expect("commit failed");
         }
         assert_eq!(s.durable_wal_records(), s.wal_len() as u64);
+        // Everything is durable, so the in-memory image is the device's.
+        assert_eq!(s.wal_bytes(), s.wal_durable_stream());
         (s.wal_durable_stream(), s.wal_len())
     };
     assert!(!stream_before.is_empty());
@@ -227,6 +231,24 @@ fn file_backend_reopens_with_the_full_durable_stream_and_extends() {
         assert_eq!(stream_after[..stream_before.len()], stream_before[..]);
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// Installing the fault injector before swapping the WAL backend still
+/// arms it on the new log: the append-index crash point fires.
+#[test]
+fn backend_swap_keeps_an_installed_fault_injector() {
+    let faults = FaultInjector::with_plan(FaultPlan::crash_after_appends(2));
+    let s = SharedDb::new(seeded_db(), Arc::new(NoInterference))
+        .with_fault_injector(Arc::clone(&faults))
+        .with_wal_backend(
+            Box::new(acc_wal::MemDevice::new()),
+            GroupCommitPolicy::default(),
+        );
+    for _ in 0..4 {
+        s.begin_txn(TxnTypeId(0));
+    }
+    let image = faults.captured_image().expect("crash point fired");
+    assert_eq!(Wal::from_bytes(&image).len(), 2);
 }
 
 /// The prune watermark must key off the *durable* LSN frontier, never an

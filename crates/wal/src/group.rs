@@ -1,12 +1,12 @@
 //! Group commit: batching appenders onto shared fsync boundaries.
 //!
-//! PR 3 put the WAL behind a dedicated append mutex assigning LSNs
-//! independently of lock traffic; this module is the batching layer that
-//! slots in behind it. Appenders append under the log mutex (cheap —
-//! encode + push, no I/O) and *commit* by parking on their record's LSN in
+//! The WAL sits behind a dedicated append mutex that assigns LSNs
+//! independently of lock traffic; this module is the batching layer behind
+//! it. Appenders append under the log mutex (cheap — one encode onto the
+//! log's image, no I/O) and *commit* by parking on their record's LSN in
 //! [`DurableWal::sync_to`]. The first parked committer becomes the batch
 //! leader: it waits out the group-commit window so followers can pile on,
-//! drains every frame staged since the last flush, and retires the whole
+//! drains every frame appended since the last flush, and retires the whole
 //! batch with one device write + fsync. `durable_lsn` advances only at these
 //! fsync boundaries — a crash loses precisely the suffix past the last
 //! completed fsync, never a prefix of it.
@@ -20,7 +20,7 @@ use crate::device::{LogDevice, MemDevice};
 use crate::log::{Lsn, Wal};
 use acc_common::faults::FaultInjector;
 use acc_common::{Error, Result};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How long a batch leader waits for followers before flushing.
@@ -188,11 +188,12 @@ impl GcState {
 
 /// The WAL plus its durable backend and the group-commit state machine.
 ///
-/// The in-memory [`Wal`] stays the source of truth for reads (`records`,
-/// `to_bytes`); the device holds the durable image. The three locks are
-/// ordered `state` → `log` → `dev` (each taken briefly, never nested the
-/// other way), so appenders touch only `log` while a leader is inside the
-/// device fsync.
+/// The in-memory [`Wal`] holds the whole encoded log, durable or not: the
+/// image `to_bytes` copies and the append-index crash captures read. The
+/// device holds its durable prefix, which a flush extends by the frames
+/// appended since the last one. The three locks are ordered `state` → `log`
+/// → `dev` (each taken briefly, never nested the other way), so appenders
+/// touch only `log` while a leader is inside the device fsync.
 pub struct DurableWal {
     log: Mutex<Wal>,
     dev: Mutex<Box<dyn LogDevice>>,
@@ -244,7 +245,7 @@ impl DurableWal {
         self.faults = Some(faults);
     }
 
-    /// Run `f` under the append mutex — the PR-3 append path, unchanged.
+    /// Run `f` under the append mutex.
     pub fn with_log<R>(&self, f: impl FnOnce(&mut Wal) -> R) -> R {
         f(&mut self.log.lock().unwrap())
     }
@@ -294,43 +295,19 @@ impl DurableWal {
                 continue;
             }
             // Lead: let followers accumulate for one window, then flush
-            // everything staged — including appends that arrived during the
-            // wait — in one write + fsync.
-            state.flushing = true;
+            // everything appended — including appends that arrived during
+            // the wait — in one write + fsync.
             let wait = match self.policy.window {
                 CommitWindow::Fixed(w) => w,
                 CommitWindow::Adaptive { floor, ceil } => {
                     adaptive_wait(state.ewma_gap_ns, state.ewma_commits_per_flush, floor, ceil)
                 }
             };
-            drop(state);
-            if !wait.is_zero() {
-                std::thread::sleep(wait);
-            }
-            let flushed = self.flush_once();
-            state = self.state.lock().unwrap();
-            state.flushing = false;
-            match flushed {
-                Ok((covered, bytes)) => {
-                    let stats = FlushStats {
-                        records: covered - state.durable,
-                        bytes,
-                    };
-                    state.durable = covered;
-                    state.fsyncs += 1;
-                    state.note_flush(stats.records);
-                    self.cv.notify_all();
-                    // This leader's own record is covered by construction:
-                    // it was appended before sync_to was called.
-                    debug_assert!(state.durable > lsn.0);
-                    return Ok(Some(stats));
-                }
-                Err(e) => {
-                    state.failed = Some(e.to_string());
-                    self.cv.notify_all();
-                    return Err(Error::Internal(format!("wal device failed: {e}")));
-                }
-            }
+            let stats = self.lead_flush(state, wait)?;
+            // This leader's own record is covered by construction: it was
+            // appended before sync_to was called.
+            debug_assert!(self.durable_records() > lsn.0);
+            return Ok(Some(stats));
         }
     }
 
@@ -370,36 +347,48 @@ impl DurableWal {
             if state.durable >= appended {
                 return Ok(None);
             }
-            state.flushing = true;
-            drop(state);
-            let flushed = self.flush_once();
-            state = self.state.lock().unwrap();
-            state.flushing = false;
-            match flushed {
-                Ok((covered, bytes)) => {
-                    let stats = FlushStats {
-                        records: covered - state.durable,
-                        bytes,
-                    };
-                    state.durable = covered;
-                    state.fsyncs += 1;
-                    state.note_flush(stats.records);
-                    self.cv.notify_all();
-                    return Ok(Some(stats));
-                }
-                Err(e) => {
-                    state.failed = Some(e.to_string());
-                    self.cv.notify_all();
-                    return Err(Error::Internal(format!("wal device failed: {e}")));
-                }
-            }
+            return self.lead_flush(state, Duration::ZERO).map(Some);
         }
     }
 
-    /// Drain staged frames and fsync them. Returns the record count covered
-    /// by this flush (the log length at drain time) and the byte count
-    /// written. Called only by a leader (state.flushing == true), so there
-    /// is exactly one drainer at a time.
+    /// The leader's flush, entered holding the state lock with no flush
+    /// running: mark the flush in progress, release the lock for `wait` plus
+    /// the drain and fsync, then re-lock and either account the completed
+    /// flush or record the sticky failure. Either way every parked committer
+    /// is woken to re-check.
+    fn lead_flush(&self, mut state: MutexGuard<'_, GcState>, wait: Duration) -> Result<FlushStats> {
+        state.flushing = true;
+        drop(state);
+        if !wait.is_zero() {
+            std::thread::sleep(wait);
+        }
+        let flushed = self.flush_once();
+        let mut state = self.state.lock().unwrap();
+        state.flushing = false;
+        let outcome = match flushed {
+            Ok((covered, bytes)) => {
+                let stats = FlushStats {
+                    records: covered - state.durable,
+                    bytes,
+                };
+                state.durable = covered;
+                state.fsyncs += 1;
+                state.note_flush(stats.records);
+                Ok(stats)
+            }
+            Err(e) => {
+                state.failed = Some(e.to_string());
+                Err(Error::Internal(format!("wal device failed: {e}")))
+            }
+        };
+        self.cv.notify_all();
+        outcome
+    }
+
+    /// Drain the frames appended since the last flush and fsync them.
+    /// Returns the record count covered by this flush (the log length at
+    /// drain time) and the byte count written. Called only by a leader
+    /// (state.flushing == true), so there is exactly one drainer at a time.
     fn flush_once(&self) -> Result<(u64, u64)> {
         let (bytes, covered) = {
             let mut log = self.log.lock().unwrap();

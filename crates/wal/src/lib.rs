@@ -9,7 +9,10 @@
 //!   abort / compensation-begin,
 //! * [`codec`] — a length- and checksum-framed binary encoding (`bytes`),
 //!   tolerant of truncation at any byte (a crash mid-write),
-//! * [`log::Wal`] — the append-only log,
+//! * [`log::Wal`] — the append-only log, kept as one encoded image (each
+//!   record framed once, at append; decoded only when read back),
+//! * [`group::DurableWal`] — the log behind its durable [`device`] and the
+//!   group-commit batcher that makes it durable one fsync at a time,
 //! * [`recovery`] — redo everything durable, undo the incomplete current
 //!   step of each in-flight transaction, and report which multi-step
 //!   transactions need *compensating steps* run (a step is atomic and

@@ -1,4 +1,4 @@
-//! The append-only log.
+//! The append-only log, kept as its encoded bytes.
 
 use crate::codec;
 use crate::record::LogRecord;
@@ -16,17 +16,21 @@ impl fmt::Display for Lsn {
     }
 }
 
-/// An in-memory write-ahead log with a durable binary image.
+/// An in-memory write-ahead log kept as its binary image.
 ///
-/// `to_bytes` produces the "disk" image; [`Wal::from_bytes`] replays whatever
-/// prefix of it survived a crash (see [`crate::codec`] for the framing).
+/// The encoded frames (see [`crate::codec`]) are the log's only
+/// representation: [`Wal::append`] encodes each record exactly once onto the
+/// image, [`Wal::to_bytes`] copies it out, [`Wal::from_bytes`] keeps whatever
+/// prefix of it survived a crash, and [`Wal::records`] decodes on demand.
 #[derive(Debug, Default)]
 pub struct Wal {
-    records: Vec<LogRecord>,
-    /// Encoded frames not yet handed to a durable device (see
-    /// [`Wal::take_staged`]). Records are encoded once, at append time, so
-    /// the group-commit batcher drains bytes without re-walking the log.
-    staged: Vec<u8>,
+    /// Every appended record, framed, in LSN order.
+    image: Vec<u8>,
+    /// Records on `image`; the next append's LSN.
+    records: u64,
+    /// How much of `image` [`Wal::take_staged`] has already handed to the
+    /// durable device.
+    staged_from: usize,
     /// Fault-injection hook (crash-torture harness); absent in production.
     faults: Option<Arc<FaultInjector>>,
 }
@@ -47,21 +51,23 @@ impl Wal {
 
     /// Append a record, returning its LSN.
     pub fn append(&mut self, rec: LogRecord) -> Lsn {
-        codec::encode_record(&rec, &mut self.staged);
-        self.records.push(rec);
+        codec::encode_record(&rec, &mut self.image);
+        self.records += 1;
         if let Some(f) = &self.faults {
             if f.is_enabled() {
                 f.on_wal_append(|| self.to_bytes());
             }
         }
-        Lsn(self.records.len() as u64 - 1)
+        Lsn(self.records - 1)
     }
 
-    /// Drain the encoded frames appended since the last drain. The
-    /// group-commit batcher stages these on the durable device; callers that
-    /// never drain just accumulate bytes they never look at.
+    /// Copy out the frames appended since the last call and move the mark
+    /// past them. The group-commit batcher stages these on the durable
+    /// device.
     pub fn take_staged(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.staged)
+        let staged = self.image[self.staged_from..].to_vec();
+        self.staged_from = self.image.len();
+        staged
     }
 
     /// Report an end-of-step boundary edge to the fault injector, letting a
@@ -77,38 +83,34 @@ impl Wal {
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.records as usize
     }
 
     /// True if nothing has been logged.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.records == 0
     }
 
-    /// All records in LSN order.
-    pub fn records(&self) -> &[LogRecord] {
-        &self.records
+    /// All records in LSN order, decoded from the image.
+    pub fn records(&self) -> Vec<LogRecord> {
+        codec::decode_all(&self.image)
     }
 
-    /// Serialize to the durable image.
+    /// A copy of the image: every appended frame, durable or not.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        for r in &self.records {
-            codec::encode_record(r, &mut buf);
-        }
-        buf
+        self.image.clone()
     }
 
-    /// Rebuild from a (possibly truncated or tail-corrupted) durable image.
+    /// Rebuild from a (possibly truncated or tail-corrupted) durable image,
+    /// keeping exactly the frames [`codec::decode_all`] accepts. Nothing of
+    /// the salvaged prefix has been staged on a device yet.
     pub fn from_bytes(data: &[u8]) -> Self {
-        let records = codec::decode_all(data);
-        let mut staged = Vec::new();
-        for r in &records {
-            codec::encode_record(r, &mut staged);
-        }
+        let records = codec::decode_all(data).len();
+        let end = codec::frame_ends(data).take(records).last().unwrap_or(0);
         Wal {
-            records,
-            staged,
+            image: data[..end].to_vec(),
+            records: records as u64,
+            staged_from: 0,
             faults: None,
         }
     }

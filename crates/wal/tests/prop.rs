@@ -1,10 +1,11 @@
 //! Randomized property tests for the WAL codec (seeded, dependency-free):
-//! arbitrary record sequences round-trip exactly, and any truncation decodes
-//! to an exact prefix.
+//! arbitrary record sequences round-trip exactly, any truncation decodes to
+//! an exact prefix, and a log reopened from a damaged image extends exactly
+//! the prefix it salvaged.
 
 use acc_common::{Decimal, SeededRng, TableId, TxnId, TxnTypeId, Value};
 use acc_storage::Row;
-use acc_wal::{LogRecord, Wal};
+use acc_wal::{codec, LogRecord, Lsn, Wal};
 
 fn random_value(rng: &mut SeededRng) -> Value {
     match rng.index(5) {
@@ -169,6 +170,70 @@ fn single_corrupt_byte_never_yields_garbage_records() {
         assert!(restored.len() <= records.len());
         for (got, want) in restored.records().iter().zip(records.iter()) {
             assert_eq!(got, want);
+        }
+    }
+}
+
+/// Bytes of a frame header: `[payload_len: u32 LE][checksum: u64 LE]`.
+const FRAME_HEADER: usize = 12;
+
+#[test]
+fn append_after_reopen_extends_exactly_the_accepted_prefix() {
+    // `from_bytes` keeps only the frames a reader accepts, so an append after
+    // a reopen lands directly behind them — never behind a torn or corrupt
+    // tail that would hide the new record from the next reader. Every cut
+    // of each image is reopened as is and with one payload bit flipped.
+    let mut rng = SeededRng::new(0x4e0b);
+    for _case in 0..16 {
+        let records = random_records(&mut rng, 1, 8);
+        let mut wal = Wal::new();
+        for r in &records {
+            wal.append(r.clone());
+        }
+        let img = wal.to_bytes();
+        let ends: Vec<usize> = codec::frame_ends(&img).collect();
+        assert_eq!(ends.len(), records.len());
+        let next = random_record(&mut rng);
+        let mut alone = Wal::new();
+        alone.append(next.clone());
+        let frame = alone.to_bytes();
+
+        // Reopen `image`, whose first `kept` frames are intact, and append.
+        let check = |image: &[u8], kept: usize, what: &str| {
+            let mut reopened = Wal::from_bytes(image);
+            assert_eq!(reopened.append(next.clone()), Lsn(kept as u64), "{what}");
+            let prefix = if kept == 0 { 0 } else { ends[kept - 1] };
+            assert_eq!(
+                reopened.to_bytes(),
+                [&img[..prefix], &frame[..]].concat(),
+                "{what}"
+            );
+            let mut want = records[..kept].to_vec();
+            want.push(next.clone());
+            assert_eq!(reopened.records(), want, "{what}");
+            assert_eq!(reopened.len(), want.len(), "{what}");
+        };
+
+        for cut in 0..=img.len() {
+            let whole = ends.iter().take_while(|&&end| end <= cut).count();
+            check(&img[..cut], whole, &format!("cut {cut}"));
+            // Flip one bit in the payload of a frame the cut kept some of:
+            // the checksum refuses that frame and everything after it.
+            let starts = std::iter::once(0).chain(ends.iter().copied());
+            let payloads: Vec<(usize, usize)> = starts
+                .zip(ends.iter().copied())
+                .map(|(start, end)| (start + FRAME_HEADER, end.min(cut)))
+                .take_while(|&(payload, end)| payload < end)
+                .collect();
+            if payloads.is_empty() {
+                continue;
+            }
+            let k = rng.index(payloads.len());
+            let (payload, end) = payloads[k];
+            let at = payload + rng.index(end - payload);
+            let mut image = img[..cut].to_vec();
+            image[at] ^= 1 << rng.index(8);
+            check(&image, whole.min(k), &format!("cut {cut}, flip at {at}"));
         }
     }
 }

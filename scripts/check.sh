@@ -30,15 +30,20 @@ CARGO_TARGET_DIR="$PWD/target/perfbench" \
 echo "== pagebench smoke (page-latch protocol, release) =="
 cargo run -p acc-bench --release --offline --bin figures -- pagebench --quick >/dev/null
 
-echo "== crash torture smoke (every kit x every cut-point source, plus the network front-end) =="
-cargo run -p acc-bench --release --offline --bin figures -- torture --quick
+t1="$(mktemp)"; t2="$(mktemp)"
+trap 'rm -f "$t1" "$t2"' EXIT
+
+echo "== crash torture (every kit x every cut-point source, plus the network front-end) matches the committed golden =="
+# When a tally change is intended, regenerate the golden with
+#   cargo run -p acc-bench --release --offline --bin figures -- torture --quick > scripts/torture_quick.golden
+# and say in the change description which tallies moved and why.
+cargo run -p acc-bench --release --offline --bin figures -- torture --quick > "$t1"
+cmp "$t1" scripts/torture_quick.golden
 
 echo "== multi-thread stress smoke (8-terminal closed loop, release) =="
 cargo run -p acc-bench --release --offline --bin figures -- stress --quick
 
 echo "== determinism: two consecutive 'figures -- tables' runs byte-identical =="
-t1="$(mktemp)"; t2="$(mktemp)"
-trap 'rm -f "$t1" "$t2"' EXIT
 cargo run -p acc-bench --release --offline --bin figures -- tables > "$t1"
 cargo run -p acc-bench --release --offline --bin figures -- tables > "$t2"
 cmp "$t1" "$t2"
