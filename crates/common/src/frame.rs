@@ -18,7 +18,8 @@
 //!    running FNV-1a chain (seeded with [`CHAIN_SEED`], mixed with the frame
 //!    ordinal the way the WAL's sector chain mixes sector sequence numbers),
 //!    so a receiver detects reordering, splicing, and corruption without
-//!    trusting the sender's framing.
+//!    trusting the sender's framing. [`fnv1a`] is the one byte fold every
+//!    checksum in the workspace uses (WAL records, WAL sectors, frames).
 //!
 //! The frame layer is deliberately dumb: it neither interprets payloads nor
 //! enforces chains — receivers decide what a mismatch means (the follower
@@ -32,6 +33,15 @@ pub const CHAIN_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// Fold `bytes` into the running FNV-1a 64-bit hash `h`. Starting from
+/// [`CHAIN_SEED`] gives the plain FNV-1a digest of `bytes`; folding pieces
+/// one after another equals folding their concatenation.
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+}
+
 /// Wire header size: `seq` + `start` + `chain` + `len`.
 pub const FRAME_HEADER: usize = 8 + 8 + 8 + 4;
 
@@ -43,14 +53,7 @@ pub const MAX_FRAME_PAYLOAD: usize = 16 << 20;
 /// Fold `bytes` into a running FNV-1a chain, mixing in `seq` first so
 /// identical payloads at different stream positions chain differently.
 pub fn chain_update(chain: u64, seq: u64, bytes: &[u8]) -> u64 {
-    let mut h = chain;
-    for b in seq.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
+    fnv1a(fnv1a(chain, &seq.to_le_bytes()), bytes)
 }
 
 /// One decoded wire frame.

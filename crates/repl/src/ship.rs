@@ -17,6 +17,7 @@
 //! to refuse.
 
 use crate::follower::ResumePoint;
+use acc_common::frame::CHAIN_SEED;
 use acc_common::{Error, Result};
 use acc_wal::codec::frame_ends;
 use acc_wal::sector::{chain_of, CAPACITY};
@@ -49,8 +50,8 @@ impl ShipBatch {
 /// tail. A pure function of the bytes — identical streams chain identically
 /// no matter how they were shipped or persisted.
 pub fn stream_chain(stream: &[u8]) -> u64 {
-    // Seed matches `SectorWriter::new` (the FNV-1a offset basis).
-    let mut chain = 0xcbf2_9ce4_8422_2325;
+    // Seed matches `SectorWriter::new`.
+    let mut chain = CHAIN_SEED;
     let mut seq = 0u64;
     let mut chunks = stream.chunks_exact(CAPACITY);
     for chunk in &mut chunks {

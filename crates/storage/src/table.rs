@@ -15,6 +15,14 @@
 //! latches, a slot-allocator mutex, per-index locks, and (for tables with
 //! secondary indices) a writer/reader gate that keeps the version-read
 //! secondary fast path sound. The whole-table stripe lock is gone.
+//!
+//! Primary keys are immutable: an update whose new image carries another
+//! primary key is refused, so a row's leaf entry — and the version chain on
+//! it — belongs to one key for the table's whole life. Version chains are
+//! written only by the combined mutators (`insert_versioned`,
+//! `update_versioned`, `delete_versioned`), each under one leaf latch; the
+//! caller keeps the keys it wrote and hands them to
+//! [`Table::finalize_versions`].
 
 use crate::btree::{BTree, LeafEntry};
 use crate::pager::PagerCounters;
@@ -79,8 +87,9 @@ pub enum VersionedUpdate {
         /// The row image after the update (for the WAL record).
         after: Row,
     },
-    /// The slot no longer holds that key (the row moved while the caller
-    /// waited for its lock) — re-resolve and retry.
+    /// The slot no longer holds that key (the row was deleted, or
+    /// re-inserted at another slot, while the caller waited for its lock) —
+    /// re-resolve and retry.
     Retry,
 }
 
@@ -109,14 +118,6 @@ pub struct Table {
     /// held); prune holds this mutex across its per-key tree ops so
     /// emptiness checks and set removal stay atomic.
     chained: Mutex<BTreeSet<Key>>,
-    /// Per-transaction chained keys: the finalize worklist, so commit and
-    /// abort walk only the finishing transaction's own write set rather
-    /// than every in-flight chain in the table. Drained by
-    /// [`Table::finalize_versions`]; a transaction whose commit dies on a
-    /// sticky device failure leaves its entry behind, alongside its
-    /// forever-pending chain entries (bounded by the failure being
-    /// terminal).
-    txn_chained: Mutex<BTreeMap<TxnId, BTreeSet<Key>>>,
     live: AtomicUsize,
 }
 
@@ -136,7 +137,6 @@ impl Table {
             secondary,
             sec_gate: RwLock::new(()),
             chained: Mutex::new(BTreeSet::new()),
-            txn_chained: Mutex::new(BTreeMap::new()),
             live: AtomicUsize::new(0),
         }
     }
@@ -199,6 +199,23 @@ impl Table {
         Error::DuplicateKey(format!("{}{key}", self.schema.name))
     }
 
+    fn no_slot(&self, slot: Slot) -> Error {
+        Error::NotFound(format!("{} slot {slot}", self.schema.name))
+    }
+
+    /// Check an update's new image: it must fit the schema and keep the
+    /// row's primary key `key`.
+    fn check_update(&self, key: &Key, new: &Row) -> Result<()> {
+        self.schema.check(new)?;
+        if self.schema.key_of(new) != *key {
+            return Err(Error::SchemaMismatch(format!(
+                "{}{key}: an update may not change the primary key",
+                self.schema.name
+            )));
+        }
+        Ok(())
+    }
+
     /// True if `key` currently has a live row.
     fn key_live(&self, key: &Key) -> bool {
         self.tree
@@ -218,7 +235,7 @@ impl Table {
             return Err(self.dup_err(&key));
         }
         let slot = mlock(&self.alloc).take(&key);
-        self.insert_entry(slot, key, row)?;
+        self.insert_entry(slot, key, row, None)?;
         Ok((
             slot,
             UndoRecord::Insert {
@@ -229,9 +246,16 @@ impl Table {
     }
 
     /// Plant `row` at `slot` in the tree (reviving a tombstone's chain if
-    /// the key died before), then maintain the secondary indices and the
+    /// the key died before), pushing `pending` onto the entry's chain under
+    /// the same leaf latch, then maintain the secondary indices and the
     /// live count. The allocator must already map `slot` to the row's key.
-    fn insert_entry(&self, slot: Slot, key: Key, row: Row) -> Result<()> {
+    fn insert_entry(
+        &self,
+        slot: Slot,
+        key: Key,
+        row: Row,
+        pending: Option<ChainEntry>,
+    ) -> Result<()> {
         let projs = self.projections(&row);
         let planted = self.tree.upsert(&key, |entries, idx, exists| {
             if exists {
@@ -243,6 +267,7 @@ impl Table {
                 // the entry; the new incarnation adopts the new slot.
                 e.slot = slot;
                 e.row = Some(row);
+                e.chain.extend(pending);
             } else {
                 entries.insert(
                     idx,
@@ -250,7 +275,7 @@ impl Table {
                         key: key.clone(),
                         slot,
                         row: Some(row),
-                        chain: Vec::new(),
+                        chain: pending.into_iter().collect(),
                     },
                 );
             }
@@ -286,75 +311,20 @@ impl Table {
             .read_entry(key, |e| e.and_then(|e| Some((e.slot, e.row.clone()?))))
     }
 
-    /// Replace the row in `slot` wholesale. The new row may change the
-    /// primary key (rejected if the new key already exists elsewhere).
+    /// Replace the row in `slot` wholesale. The new row must keep the
+    /// slot's primary key: a key change is refused with
+    /// [`Error::SchemaMismatch`] and changes nothing.
     pub fn update(&self, slot: Slot, new: Row) -> Result<UndoRecord> {
-        self.schema.check(&new)?;
-        let old_key = self
-            .key_of_slot(slot)
-            .ok_or_else(|| Error::NotFound(format!("{} slot {slot}", self.schema.name)))?;
-        let new_key = self.schema.key_of(&new);
+        let key = self.key_of_slot(slot).ok_or_else(|| self.no_slot(slot))?;
+        self.check_update(&key, &new)?;
         let _gate = self.writer_gate();
-        let before = if new_key == old_key {
-            let new_img = new.clone();
-            self.tree.with_entry(&old_key, move |e| match e {
-                Some(e) if e.slot == slot && e.row.is_some() => {
-                    Ok(e.row.replace(new_img).expect("checked live"))
-                }
-                _ => Err(Error::NotFound(format!("{} slot {slot}", self.schema.name))),
-            })?
-        } else {
-            if self.key_live(&new_key) {
-                return Err(self.dup_err(&new_key));
+        let new_img = new.clone();
+        let before = self.tree.with_entry(&key, move |e| match e {
+            Some(e) if e.slot == slot && e.row.is_some() => {
+                Ok(e.row.replace(new_img).expect("checked live"))
             }
-            // Key-changing update (tests only; TPC-C never moves a key):
-            // the old key's entry disappears entirely — its chain follows
-            // the *slot* to the new key, spliced behind the new key's
-            // revived tombstone history, exactly like the old flat layout.
-            // Readers of either key will see a key-mismatched chain and
-            // taint, which is the intended fallback signal.
-            let (before, moved_chain) = self.tree.remove_if(&old_key, |e| match e {
-                Some(e) if e.slot == slot && e.row.is_some() => {
-                    let b = e.row.take().expect("checked live");
-                    let c = std::mem::take(&mut e.chain);
-                    (Ok((b, c)), true)
-                }
-                _ => (
-                    Err(Error::NotFound(format!("{} slot {slot}", self.schema.name))),
-                    false,
-                ),
-            })?;
-            let new_img = new.clone();
-            let nk = new_key.clone();
-            let has_chain = self.tree.upsert(&new_key, move |entries, idx, exists| {
-                if exists {
-                    let e = &mut entries[idx];
-                    e.slot = slot;
-                    e.row = Some(new_img);
-                    e.chain.extend(moved_chain);
-                    !e.chain.is_empty()
-                } else {
-                    let has = !moved_chain.is_empty();
-                    entries.insert(
-                        idx,
-                        LeafEntry {
-                            key: nk,
-                            slot,
-                            row: Some(new_img),
-                            chain: moved_chain,
-                        },
-                    );
-                    has
-                }
-            });
-            mlock(&self.alloc).slot_key[slot as usize] = Some(new_key.clone());
-            let mut chained = mlock(&self.chained);
-            chained.remove(&old_key);
-            if has_chain {
-                chained.insert(new_key);
-            }
-            before
-        };
+            _ => Err(self.no_slot(slot)),
+        })?;
         self.secondary_remove(slot, &self.projections(&before));
         self.secondary_insert(slot, &self.projections(&new));
         Ok(UndoRecord::Update {
@@ -366,9 +336,7 @@ impl Table {
 
     /// Update the row in `slot` in place via a closure.
     pub fn update_with(&self, slot: Slot, f: impl FnOnce(&mut Row)) -> Result<UndoRecord> {
-        let mut new = self
-            .row(slot)
-            .ok_or_else(|| Error::NotFound(format!("{} slot {slot}", self.schema.name)))?;
+        let mut new = self.row(slot).ok_or_else(|| self.no_slot(slot))?;
         f(&mut new);
         self.update(slot, new)
     }
@@ -377,9 +345,7 @@ impl Table {
     /// it still carries version history; otherwise it is removed (with a
     /// rebalancing descent).
     pub fn delete(&self, slot: Slot) -> Result<UndoRecord> {
-        let key = self
-            .key_of_slot(slot)
-            .ok_or_else(|| Error::NotFound(format!("{} slot {slot}", self.schema.name)))?;
+        let key = self.key_of_slot(slot).ok_or_else(|| self.no_slot(slot))?;
         let _gate = self.writer_gate();
         let before = self.tree.remove_if(&key, |e| match e {
             Some(e) if e.slot == slot && e.row.is_some() => {
@@ -387,10 +353,7 @@ impl Table {
                 let gone = e.chain.is_empty();
                 (Ok(b), gone)
             }
-            _ => (
-                Err(Error::NotFound(format!("{} slot {slot}", self.schema.name))),
-                false,
-            ),
+            _ => (Err(self.no_slot(slot)), false),
         })?;
         mlock(&self.alloc).release(slot);
         self.secondary_remove(slot, &self.projections(&before));
@@ -510,8 +473,8 @@ impl Table {
             }
             UndoRecord::Delete { slot, before, .. } => {
                 // `insert_at` revives the key onto the same slot; the
-                // tombstone's chain stays on the entry, which is the
-                // inverse of the move in `push_delete_version`.
+                // tombstone's chain (with the delete's own entry on top)
+                // stays on the entry.
                 self.insert_at(*slot, before.clone())?;
             }
         }
@@ -519,70 +482,18 @@ impl Table {
     }
 
     // ----- MVCC-lite version chains (see `crate::version`) ----------------
-
-    /// Record `key` as (possibly) carrying a live chain, and as part of
-    /// `txn`'s write set for finalize. Called after the tree write
-    /// completes — never while a leaf latch is held.
-    fn note_chained(&self, txn: TxnId, key: Key) {
-        mlock(&self.txn_chained)
-            .entry(txn)
-            .or_default()
-            .insert(key.clone());
-        mlock(&self.chained).insert(key);
-    }
-
-    /// Record a pending version for a mutation of `slot`: `before` is the
-    /// full row image prior to the write (`None` for an insert). Called by
-    /// the transaction layer next to the mutation. (The combined
-    /// `*_versioned` ops below do mutation + push under one leaf latch;
-    /// this split variant remains for single-threaded callers and tests.)
-    pub fn push_version(&self, slot: Slot, txn: TxnId, before: Option<Row>) {
-        let key = self
-            .key_of_slot(slot)
-            .expect("push_version targets a live slot");
-        self.tree.with_entry(&key, |e| {
-            e.expect("live slot has an entry")
-                .chain
-                .push(ChainEntry::Pending { txn, before });
-        });
-        self.note_chained(txn, key);
-    }
-
-    /// Record a pending version for a *delete* of `key` at `slot`, after
-    /// the physical delete already ran. The entry (recreated if the
-    /// physical delete removed it) becomes a tombstone carrying the delete
-    /// entry on top of the key's surviving history.
-    pub fn push_delete_version(&self, key: Key, slot: Slot, txn: TxnId, before: Row) {
-        self.tree.upsert(&key, |entries, idx, exists| {
-            let entry = ChainEntry::Pending {
-                txn,
-                before: Some(before),
-            };
-            if exists {
-                let e = &mut entries[idx];
-                debug_assert!(e.row.is_none(), "delete version on a live row");
-                e.chain.push(entry);
-            } else {
-                entries.insert(
-                    idx,
-                    LeafEntry {
-                        key: key.clone(),
-                        slot,
-                        row: None,
-                        chain: vec![entry],
-                    },
-                );
-            }
-        });
-        self.note_chained(txn, key);
-    }
-
-    // ----- Combined versioned mutators (one leaf latch) -------------------
     //
     // The transaction layer needs "mutate row + push pending version" to be
     // atomic with respect to coordination-free version readers — the old
     // whole-table stripe lock provided that for free; here the pair runs
-    // under a single leaf write latch.
+    // under a single leaf write latch. These three mutators are the only
+    // writers of chain entries.
+
+    /// Record `key` as (possibly) carrying a live chain. Called after the
+    /// tree write completes — never while a leaf latch is held.
+    fn note_chained(&self, key: Key) {
+        mlock(&self.chained).insert(key);
+    }
 
     /// Versioned insert: verify the allocator still predicts
     /// `expected_slot` (the peek/lock/re-peek protocol), allocate it, plant
@@ -608,36 +519,9 @@ impl Table {
             }
             a.take(&key)
         };
-        let projs = self.projections(&row);
-        let planted = self.tree.upsert(&key, |entries, idx, exists| {
-            if exists {
-                let e = &mut entries[idx];
-                if e.row.is_some() {
-                    return false;
-                }
-                e.slot = slot;
-                e.row = Some(row);
-                e.chain.push(ChainEntry::Pending { txn, before: None });
-            } else {
-                entries.insert(
-                    idx,
-                    LeafEntry {
-                        key: key.clone(),
-                        slot,
-                        row: Some(row),
-                        chain: vec![ChainEntry::Pending { txn, before: None }],
-                    },
-                );
-            }
-            true
-        });
-        if !planted {
-            mlock(&self.alloc).release(slot);
-            return Err(self.dup_err(&key));
-        }
-        self.secondary_insert(slot, &projs);
-        self.live.fetch_add(1, Relaxed);
-        self.note_chained(txn, key.clone());
+        let pending = ChainEntry::Pending { txn, before: None };
+        self.insert_entry(slot, key.clone(), row, Some(pending))?;
+        self.note_chained(key.clone());
         Ok(Some((
             slot,
             key,
@@ -651,12 +535,9 @@ impl Table {
     /// Versioned in-place update of `key` (which the caller resolved to
     /// `expected_slot` before locking): apply `f` to the row and push the
     /// pending version under one leaf latch. Returns
-    /// [`VersionedUpdate::Retry`] if the slot no longer holds that key.
-    ///
-    /// A key-changing `f` falls back to the split physical-update +
-    /// push-version path (non-atomic, like the old layout); the resulting
-    /// key-mismatched chain taints version readers, which is the intended
-    /// signal.
+    /// [`VersionedUpdate::Retry`] if the slot no longer holds that key. An
+    /// `f` that changes the primary key is refused with
+    /// [`Error::SchemaMismatch`] and changes nothing.
     pub fn update_versioned(
         &self,
         key: &Key,
@@ -665,51 +546,35 @@ impl Table {
         f: impl FnOnce(&mut Row),
     ) -> Result<VersionedUpdate> {
         let _gate = self.writer_gate();
-        enum Inner {
-            Applied { before: Row, after: Row },
-            KeyChanged { before: Row, after: Row },
-            Retry,
-        }
-        let out: Result<Inner> = self.tree.with_entry(key, |e| match e {
+        let applied = self.tree.with_entry(key, |e| match e {
             Some(e) if e.slot == expected_slot && e.row.is_some() => {
                 let before = e.row.clone().expect("checked live");
                 let mut after = before.clone();
                 f(&mut after);
-                self.schema.check(&after)?;
-                if self.schema.key_of(&after) != *key {
-                    return Ok(Inner::KeyChanged { before, after });
-                }
+                self.check_update(key, &after)?;
                 e.row = Some(after.clone());
                 e.chain.push(ChainEntry::Pending {
                     txn,
                     before: Some(before.clone()),
                 });
-                Ok(Inner::Applied { before, after })
+                Ok(Some((before, after)))
             }
-            _ => Ok(Inner::Retry),
-        });
-        match out? {
-            Inner::Retry => Ok(VersionedUpdate::Retry),
-            Inner::Applied { before, after } => {
-                self.secondary_remove(expected_slot, &self.projections(&before));
-                self.secondary_insert(expected_slot, &self.projections(&after));
-                self.note_chained(txn, key.clone());
-                Ok(VersionedUpdate::Applied {
-                    undo: UndoRecord::Update {
-                        table: self.schema.id,
-                        slot: expected_slot,
-                        before,
-                    },
-                    after,
-                })
-            }
-            Inner::KeyChanged { before, after } => {
-                drop(_gate);
-                let undo = self.update(expected_slot, after.clone())?;
-                self.push_version(expected_slot, txn, Some(before));
-                Ok(VersionedUpdate::Applied { undo, after })
-            }
-        }
+            _ => Ok(None),
+        })?;
+        let Some((before, after)) = applied else {
+            return Ok(VersionedUpdate::Retry);
+        };
+        self.secondary_remove(expected_slot, &self.projections(&before));
+        self.secondary_insert(expected_slot, &self.projections(&after));
+        self.note_chained(key.clone());
+        Ok(VersionedUpdate::Applied {
+            undo: UndoRecord::Update {
+                table: self.schema.id,
+                slot: expected_slot,
+                before,
+            },
+            after,
+        })
     }
 
     /// Versioned delete of `key` at `expected_slot`: take the row and push
@@ -740,7 +605,7 @@ impl Table {
         mlock(&self.alloc).release(expected_slot);
         self.secondary_remove(expected_slot, &self.projections(&before));
         self.live.fetch_sub(1, Relaxed);
-        self.note_chained(txn, key.clone());
+        self.note_chained(key.clone());
         Ok(Some((
             UndoRecord::Delete {
                 table: self.schema.id,
@@ -751,18 +616,23 @@ impl Table {
         )))
     }
 
-    /// Finalize every pending entry of `txn` in this table at `commit_lsn`
+    /// Finalize every pending entry of `txn` under `keys` at `commit_lsn`
     /// (the `Commit` record's LSN, or the `Abort` record's on rollback).
-    /// Walks (and drains) the transaction's own chained-key write set — a
-    /// writer's keys are always in it by the time its commit runs, and
-    /// only its own keys can hold its `Pending` entries, so commit cost
-    /// scales with the write set rather than with every in-flight chain in
-    /// the table. Returns the number of entries finalized.
-    pub fn finalize_versions(&self, txn: TxnId, commit_lsn: u64) -> usize {
-        let keys = mlock(&self.txn_chained).remove(&txn).unwrap_or_default();
+    /// `keys` is the transaction's write set in this table — every key it
+    /// wrote through a versioned mutator. Only those keys can hold its
+    /// `Pending` entries, so commit cost scales with the write set rather
+    /// than with every in-flight chain in the table; a key left out keeps
+    /// its entry `Pending`, which readers unwind past and prune never drops.
+    /// Returns the number of entries finalized.
+    pub fn finalize_versions<'k>(
+        &self,
+        txn: TxnId,
+        commit_lsn: u64,
+        keys: impl IntoIterator<Item = &'k Key>,
+    ) -> usize {
         let mut n = 0;
         for key in keys {
-            n += self.tree.with_entry(&key, |e| {
+            n += self.tree.with_entry(key, |e| {
                 let Some(e) = e else { return 0 };
                 let mut k = 0;
                 for entry in e.chain.iter_mut() {
@@ -813,17 +683,6 @@ impl Table {
             .count()
     }
 
-    /// True if any image in `chain` (or `current`) carries a primary key
-    /// other than `key` — a key-changing update went through this slot, so
-    /// the chain no longer describes one row's history and version reads
-    /// must fall back.
-    fn chain_key_mismatch(&self, key: &Key, current: Option<&Row>, chain: &[ChainEntry]) -> bool {
-        current
-            .into_iter()
-            .chain(chain.iter().filter_map(|e| e.before()))
-            .any(|r| self.schema.key_of(r) != *key)
-    }
-
     /// The row image with primary key `key` as visible at `view`
     /// (coordination-free point read: one optimistic descent, entry state
     /// cloned under the leaf's read latch). `commits` resolves Pending
@@ -841,12 +700,7 @@ impl Table {
             .read_entry(key, |e| e.map(|e| (e.row.clone(), e.chain.clone())));
         match found {
             None => Visibility::Visible(None),
-            Some((current, chain)) => {
-                if self.chain_key_mismatch(key, current.as_ref(), &chain) {
-                    return Visibility::Tainted;
-                }
-                reconstruct(current.as_ref(), &chain, view, reader, commits)
-            }
+            Some((current, chain)) => reconstruct(current.as_ref(), &chain, view, reader, commits),
         }
     }
 
@@ -861,11 +715,11 @@ impl Table {
         reader: TxnId,
         commits: &dyn CommitResolver,
     ) -> Option<Vec<Row>> {
-        self.reconstruct_collected(
+        reconstruct_collected(
             self.tree.scan_collect(
                 prefix,
                 |k| k.starts_with(prefix),
-                |e| Some((e.key.clone(), e.row.clone(), e.chain.clone())),
+                |e| Some((e.row.clone(), e.chain.clone())),
                 usize::MAX,
             ),
             view,
@@ -884,38 +738,17 @@ impl Table {
         reader: TxnId,
         commits: &dyn CommitResolver,
     ) -> Option<Vec<Row>> {
-        self.reconstruct_collected(
+        reconstruct_collected(
             self.tree.scan_collect(
                 lo,
                 |k| k < hi,
-                |e| Some((e.key.clone(), e.row.clone(), e.chain.clone())),
+                |e| Some((e.row.clone(), e.chain.clone())),
                 usize::MAX,
             ),
             view,
             reader,
             commits,
         )
-    }
-
-    fn reconstruct_collected(
-        &self,
-        entries: Vec<(Key, Option<Row>, Vec<ChainEntry>)>,
-        view: u64,
-        reader: TxnId,
-        commits: &dyn CommitResolver,
-    ) -> Option<Vec<Row>> {
-        let mut out = Vec::new();
-        for (k, current, chain) in &entries {
-            if self.chain_key_mismatch(k, current.as_ref(), chain) {
-                return None;
-            }
-            match reconstruct(current.as_ref(), chain, view, reader, commits) {
-                Visibility::Tainted => return None,
-                Visibility::Visible(Some(r)) => out.push(r),
-                Visibility::Visible(None) => {}
-            }
-        }
-        Some(out)
     }
 
     /// All row images whose secondary index `idx` key begins with `prefix`,
@@ -1040,7 +873,7 @@ impl Table {
             a.free.retain(|&s| s != slot);
             a.slot_key[idx] = Some(key.clone());
         }
-        self.insert_entry(slot, key, row)
+        self.insert_entry(slot, key, row, None)
     }
 
     fn projections(&self, row: &Row) -> Vec<Key> {
@@ -1075,6 +908,25 @@ impl Table {
             }
         }
     }
+}
+
+/// The images visible at `view` of scanned `(current, chain)` entries, in
+/// scan order; `None` if any of them cannot be soundly reconstructed.
+fn reconstruct_collected(
+    entries: Vec<(Option<Row>, Vec<ChainEntry>)>,
+    view: u64,
+    reader: TxnId,
+    commits: &dyn CommitResolver,
+) -> Option<Vec<Row>> {
+    let mut out = Vec::new();
+    for (current, chain) in &entries {
+        match reconstruct(current.as_ref(), chain, view, reader, commits) {
+            Visibility::Tainted => return None,
+            Visibility::Visible(Some(r)) => out.push(r),
+            Visibility::Visible(None) => {}
+        }
+    }
+    Some(out)
 }
 
 impl Clone for Table {
@@ -1128,6 +980,7 @@ mod tests {
             .column("qty", ColumnType::Int)
             .key(&["order_id", "item_id"])
             .index(&["item_id"])
+            .index(&["qty"])
             .rows_per_page(4)
             .build();
         schema.id = TableId(0);
@@ -1198,25 +1051,27 @@ mod tests {
     }
 
     #[test]
-    fn update_changing_key_moves_index_entry() {
-        let t = table();
-        let (slot, _) = t.insert(row(1, 10, 5)).unwrap();
-        t.update(slot, row(2, 20, 5)).unwrap();
-        assert!(t.get(&Key::ints(&[1, 10])).is_none());
-        assert_eq!(t.get(&Key::ints(&[2, 20])).unwrap().0, slot);
-    }
-
-    #[test]
-    fn update_to_existing_key_rejected() {
+    fn update_changing_key_is_refused() {
+        use acc_common::TxnId;
         let t = table();
         let (s0, _) = t.insert(row(1, 10, 5)).unwrap();
         t.insert(row(2, 20, 5)).unwrap();
-        assert!(matches!(
-            t.update(s0, row(2, 20, 9)),
-            Err(Error::DuplicateKey(_))
-        ));
-        // Original row untouched.
-        assert_eq!(t.get(&Key::ints(&[1, 10])).unwrap().0, s0);
+        let key = Key::ints(&[1, 10]);
+        // To a fresh key, to an existing key, and through the versioned
+        // mutator: each is refused and changes nothing.
+        for new in [row(3, 30, 5), row(2, 20, 9)] {
+            assert!(matches!(t.update(s0, new), Err(Error::SchemaMismatch(_))));
+        }
+        let moved = t.update_versioned(&key, s0, TxnId(1), |r| {
+            r.set(0, Value::Int(3));
+        });
+        assert!(matches!(moved, Err(Error::SchemaMismatch(_))));
+        assert_eq!(t.get(&key), Some((s0, row(1, 10, 5))));
+        assert!(t.get(&Key::ints(&[3, 30])).is_none());
+        assert_eq!(t.get(&Key::ints(&[2, 20])).unwrap().1.int(2), 5);
+        assert_eq!(t.lookup_secondary(0, &Key::ints(&[10])), vec![s0]);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.n_version_chains(), 0);
     }
 
     #[test]
@@ -1295,17 +1150,17 @@ mod tests {
     fn secondary_index_follows_updates() {
         let t = table();
         let (slot, _) = t.insert(row(1, 10, 5)).unwrap();
-        // Changing item_id moves both the primary and the secondary entry.
+        // Changing qty, an indexed non-key column, moves its index entry.
         let undo = t
             .update_with(slot, |r| {
-                r.set(1, Value::Int(99));
+                r.set(2, Value::Int(99));
             })
             .unwrap();
-        assert!(t.lookup_secondary(0, &Key::ints(&[10])).is_empty());
-        assert_eq!(t.lookup_secondary(0, &Key::ints(&[99])), vec![slot]);
+        assert!(t.lookup_secondary(1, &Key::ints(&[5])).is_empty());
+        assert_eq!(t.lookup_secondary(1, &Key::ints(&[99])), vec![slot]);
         t.apply_undo(&undo).unwrap();
-        assert_eq!(t.lookup_secondary(0, &Key::ints(&[10])), vec![slot]);
-        assert!(t.lookup_secondary(0, &Key::ints(&[99])).is_empty());
+        assert_eq!(t.lookup_secondary(1, &Key::ints(&[5])), vec![slot]);
+        assert!(t.lookup_secondary(1, &Key::ints(&[99])).is_empty());
     }
 
     #[test]
@@ -1419,7 +1274,7 @@ mod tests {
         assert_eq!(slot, 0);
         assert_eq!(key, Key::ints(&[1, 1]));
         assert_eq!(t.n_version_chains(), 1);
-        t.finalize_versions(TxnId(7), 5);
+        t.finalize_versions(TxnId(7), 5, [&key]);
         t.prune_versions(10);
         assert_eq!(t.n_version_chains(), 0);
     }

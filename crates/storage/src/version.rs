@@ -1,7 +1,9 @@
-//! MVCC-lite version chains: per-slot undo chains keyed by commit LSN.
+//! MVCC-lite version chains: per-key undo chains, finalized at commit LSNs.
 //!
-//! Each chain entry records the full row image *before* one mutation, in
-//! append (time) order. The current slot value plus the chain therefore
+//! A chain lives in its row's leaf entry, keyed by primary key; a delete
+//! leaves the entry in place as a tombstone that keeps the chain. Each
+//! chain entry records the full row image *before* one mutation, in
+//! append (time) order. The current row image plus the chain therefore
 //! reconstructs every physical image the row ever had: unwinding the newest
 //! entry yields the image before that mutation, and so on down the chain.
 //!

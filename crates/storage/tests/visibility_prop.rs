@@ -5,20 +5,23 @@
 //! watermark must never change any read at or after it.
 //!
 //! The harness mirrors what the transaction layer does (`step.rs` /
-//! `runner.rs`): mutate the table, push a pending version alongside, then
-//! finalize every pending entry at the commit (or abort) LSN. Aborts apply
-//! physical undo first, exactly like the live rollback path. A key-level
-//! lock map stands in for the lock manager so two live transactions never
-//! write the same row.
+//! `runner.rs`): write through the versioned mutators `StepCtx` runs
+//! (`insert_versioned`, `update_versioned`, `delete_versioned`), each of
+//! which pushes its pending version under the write's leaf latch, then
+//! finalize the keys the transaction wrote at the commit (or abort) LSN.
+//! Aborts apply physical undo first, exactly like the live rollback path. A
+//! key-level lock map stands in for the lock manager so two live
+//! transactions never write the same row.
 //!
 //! Commits randomly defer their physical finalization behind a published
 //! commit LSN (the runner's commit-publication window between the `Commit`
 //! append and `finalize_versions`): reads through the publication resolver
 //! must be indistinguishable from reads over finalized chains.
 
-use acc_common::{SeededRng, TableId, TxnId, Value};
+use acc_common::{SeededRng, Slot, TableId, TxnId, Value};
 use acc_storage::{
-    ColumnType, CommitResolver, Key, NoCommits, Row, Table, TableSchema, UndoRecord, Visibility,
+    ColumnType, CommitResolver, Key, NoCommits, Row, Table, TableSchema, UndoRecord,
+    VersionedUpdate, Visibility,
 };
 use std::collections::HashMap;
 
@@ -37,6 +40,15 @@ fn schema() -> TableSchema {
 
 fn row(k: i64, a: i64, b: i64) -> Row {
     Row(vec![Value::Int(k), Value::Int(a), Value::Int(b)])
+}
+
+/// `StepCtx::insert`'s single-threaded case: the predicted slot is current.
+fn insert(t: &Table, row: Row, txn: TxnId) -> (Slot, UndoRecord) {
+    let (slot, _, undo) = t
+        .insert_versioned(row, txn, t.peek_next_slot())
+        .expect("insert of absent key")
+        .expect("single-threaded prediction holds");
+    (slot, undo)
 }
 
 const KEYS: i64 = 10;
@@ -65,9 +77,31 @@ struct Active {
     undos: Vec<UndoRecord>,
 }
 
+/// Commits whose chains are still Pending behind a published LSN (the
+/// runner's window between the `Commit` append and `finalize_versions`),
+/// with the keys each one wrote.
+#[derive(Default)]
+struct Deferred {
+    published: HashMap<TxnId, u64>,
+    written: HashMap<TxnId, Vec<Key>>,
+}
+
+impl Deferred {
+    /// Finalize `id`'s chains at its published LSN and retire it.
+    fn retire(&mut self, t: &Table, id: TxnId) {
+        let lsn = self.published.remove(&id).expect("published commit");
+        t.finalize_versions(id, lsn, &self.written.remove(&id).expect("write set"));
+    }
+}
+
 impl Active {
-    /// Apply one random op, mirroring the step layer's mutate-then-push
-    /// convention. Keys locked by another live transaction are skipped.
+    /// The transaction's write set: every key it wrote.
+    fn written(&self) -> Vec<Key> {
+        self.overlay.keys().map(|&k| Key::ints(&[k])).collect()
+    }
+
+    /// Apply one random op through the versioned mutators. Keys locked by
+    /// another live transaction are skipped.
     fn apply_random_op(
         &mut self,
         t: &Table,
@@ -91,8 +125,7 @@ impl Active {
                     return;
                 }
                 let (a, b) = (rng.int_range(0, 2), rng.int_range(0, 99));
-                let (slot, undo) = t.insert(row(k, a, b)).expect("insert of absent key");
-                t.push_version(slot, self.id, None);
+                let (_, undo) = insert(t, row(k, a, b), self.id);
                 self.undos.push(undo);
                 self.overlay.insert(k, Some((a, b)));
                 locks.insert(k, self.id);
@@ -101,14 +134,13 @@ impl Active {
                 // Update b in place.
                 let Some((a, _)) = current else { return };
                 let slot = t.slot_of(&key).expect("model row is live");
-                let before = t.row(slot);
                 let b = rng.int_range(0, 99);
-                let undo = t
-                    .update_with(slot, |r| {
-                        r.set(2, Value::Int(b));
-                    })
-                    .expect("update of live slot");
-                t.push_version(slot, self.id, before);
+                let updated = t.update_versioned(&key, slot, self.id, |r| {
+                    r.set(2, Value::Int(b));
+                });
+                let Ok(VersionedUpdate::Applied { undo, .. }) = updated else {
+                    panic!("update of a live slot");
+                };
                 self.undos.push(undo);
                 self.overlay.insert(k, Some((a, b)));
                 locks.insert(k, self.id);
@@ -121,9 +153,11 @@ impl Active {
                 if current.is_none() || self.will_abort {
                     return;
                 }
-                let before = t.get(&key).map(|(_, r)| r).expect("live row");
-                let (slot, undo) = t.delete_by_key(&key).expect("delete of live key");
-                t.push_delete_version(key, slot, self.id, before);
+                let slot = t.slot_of(&key).expect("model row is live");
+                let (undo, _) = t
+                    .delete_versioned(&key, slot, self.id)
+                    .expect("delete of live key")
+                    .expect("slot is current");
                 self.undos.push(undo);
                 self.overlay.insert(k, None);
                 locks.insert(k, self.id);
@@ -132,11 +166,11 @@ impl Active {
     }
 
     /// Commit or abort at the next LSN, exactly as `runner.rs` does:
-    /// physical undo (abort only) leaves the chain alone, then every pending
-    /// entry finalizes at the end record's LSN. When `defer_into` is `Some`,
-    /// a committing transaction instead *defers* the physical finalization,
-    /// leaving its entries Pending behind a commit LSN published there —
-    /// the runner's state between the `Commit` append and
+    /// physical undo (abort only) leaves the chain alone, then every written
+    /// key's pending entries finalize at the end record's LSN. When
+    /// `defer_into` is `Some`, a committing transaction instead *defers* the
+    /// physical finalization, leaving its entries Pending behind a commit LSN
+    /// published there — the runner's state between the `Commit` append and
     /// `finalize_versions`.
     fn finish(
         self,
@@ -145,7 +179,7 @@ impl Active {
         snapshots: &mut Vec<(u64, Model)>,
         locks: &mut HashMap<i64, TxnId>,
         next_lsn: &mut u64,
-        defer_into: Option<&mut HashMap<TxnId, u64>>,
+        defer_into: Option<&mut Deferred>,
     ) {
         let lsn = *next_lsn;
         *next_lsn += 1;
@@ -162,11 +196,12 @@ impl Active {
             }
         }
         match defer_into {
-            Some(published) if !self.will_abort => {
-                published.insert(self.id, lsn);
+            Some(deferred) if !self.will_abort => {
+                deferred.published.insert(self.id, lsn);
+                deferred.written.insert(self.id, self.written());
             }
             _ => {
-                t.finalize_versions(self.id, lsn);
+                t.finalize_versions(self.id, lsn, &self.written());
             }
         }
         snapshots.push((lsn, committed.clone()));
@@ -234,8 +269,7 @@ fn read_at_lsn_equals_replayed_prefix() {
         let mut snapshots: Vec<(u64, Model)> = vec![(0, committed.clone())];
         let mut locks: HashMap<i64, TxnId> = HashMap::new();
         let mut active: Vec<Active> = Vec::new();
-        // Commits with a published LSN whose chains are still Pending.
-        let mut published: HashMap<TxnId, u64> = HashMap::new();
+        let mut deferred = Deferred::default();
         let mut next_txn = 1u64;
         let mut next_lsn = 1u64;
 
@@ -262,18 +296,19 @@ fn read_at_lsn_equals_replayed_prefix() {
                     &mut snapshots,
                     &mut locks,
                     &mut next_lsn,
-                    defer.then_some(&mut published),
+                    defer.then_some(&mut deferred),
                 );
                 // Reads stay exact even while other transactions are still
                 // pending: unpublished entries unwind to before-images, and
                 // published-but-unfinalized ones resolve at their LSN.
-                total_secondary_hits += assert_all_views(&t, &snapshots, 0, &published);
+                let published = &deferred.published;
+                total_secondary_hits += assert_all_views(&t, &snapshots, 0, published);
                 // A transaction always reads its own writes through the
                 // lock path, never through versions: own pending taints.
                 for live in &active {
                     for &k in live.overlay.keys() {
                         assert_eq!(
-                            t.read_at(&Key::ints(&[k]), next_lsn, live.id, &published),
+                            t.read_at(&Key::ints(&[k]), next_lsn, live.id, published),
                             Visibility::Tainted,
                             "own pending write must taint k={k}"
                         );
@@ -283,10 +318,9 @@ fn read_at_lsn_equals_replayed_prefix() {
                 // physical rewrite: all views answer identically after it.
                 if !published.is_empty() && rng.chance(0.5) {
                     let ids: Vec<TxnId> = published.keys().copied().collect();
-                    let id = ids[rng.index(ids.len())];
-                    let lsn = published.remove(&id).expect("just listed");
-                    t.finalize_versions(id, lsn);
-                    total_secondary_hits += assert_all_views(&t, &snapshots, 0, &published);
+                    deferred.retire(&t, ids[rng.index(ids.len())]);
+                    total_secondary_hits +=
+                        assert_all_views(&t, &snapshots, 0, &deferred.published);
                 }
             }
         }
@@ -300,10 +334,11 @@ fn read_at_lsn_equals_replayed_prefix() {
                 None,
             );
         }
-        total_secondary_hits += assert_all_views(&t, &snapshots, 0, &published);
+        total_secondary_hits += assert_all_views(&t, &snapshots, 0, &deferred.published);
         // Draining the publication map must change nothing either.
-        for (id, lsn) in published.drain() {
-            t.finalize_versions(id, lsn);
+        let ids: Vec<TxnId> = deferred.published.keys().copied().collect();
+        for id in ids {
+            deferred.retire(&t, id);
         }
         total_secondary_hits += assert_all_views(&t, &snapshots, 0, &NoCommits);
 
@@ -327,24 +362,22 @@ fn read_at_lsn_equals_replayed_prefix() {
 /// Re-inserting a deleted key must revive its tombstone chain: a reader at
 /// a view older than the delete sees the pre-delete image, one between the
 /// delete and the re-insert sees nothing, and a current reader sees the new
-/// row — all through the slot's chain.
+/// row — all through the key's chain.
 #[test]
 fn reinsert_revives_tombstone_history() {
     let t = Table::new(schema());
     let key = Key::ints(&[7]);
 
-    let (slot, _) = t.insert(row(7, 1, 10)).expect("insert");
-    t.push_version(slot, TxnId(1), None);
-    t.finalize_versions(TxnId(1), 5);
+    let (slot, _) = insert(&t, row(7, 1, 10), TxnId(1));
+    t.finalize_versions(TxnId(1), 5, [&key]);
 
-    let before = t.get(&key).map(|(_, r)| r).expect("live row");
-    let (slot, _) = t.delete_by_key(&key).expect("delete");
-    t.push_delete_version(key.clone(), slot, TxnId(2), before);
-    t.finalize_versions(TxnId(2), 10);
+    t.delete_versioned(&key, slot, TxnId(2))
+        .expect("delete")
+        .expect("slot is current");
+    t.finalize_versions(TxnId(2), 10, [&key]);
 
-    let (slot, _) = t.insert(row(7, 2, 20)).expect("reinsert");
-    t.push_version(slot, TxnId(3), None);
-    t.finalize_versions(TxnId(3), 15);
+    insert(&t, row(7, 2, 20), TxnId(3));
+    t.finalize_versions(TxnId(3), 15, [&key]);
 
     fn img(t: &Table, key: &Key, view: u64) -> Option<(i64, i64)> {
         match t.read_at(key, view, READER, &NoCommits) {

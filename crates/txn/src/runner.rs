@@ -273,9 +273,9 @@ pub fn end_step(
 }
 
 /// Finalize a finished transaction's version chains at `end_lsn` (the
-/// `Commit` record's LSN, or the `Abort` record's on rollback), deregister
-/// it from the active map, and prune the touched tables against the fresh
-/// watermark.
+/// `Commit` record's LSN, or the `Abort` record's on rollback) — the chains
+/// of exactly the keys in its write set — deregister it from the active
+/// map, and prune the touched tables against the fresh watermark.
 ///
 /// On the commit path the transaction's commit LSN is already published
 /// (see [`SharedDb::publish_commit`]), so `reconstruct` resolves its
@@ -291,13 +291,13 @@ pub fn end_step(
 /// through the publication while it lasts), which is merely conservative.
 fn finalize_versions(shared: &SharedDb, txn: &Transaction, end_lsn: u64) {
     shared.deregister_active(txn.id);
-    if txn.version_tables.is_empty() {
+    if txn.write_set.is_empty() {
         return;
     }
     let watermark = shared.version_watermark();
-    for &table in &txn.version_tables {
+    for (&table, keys) in &txn.write_set {
         if let Ok(t) = shared.table(table) {
-            t.finalize_versions(txn.id, end_lsn);
+            t.finalize_versions(txn.id, end_lsn, keys);
             if let Some(w) = watermark {
                 t.prune_versions(w);
             }

@@ -11,9 +11,12 @@
 //!   while the thread waited;
 //! * the version-read helper (`version_read`) serves a read from committed
 //!   row versions, with no lock traffic, when both halves of the gate agree;
-//! * the logged-write helper (`log_write`) appends the write's before/after
-//!   images to the WAL and pushes its undo record onto the transaction's
-//!   current-step undo stack.
+//! * the logged-write helper (`log_write`) adds the written key to the
+//!   transaction's write set, appends the write's before/after images to the
+//!   WAL and pushes its undo record onto the transaction's current-step undo
+//!   stack.
+//!
+//! Every write names its row by primary key, and keys never move.
 
 use crate::cc::ConcurrencyControl;
 use crate::shared::{SharedDb, WaitMode};
@@ -183,15 +186,14 @@ impl<'a> StepCtx<'a> {
         answer
     }
 
-    /// The logged-write helper, called once the write is applied under its
-    /// locks: remember the version table (commit and rollback finalize
-    /// exactly the recorded tables), log the before/after images, give the
-    /// batch-flush hint, and push `undo` onto the step's undo stack.
-    fn log_write(&mut self, undo: UndoRecord, after: Option<Row>) {
+    /// The logged-write helper, called once the write to `key` is applied
+    /// under its locks: add `key` to the write set (commit and rollback
+    /// finalize exactly the recorded keys), log the before/after images,
+    /// give the batch-flush hint, and push `undo` onto the step's undo
+    /// stack.
+    fn log_write(&mut self, key: Key, undo: UndoRecord, after: Option<Row>) {
         let table = undo.table();
-        if !self.txn.version_tables.contains(&table) {
-            self.txn.version_tables.push(table);
-        }
+        self.txn.write_set.entry(table).or_default().insert(key);
         let before = match &undo {
             UndoRecord::Insert { .. } => None,
             UndoRecord::Update { before, .. } | UndoRecord::Delete { before, .. } => {
@@ -264,8 +266,8 @@ impl<'a> StepCtx<'a> {
             // row, and records the pending version (before the insert, the
             // row was absent) atomically under one leaf latch; `None` means
             // another insert raced us while we waited for the lock.
-            if let Some((slot, _key, undo)) = t.insert_versioned(row.clone(), self.txn.id, slot)? {
-                self.log_write(undo, Some(row));
+            if let Some((slot, key, undo)) = t.insert_versioned(row.clone(), self.txn.id, slot)? {
+                self.log_write(key, undo, Some(row));
                 return Ok(slot);
             }
         }
@@ -288,26 +290,8 @@ impl<'a> StepCtx<'a> {
         let Some((undo, after)) = applied else {
             return Ok(false);
         };
-        self.log_write(undo, Some(after));
+        self.log_write(key.clone(), undo, Some(after));
         Ok(true)
-    }
-
-    /// Update the row at a known slot (must exist).
-    pub fn update_slot(&mut self, table: TableId, slot: Slot, f: impl Fn(&mut Row)) -> Result<()> {
-        let t = self.shared.table(table)?;
-        self.lock_table(table, true)?;
-        self.lock_page(t, slot, true)?;
-        let missing = || Error::NotFound(format!("table#{} slot {slot}", table.raw()));
-        let key = t.key_of_slot(slot).ok_or_else(missing)?;
-        match t.update_versioned(&key, slot, self.txn.id, &f)? {
-            VersionedUpdate::Applied { undo, after } => {
-                self.log_write(undo, Some(after));
-                Ok(())
-            }
-            // The page X lock pins the slot; a concurrent move is a
-            // protocol violation, surfaced as the caller's "must exist".
-            VersionedUpdate::Retry => Err(missing()),
-        }
     }
 
     /// Delete the row with the given key. Returns `false` if absent.
@@ -324,7 +308,7 @@ impl<'a> StepCtx<'a> {
         let Some(undo) = deleted else {
             return Ok(false);
         };
-        self.log_write(undo, None);
+        self.log_write(key.clone(), undo, None);
         Ok(true)
     }
 

@@ -3,7 +3,8 @@
 use crate::cc::TxnMeta;
 use acc_common::{TableId, TxnId, TxnTypeId};
 use acc_lockmgr::EpochPin;
-use acc_storage::UndoRecord;
+use acc_storage::{Key, UndoRecord};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Lifecycle states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,9 +48,10 @@ pub struct Transaction {
     /// frontier at begin), resolved lazily at the first versioned read
     /// (`StepCtx` caches the `SharedDb` active-map lookup here).
     pub read_view: Option<u64>,
-    /// Tables this transaction pushed version-chain entries into (deduped,
-    /// typically ≤ a handful); commit and rollback finalize exactly these.
-    pub version_tables: Vec<TableId>,
+    /// The write set: every key this transaction wrote, by table. Each
+    /// write pushed a pending entry onto that key's version chain; commit
+    /// and rollback finalize exactly these keys.
+    pub write_set: BTreeMap<TableId, BTreeSet<Key>>,
     /// Absolute deadline, if the submitter set one. Checked at every step
     /// boundary by the runner: a transaction past its deadline rolls back
     /// through the ordinary compensation path (never mid-step, so no lock or
@@ -70,7 +72,7 @@ impl Transaction {
             step_undo: Vec::new(),
             epoch_pin: None,
             read_view: None,
-            version_tables: Vec::new(),
+            write_set: BTreeMap::new(),
             deadline: None,
         }
     }

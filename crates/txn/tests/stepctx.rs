@@ -1,13 +1,18 @@
 //! Direct tests of the `StepCtx` data-access API.
 
 use acc_common::events::{Event, EventSink, KindRepr};
+use acc_common::frame::{fnv1a, CHAIN_SEED};
 use acc_common::{
     AssertionTemplateId, Error, ResourceId, Slot, StepTypeId, TableId, TxnTypeId, Value,
 };
 use acc_lockmgr::{InterferenceOracle, LockKind, LockMode, NoInterference, SharedOracle};
 use acc_storage::{Catalog, ColumnType, Database, Key, Predicate, Row, TableSchema};
-use acc_txn::runner::commit;
-use acc_txn::{ConcurrencyControl, SharedDb, StepCtx, Transaction, TwoPhase, TxnMeta, WaitMode};
+use acc_txn::runner::{commit, run, AbortReason, RunOutcome};
+use acc_txn::{
+    ConcurrencyControl, SharedDb, StepCtx, StepOutcome, Transaction, TwoPhase, TxnMeta, TxnProgram,
+    WaitMode,
+};
+use acc_wal::{LogRecord, Lsn};
 use std::sync::Arc;
 
 const T: TableId = TableId(0);
@@ -163,16 +168,16 @@ fn lookup_secondary_finds_rows() {
 fn insert_update_delete_round_trip() {
     let s = shared();
     with_ctx(&s, &TwoPhase, |ctx| {
-        let slot = ctx
-            .insert(
-                T,
-                Row(vec![Value::Int(9), Value::Int(30), Value::str("alan")]),
-            )
-            .unwrap();
-        ctx.update_slot(T, slot, |r| {
-            r.set(2, Value::str("alonzo"));
-        })
+        ctx.insert(
+            T,
+            Row(vec![Value::Int(9), Value::Int(30), Value::str("alan")]),
+        )
         .unwrap();
+        assert!(ctx
+            .update_key(T, &Key::ints(&[9]), |r| {
+                r.set(2, Value::str("alonzo"));
+            })
+            .unwrap());
         assert!(ctx
             .update_key(T, &Key::ints(&[9]), |r| {
                 r.set(1, Value::Int(40));
@@ -195,6 +200,91 @@ fn insert_update_delete_round_trip() {
             .count()
     });
     assert_eq!(updates, 4, "insert + 2 updates + delete");
+}
+
+/// One step that inserts person 9, renames person 1 and deletes person 2 —
+/// one write of each kind, each on its own key — and then ends with its
+/// outcome.
+struct WriteEachKind(StepOutcome);
+
+impl TxnProgram for WriteEachKind {
+    fn txn_type(&self) -> TxnTypeId {
+        TxnTypeId(0)
+    }
+    fn step(&mut self, _: u32, ctx: &mut StepCtx<'_>) -> acc_common::Result<StepOutcome> {
+        let alan = Row(vec![Value::Int(9), Value::Int(30), Value::str("alan")]);
+        ctx.insert(T, alan)?;
+        ctx.update_key(T, &Key::ints(&[1]), |r| {
+            r.set(2, Value::str("lovelace"));
+        })?;
+        ctx.delete_key(T, &Key::ints(&[2]))?;
+        Ok(self.0)
+    }
+}
+
+/// Run [`WriteEachKind`] ending in `outcome` under 2PL on a fresh table.
+fn write_each_kind(outcome: StepOutcome) -> (Arc<SharedDb>, RunOutcome) {
+    let s = shared();
+    let ran = run(&s, &TwoPhase, &mut WriteEachKind(outcome), WaitMode::Block).unwrap();
+    (s, ran)
+}
+
+/// Every key a transaction writes — inserted, updated or deleted — is in
+/// its write set, so commit and rollback finalize every chain entry it
+/// pushed and pruning at the watermark then leaves no chain behind.
+#[test]
+fn every_written_key_is_finalized_on_commit_and_rollback() {
+    let (s, ran) = write_each_kind(StepOutcome::Done);
+    assert_eq!(ran, RunOutcome::Committed { steps: 1 });
+    let t = s.table(T).unwrap();
+    t.prune_versions(s.version_watermark().unwrap());
+    assert_eq!(t.n_version_chains(), 0, "after commit");
+
+    let (s, ran) = write_each_kind(StepOutcome::Abort);
+    assert_eq!(ran, RunOutcome::RolledBack(AbortReason::UserAbort));
+    // The `Abort` record is not synced by rollback; make it durable so the
+    // watermark covers it.
+    s.sync_wal(Lsn(s.wal_len() as u64 - 1)).unwrap();
+    let t = s.table(T).unwrap();
+    t.prune_versions(s.version_watermark().unwrap());
+    assert_eq!(t.n_version_chains(), 0, "after rollback");
+}
+
+/// Physical undo restores the base image and logs each reversal as an
+/// `Update` whose images are the forward write's, swapped. The WAL bytes
+/// are pinned: nothing else pins what undo logs.
+#[test]
+fn physical_undo_logs_reversed_images() {
+    let (s, ran) = write_each_kind(StepOutcome::Abort);
+    assert_eq!(ran, RunOutcome::RolledBack(AbortReason::UserAbort));
+    let rows = |s: &SharedDb| -> Vec<_> { s.table(T).unwrap().iter().collect() };
+    assert_eq!(rows(&s), rows(&shared()));
+
+    let records = s.with_wal(|w| w.records());
+    let [LogRecord::Begin { .. }, writes @ .., LogRecord::Abort { .. }] = &records[..] else {
+        panic!("Begin, the writes and their reversals, Abort: {records:?}");
+    };
+    assert_eq!(writes.len(), 6, "three writes, then three reversals");
+    let images = |r: &LogRecord| match r {
+        LogRecord::Update {
+            slot,
+            before,
+            after,
+            ..
+        } => (*slot, before.clone(), after.clone()),
+        other => panic!("writes and reversals are Update records: {other:?}"),
+    };
+    let (forward, undo) = writes.split_at(3);
+    for (f, u) in forward.iter().zip(undo.iter().rev()) {
+        let (slot, before, after) = images(f);
+        assert_eq!(images(u), (slot, after, before));
+    }
+
+    let bytes = s.wal_bytes();
+    assert_eq!(
+        (bytes.len(), fnv1a(CHAIN_SEED, &bytes)),
+        (512, 0x78ac_c783_1cd7_0559)
+    );
 }
 
 #[test]

@@ -107,7 +107,9 @@ fn readers_straddling_the_finalize_window_see_one_snapshot() {
     assert_eq!(read_n(&s, b), Some(10), "B inside the window");
 
     // Finalization + retirement must be invisible to both readers.
-    s.table(T).unwrap().finalize_versions(wid, c_lsn.0);
+    s.table(T)
+        .unwrap()
+        .finalize_versions(wid, c_lsn.0, &w.write_set[&T]);
     s.retire_commit(wid);
     s.deregister_active(wid);
     s.release_all(wid, &NoInterference);

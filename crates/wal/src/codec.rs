@@ -7,6 +7,7 @@
 
 use crate::buf::{PutExt, Reader};
 use crate::record::LogRecord;
+use acc_common::frame::{fnv1a, CHAIN_SEED};
 use acc_common::{Slot, TableId, TxnId, TxnTypeId, Value};
 use acc_storage::Row;
 
@@ -22,16 +23,6 @@ const VAL_INT: u8 = 1;
 const VAL_STR: u8 = 2;
 const VAL_DEC: u8 = 3;
 const VAL_BOOL: u8 = 4;
-
-/// FNV-1a, 64-bit.
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Bytes of a frame header: `[payload_len: u32 LE][checksum: u64 LE]`.
 const FRAME_HEADER: usize = 12;
@@ -60,7 +51,7 @@ pub fn encode_record(rec: &LogRecord, out: &mut Vec<u8>) {
     let mut payload = Vec::new();
     encode_payload(rec, &mut payload);
     out.put_u32_le(payload.len() as u32);
-    out.put_u64_le(fnv1a(&payload));
+    out.put_u64_le(fnv1a(CHAIN_SEED, &payload));
     out.extend_from_slice(&payload);
 }
 
@@ -162,7 +153,7 @@ pub fn decode_all(data: &[u8]) -> Vec<LogRecord> {
         let Some(payload) = buf.take(len) else {
             return out;
         };
-        if fnv1a(payload) != checksum {
+        if fnv1a(CHAIN_SEED, payload) != checksum {
             return out;
         }
         match decode_payload(&mut Reader::new(payload)) {

@@ -127,7 +127,13 @@ pub fn recover(db: &mut Database, wal: &Wal) -> Result<RecoveryReport> {
         match (before, after) {
             (None, Some(row)) => t.insert_at(*slot, row.clone())?,
             (Some(_), Some(row)) => {
-                t.update(*slot, row.clone())?;
+                // Primary keys never move, so neither may a replayed image.
+                t.update(*slot, row.clone()).map_err(|e| match e {
+                    Error::SchemaMismatch(w) => {
+                        Error::Recovery(format!("update record {i} is refused: {w}"))
+                    }
+                    e => e,
+                })?;
             }
             (Some(_), None) => {
                 t.delete(*slot)?;
@@ -387,6 +393,33 @@ mod tests {
                 assert!(v == 101 || v == 102, "v = {v} at cut {cut}");
             }
         }
+    }
+
+    #[test]
+    fn key_moving_update_is_refused() {
+        let cat = catalog();
+        let mut db = Database::new(&cat);
+        let mut wal = Wal::new();
+        wal.append(begin(1));
+        wal.append(insert(1, 0, 10, 100));
+        wal.append(LogRecord::Update {
+            txn: TxnId(1),
+            table: T,
+            slot: 0,
+            before: Some(row(10, 100)),
+            after: Some(row(11, 100)),
+        });
+        wal.append(LogRecord::Commit { txn: TxnId(1) });
+        match recover(&mut db, &wal) {
+            Err(Error::Recovery(w)) => assert!(w.contains("record 2"), "{w}"),
+            other => panic!("a key-moving update replayed: {other:?}"),
+        }
+        let t = db.table(T).unwrap();
+        assert_eq!(
+            t.get(&acc_storage::Key::ints(&[10])),
+            Some((0, row(10, 100)))
+        );
+        assert!(t.get(&acc_storage::Key::ints(&[11])).is_none());
     }
 
     #[test]

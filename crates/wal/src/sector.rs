@@ -30,6 +30,8 @@
 //! successors, so the chain stays valid under the append-only write pattern
 //! of [`crate::device::FileDevice`].
 
+use acc_common::frame::{fnv1a, CHAIN_SEED};
+
 /// Bytes per sector — the unit the device writes and a crash tears at.
 pub const SECTOR_SIZE: usize = 512;
 
@@ -41,36 +43,19 @@ pub const CAPACITY: usize = SECTOR_SIZE - HEADER;
 
 const MAGIC: u32 = 0x4c57_acc1;
 
-/// Chain seed for sector 0 (the FNV-1a offset basis).
-const CHAIN_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Streaming FNV-1a, 64-bit.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 /// The chained checksum of one sector: FNV-1a over the previous sector's
 /// checksum, this sector's sequence number and payload length, and the
 /// payload bytes in use (padding is excluded — it never reaches the disk
-/// contract).
+/// contract). Sector 0 chains from [`CHAIN_SEED`].
 pub fn chain_of(prev_chain: u64, seq: u64, payload: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.update(&prev_chain.to_le_bytes());
-    h.update(&seq.to_le_bytes());
-    h.update(&(payload.len() as u16).to_le_bytes());
-    h.update(payload);
-    h.0
+    [
+        &prev_chain.to_le_bytes()[..],
+        &seq.to_le_bytes(),
+        &(payload.len() as u16).to_le_bytes(),
+        payload,
+    ]
+    .into_iter()
+    .fold(CHAIN_SEED, fnv1a)
 }
 
 fn encode_sector(seq: u64, payload: &[u8], chain: u64, out: &mut Vec<u8>) {

@@ -63,6 +63,12 @@ for ex in quickstart order_processing stock_trading crash_recovery; do
 done > "$t1"
 cmp "$t1" scripts/examples.golden
 
+echo "== tpcc_demo: threaded TPC-C consistency audit under 2PL and the ACC =="
+# The one example the golden leaves out: its output is wall-clock. It runs
+# real threads, so 2PL deadlock victims exercise physical undo under load,
+# and it exits 1 if either audit finds a TPC-C consistency violation.
+cargo run -q --release --offline --example tpcc_demo -- 4 1 >/dev/null
+
 echo "== determinism: seeded open-loop arrival schedule byte-identical =="
 cargo run -p acc-bench --release --offline --bin figures -- saturate --schedule --quick > "$t1"
 cargo run -p acc-bench --release --offline --bin figures -- saturate --schedule --quick > "$t2"
