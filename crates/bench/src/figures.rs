@@ -502,15 +502,29 @@ fn pagestat(seed: u64) {
         .fold(acc_storage::PagerCounters::default(), |a, b| a + b);
     println!("== pagestat: paged storage after test-scale populate ==");
     println!(
-        "pages {}  page reads {}  page writes {}  splits {}  merges {}  \
-         latch waits {}  read restarts {}",
-        c.pages, c.page_reads, c.page_writes, c.splits, c.merges, c.latch_waits, c.read_restarts
+        "pages {}  page reads {}  page writes {}  root write latches {}  splits {}  \
+         merges {}  latch waits {}  read restarts {}",
+        c.pages,
+        c.page_reads,
+        c.page_writes,
+        c.root_write_latches,
+        c.splits,
+        c.merges,
+        c.latch_waits,
+        c.read_restarts
     );
     println!(
         "{{\"bench\":\"pagestat\",\"pages\":{},\"page_reads\":{},\
-         \"page_writes\":{},\"splits\":{},\"merges\":{},\
-         \"latch_waits\":{},\"read_restarts\":{}}}",
-        c.pages, c.page_reads, c.page_writes, c.splits, c.merges, c.latch_waits, c.read_restarts
+         \"page_writes\":{},\"root_write_latches\":{},\"splits\":{},\
+         \"merges\":{},\"latch_waits\":{},\"read_restarts\":{}}}",
+        c.pages,
+        c.page_reads,
+        c.page_writes,
+        c.root_write_latches,
+        c.splits,
+        c.merges,
+        c.latch_waits,
+        c.read_restarts
     );
 }
 

@@ -1,5 +1,5 @@
 //! Paged-storage microbench: raw B-tree page operations under the pager's
-//! latch-crabbing protocol.
+//! latch protocol (optimistic descents, crabbing for structure changes).
 //!
 //! Wall-clock (real threads), so it stays out of `figures -- all`. Four
 //! phases over one table with small leaves:
@@ -8,8 +8,9 @@
 //! 2. single-thread point reads — the uncontended descent rate;
 //! 3. concurrent read-only scaling at 1/2/4/8 threads — optimistic read
 //!    descents never block each other (latch waits stay ~0);
-//! 4. readers + one writer — read descents validate against concurrent
-//!    splits (restarts) instead of queuing behind a whole-table latch.
+//! 4. readers + one writer — the writer's in-place updates write-latch only
+//!    their leaf (root write latches stay 0), and read descents validate
+//!    against it instead of queuing behind a whole-table latch.
 //!
 //! Each phase prints a human line; machine-readable JSON lines (one object
 //! per line, stable keys) follow for scripts.
@@ -130,16 +131,23 @@ pub fn pagebench(quick: bool) {
         load.pages
     );
     println!(
-        "load: {:>10.0} inserts/s  splits {}  page writes {}",
+        "load: {:>10.0} inserts/s  splits {}  page writes {}  root write latches {}",
         n_rows as f64 / load_s,
         load.splits,
-        load.page_writes
+        load.page_writes,
+        load.root_write_latches
     );
 
     // Phases 2–3: read-only scaling.
     println!(
-        "{:>8} {:>15} {:>9} {:>12} {:>10} {:>10}",
-        "readers", "point reads/s", "speedup", "page reads", "latch waits", "restarts"
+        "{:>8} {:>15} {:>9} {:>12} {:>10} {:>10} {:>11}",
+        "readers",
+        "point reads/s",
+        "speedup",
+        "page reads",
+        "latch waits",
+        "restarts",
+        "root writes"
     );
     let mut rows = Vec::new();
     let mut base = 0.0f64;
@@ -150,26 +158,30 @@ pub fn pagebench(quick: bool) {
             base = rps;
         }
         println!(
-            "{t:>8} {rps:>15.0} {:>8.2}x {:>12} {:>10} {:>10}",
+            "{t:>8} {rps:>15.0} {:>8.2}x {:>12} {:>10} {:>10} {:>11}",
             rps / base,
             d.page_reads,
             d.latch_waits,
-            d.read_restarts
+            d.read_restarts,
+            d.root_write_latches
         );
         rows.push((t, rps, d, false));
     }
 
     // Phase 4: readers vs one writer.
-    println!("--- plus 1 writer (random in-place updates; reads validate, not queue) ---");
+    println!(
+        "--- plus 1 writer (in-place updates latch their leaf; reads validate, not queue) ---"
+    );
     for &t in &THREADS {
         let (reads, elapsed, d) = read_phase(&table, n_rows, t, reads_per_thread, true, seed);
         let rps = reads as f64 / elapsed;
         println!(
-            "{t:>8} {rps:>15.0} {:>8.2}x {:>12} {:>10} {:>10}",
+            "{t:>8} {rps:>15.0} {:>8.2}x {:>12} {:>10} {:>10} {:>11}",
             rps / base,
             d.page_reads,
             d.latch_waits,
-            d.read_restarts
+            d.read_restarts,
+            d.root_write_latches
         );
         rows.push((t, rps, d, true));
     }
@@ -178,20 +190,24 @@ pub fn pagebench(quick: bool) {
     println!(
         "{{\"bench\":\"pagebench-load\",\"rows\":{n_rows},\
          \"inserts_per_s\":{:.0},\"splits\":{},\"merges\":{},\
-         \"page_writes\":{},\"pages\":{}}}",
+         \"page_writes\":{},\"root_write_latches\":{},\"pages\":{}}}",
         n_rows as f64 / load_s,
         load.splits,
         load.merges,
         load.page_writes,
+        load.root_write_latches,
         load.pages
     );
     for (t, rps, d, with_writer) in rows {
         println!(
             "{{\"bench\":\"pagebench\",\"readers\":{t},\"writer\":{},\
              \"point_reads_per_s\":{rps:.0},\"page_reads\":{},\
+             \"page_writes\":{},\"root_write_latches\":{},\
              \"latch_waits\":{},\"read_restarts\":{},\"splits\":{}}}",
             if with_writer { 1 } else { 0 },
             d.page_reads,
+            d.page_writes,
+            d.root_write_latches,
             d.latch_waits,
             d.read_restarts,
             d.splits

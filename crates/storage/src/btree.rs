@@ -1,6 +1,6 @@
 //! The paged primary B-tree: leaf/internal nodes over [`crate::pager`]
-//! pages, written with latch crabbing and read with optimistic
-//! version-validated descents.
+//! pages, read with optimistic version-validated descents and written
+//! through the same descent wherever the write stays inside one leaf.
 //!
 //! Leaves hold [`LeafEntry`]s keyed by primary key; each entry carries the
 //! row image *and* the key's MVCC-lite version chain, so chains relocate
@@ -10,9 +10,34 @@
 //! history); the tree removes entries only when a caller explicitly asks
 //! ([`BTree::remove_if`]) and the chain is gone.
 //!
-//! ## Write path — latch crabbing
+//! Internal nodes hold up to 64 children, so a table of 100 000 rows is
+//! four or five levels deep. Leaf capacity follows the schema's
+//! `rows_per_page`.
 //!
-//! Writers descend with hand-over-hand write latches: latch the child,
+//! ## Optimistic descent (reads, and writes that stay in one leaf)
+//!
+//! A descent holds at most one latch at a time: read-latch a node, capture
+//! its version, pick the child, release, latch the child, then check that
+//! the parent's version did not change in between. A mismatch means the
+//! pointer it followed may have been split, merged, or freed underneath it
+//! — the descent restarts from the root (counted in
+//! [`crate::pager::PagerCounters::read_restarts`]). Range scans hop the
+//! leaf `next` chain with the same validation. Readers never block writers
+//! and never deadlock with them (one latch at a time ⇒ no cycles).
+//!
+//! A writer that changes no structure — [`BTree::with_entry`], and
+//! [`BTree::upsert`] into a leaf with room — takes the same descent. At the
+//! leaf it captures the version, drops the read latch and takes the write
+//! latch, and goes on only if the version is exactly the captured one plus
+//! its own latch's bump: any other writer in between (a split, a merge, a
+//! free, another write) moved it further, and the writer restarts. So these
+//! writers write-latch their leaf and nothing above it, and still hold one
+//! latch at a time.
+//!
+//! ## Structure changes — latch crabbing
+//!
+//! An insert into a full leaf, and every [`BTree::remove_if`], descends
+//! from the root with hand-over-hand write latches: latch the child,
 //! *then* release the parent. Structure changes are preemptive: an insert
 //! descent splits any full child while the parent is still held, a remove
 //! descent tops up any minimal child (borrow from a sibling, else merge)
@@ -23,29 +48,19 @@
 //! as an internal node over two fresh pages, and a root collapse copies the
 //! last child back into page 0.
 //!
-//! ## Read path — optimistic descent
-//!
-//! Readers hold at most one latch at a time: read-latch a node, capture its
-//! version, pick the child, release, latch the child, then check that the
-//! parent's version did not change in between. A mismatch means the pointer
-//! they followed may have been split, merged, or freed underneath them —
-//! the descent restarts from the root (counted in
-//! [`crate::pager::PagerCounters::read_restarts`]). Range scans hop the
-//! leaf `next` chain with the same validation. Readers never block writers
-//! and never deadlock with them (one latch at a time ⇒ no cycles).
-//!
 //! Validation is sound against in-progress structure changes because page
 //! versions use the OLC locked encoding (odd while write-latched — see
 //! [`crate::pager`]): every structure change mutates the child *and* the
 //! parent while holding the parent's write latch, so even where a modified
 //! or freed child becomes latch-free before the parent is released (the
-//! split fast path below, merges, borrows, root collapse), a reader that
+//! split hand-off in `upsert_rec`, merges, borrows, root collapse), a descent that
 //! routed through the pre-change parent sees an odd or advanced parent
 //! version at validation time and restarts — it never trusts the stale
-//! child. Content-only leaf writes need no such care: they mutate nothing
-//! but the leaf, under the leaf's own latch.
+//! child. A leaf's key range changes only while that leaf is write-latched
+//! (split, borrow, merge, free), so an optimistic writer whose leaf version
+//! is unchanged still holds the right leaf.
 
-use crate::pager::{Page, PageId, Pager, PagerCounters, WriteLatch};
+use crate::pager::{Page, PageId, Pager, PagerCounters, ReadLatch, WriteLatch};
 use crate::row::{Key, Row};
 use crate::version::ChainEntry;
 use acc_common::Slot;
@@ -53,6 +68,10 @@ use std::sync::Arc;
 
 /// The root lives at page 0 forever.
 const ROOT: PageId = 0;
+
+/// Max children per internal node. Wide nodes keep tables shallow, so a
+/// descent crosses few pages.
+const MAX_CHILDREN: usize = 64;
 
 /// One key's worth of state: the live row image (`None` = tombstone) plus
 /// its version chain. The slot is the stable heap address the WAL and the
@@ -107,8 +126,19 @@ impl BTree {
             }),
             leaf_cap,
             min_leaf: leaf_cap / 2,
-            max_children: 8,
-            min_children: 4,
+            max_children: MAX_CHILDREN,
+            min_children: MAX_CHILDREN / 2,
+        }
+    }
+
+    /// A tree with narrow internal nodes, for tests that need internal
+    /// splits, borrows and merges from few keys.
+    #[cfg(test)]
+    fn with_fanout(rows_per_page: u32, max_children: usize) -> BTree {
+        BTree {
+            max_children,
+            min_children: max_children / 2,
+            ..BTree::new(rows_per_page)
         }
     }
 
@@ -119,6 +149,12 @@ impl BTree {
     /// Route: index of the child covering `key`.
     fn route(keys: &[Key], key: &Key) -> usize {
         keys.partition_point(|k| k <= key)
+    }
+
+    /// Position of `key` in a leaf's sorted entries: where it lives, or
+    /// where it belongs.
+    fn position(entries: &[LeafEntry], key: &Key) -> usize {
+        entries.partition_point(|e| e.key < *key)
     }
 
     fn is_full(&self, node: &Node) -> bool {
@@ -136,13 +172,18 @@ impl BTree {
     }
 
     // ------------------------------------------------------------------
-    // Point reads (optimistic descent)
+    // Optimistic descent (point reads and in-leaf writes)
     // ------------------------------------------------------------------
 
-    /// Run `f` on the entry for `key` (or `None`) under the leaf's read
-    /// latch. `f` may run more than once if the descent restarts — it must
-    /// be effect-free apart from its return value.
-    pub(crate) fn read_entry<R>(&self, key: &Key, f: impl Fn(Option<&LeafEntry>) -> R) -> R {
+    /// Descend to the leaf covering `key`, one read latch at a time, and
+    /// run `at_leaf` on the leaf's page under its read latch. `at_leaf`
+    /// returns `None` to restart the descent from the root (counted as a
+    /// restart), so it may run more than once.
+    fn descend<R>(
+        &self,
+        key: &Key,
+        mut at_leaf: impl FnMut(&Arc<Page<Node>>, ReadLatch<'_, Node>) -> Option<R>,
+    ) -> R {
         'restart: loop {
             let mut cur = self.pager.page(ROOT);
             let mut parent: Option<(Arc<Page<Node>>, u64)> = None;
@@ -156,20 +197,55 @@ impl BTree {
                     }
                 }
                 let ver = cur.version();
-                match &*g {
-                    Node::Leaf { entries, .. } => {
-                        let idx = entries.partition_point(|e| e.key < *key);
-                        return f(entries.get(idx).filter(|e| e.key == *key));
+                let child = match &*g {
+                    Node::Internal { keys, children } => Some(children[Self::route(keys, key)]),
+                    Node::Leaf { .. } => None,
+                };
+                let Some(cid) = child else {
+                    match at_leaf(&cur, g) {
+                        Some(r) => return r,
+                        None => {
+                            self.pager.count_restart();
+                            continue 'restart;
+                        }
                     }
-                    Node::Internal { keys, children } => {
-                        let cid = children[Self::route(keys, key)];
-                        drop(g);
-                        parent = Some((cur, ver));
-                        cur = self.pager.page(cid);
-                    }
-                }
+                };
+                drop(g);
+                parent = Some((cur, ver));
+                cur = self.pager.page(cid);
             }
         }
+    }
+
+    /// Trade the leaf's read latch `g` for its write latch. `None` (the
+    /// write latch already dropped) if any other writer latched the leaf
+    /// in between: its version is then not the one captured under `g`
+    /// plus this latch's own bump, and the caller restarts.
+    fn relatch_for_write<'a>(
+        &self,
+        leaf: &'a Arc<Page<Node>>,
+        g: ReadLatch<'_, Node>,
+    ) -> Option<WriteLatch<'a, Node>> {
+        let v = leaf.version();
+        drop(g);
+        #[cfg(test)]
+        tests::relatch_gap();
+        let wg = self.pager.write_latch(leaf);
+        (leaf.version() == v + 1).then_some(wg)
+    }
+
+    /// Run `f` on the entry for `key` (or `None`) under the leaf's read
+    /// latch. `f` may run more than once if the descent restarts — it must
+    /// be effect-free apart from its return value.
+    pub(crate) fn read_entry<R>(&self, key: &Key, f: impl Fn(Option<&LeafEntry>) -> R) -> R {
+        self.descend(key, |_, g| {
+            let Node::Leaf { entries, .. } = &*g else {
+                unreachable!("descent ends at a leaf")
+            };
+            Some(f(entries
+                .get(Self::position(entries, key))
+                .filter(|e| e.key == *key)))
+        })
     }
 
     /// Range scan from `lo`: visit entries with key `>= lo` in order while
@@ -235,61 +311,78 @@ impl BTree {
     }
 
     // ------------------------------------------------------------------
-    // Write paths (latch crabbing)
+    // Write paths
     // ------------------------------------------------------------------
 
     /// Mutate the entry for `key` in place (no entry is added or removed):
-    /// hand-over-hand write descent, `f` runs under the leaf's write latch
-    /// with `None` if the key has no entry.
+    /// `f` runs once, under the leaf's write latch, with `None` if the key
+    /// has no entry. The descent is optimistic, so nothing above the leaf
+    /// is write-latched.
     pub(crate) fn with_entry<R>(
         &self,
         key: &Key,
         f: impl FnOnce(Option<&mut LeafEntry>) -> R,
     ) -> R {
-        let root = self.pager.page(ROOT);
-        let g = self.pager.write_latch(&root);
-        self.with_entry_rec(&root, g, key, f)
+        let mut f = Some(f);
+        self.descend(key, |leaf, g| {
+            let mut wg = self.relatch_for_write(leaf, g)?;
+            let Node::Leaf { entries, .. } = &mut *wg else {
+                unreachable!("descent ends at a leaf")
+            };
+            let idx = Self::position(entries, key);
+            let f = f.take().expect("f runs once");
+            Some(f(entries.get_mut(idx).filter(|e| e.key == *key)))
+        })
     }
 
-    fn with_entry_rec<'a, R>(
-        &self,
-        _page: &'a Arc<Page<Node>>,
-        mut g: WriteLatch<'a, Node>,
-        key: &Key,
-        f: impl FnOnce(Option<&mut LeafEntry>) -> R,
-    ) -> R {
-        let cid = match &mut *g {
-            Node::Leaf { entries, .. } => {
-                let idx = entries.partition_point(|e| e.key < *key);
-                let ent = match entries.get_mut(idx) {
-                    Some(e) if e.key == *key => Some(e),
-                    _ => None,
-                };
-                return f(ent);
-            }
-            Node::Internal { keys, children } => children[Self::route(keys, key)],
-        };
-        let child = self.pager.page(cid);
-        let cg = self.pager.write_latch(&child);
-        drop(g);
-        self.with_entry_rec(&child, cg, key, f)
-    }
-
-    /// Insert-or-mutate: descend with preemptive splits so the target leaf
-    /// always has room, then run `f(entries, idx, exists)` under the leaf's
-    /// write latch — `idx` is where `key` lives (`exists`) or belongs, and
-    /// `f` may `entries.insert(idx, ..)` exactly one entry.
+    /// Insert-or-mutate: run `f(entries, idx, exists)` under the write
+    /// latch of the leaf covering `key` — `idx` is where `key` lives
+    /// (`exists`) or belongs, and `f` may `entries.insert(idx, ..)` exactly
+    /// one entry. A leaf with room is reached by the optimistic descent and
+    /// is the only page written; a full leaf falls back to the crabbing
+    /// descent from the root, whose preemptive splits make room.
     pub(crate) fn upsert<R>(
         &self,
         key: &Key,
         f: impl FnOnce(&mut Vec<LeafEntry>, usize, bool) -> R,
     ) -> R {
+        let mut f = Some(f);
+        // `Some(None)`: the leaf is full, take the crabbing path.
+        let in_leaf = self.descend(key, |leaf, g| {
+            if self.is_full(&g) {
+                return Some(None);
+            }
+            let mut wg = self.relatch_for_write(leaf, g)?;
+            Some(Some(Self::upsert_leaf(
+                &mut wg,
+                key,
+                f.take().expect("f runs once"),
+            )))
+        });
+        if let Some(r) = in_leaf {
+            return r;
+        }
+        let f = f.take().expect("a full leaf left f unused");
         let root = self.pager.page(ROOT);
         let mut g = self.pager.write_latch(&root);
         if self.is_full(&g) {
             self.split_root(&mut g);
         }
         self.upsert_rec(&root, g, key, f)
+    }
+
+    /// Run an upsert's `f` on the leaf `node`, which has room for `key`.
+    fn upsert_leaf<R>(
+        node: &mut Node,
+        key: &Key,
+        f: impl FnOnce(&mut Vec<LeafEntry>, usize, bool) -> R,
+    ) -> R {
+        let Node::Leaf { entries, .. } = node else {
+            unreachable!("upsert ends at a leaf")
+        };
+        let idx = Self::position(entries, key);
+        let exists = entries.get(idx).is_some_and(|e| e.key == *key);
+        f(entries, idx, exists)
     }
 
     fn upsert_rec<'a, R>(
@@ -299,12 +392,8 @@ impl BTree {
         key: &Key,
         f: impl FnOnce(&mut Vec<LeafEntry>, usize, bool) -> R,
     ) -> R {
-        let (cid, child_idx) = match &mut *g {
-            Node::Leaf { entries, .. } => {
-                let idx = entries.partition_point(|e| e.key < *key);
-                let exists = entries.get(idx).is_some_and(|e| e.key == *key);
-                return f(entries, idx, exists);
-            }
+        let (cid, child_idx) = match &*g {
+            Node::Leaf { .. } => return Self::upsert_leaf(&mut g, key, f),
             Node::Internal { keys, children } => {
                 let i = Self::route(keys, key);
                 (children[i], i)
@@ -379,7 +468,7 @@ impl BTree {
     ) -> R {
         let (cid, ci, n_children) = match &mut *g {
             Node::Leaf { entries, .. } => {
-                let idx = entries.partition_point(|e| e.key < *key);
+                let idx = Self::position(entries, key);
                 let exists = entries.get(idx).is_some_and(|e| e.key == *key);
                 let (r, remove) = if exists {
                     f(Some(&mut entries[idx]))
@@ -690,6 +779,36 @@ impl BTree {
 mod tests {
     use super::*;
     use crate::pager::latch_debug_assert_none_held;
+    use std::cell::RefCell;
+
+    type Hook = Box<dyn FnMut()>;
+
+    thread_local! {
+        /// Runs on a writer's thread between dropping its leaf's read latch
+        /// and taking the write latch. That gap is a few instructions wide;
+        /// tests put a structure change into it, or a pause in which
+        /// another thread can make one.
+        static RELATCH_GAP: RefCell<Option<Hook>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn relatch_gap() {
+        // Out of its slot while it runs, so a tree write inside it does
+        // not re-enter it.
+        if let Some(mut hook) = RELATCH_GAP.take() {
+            hook();
+            RELATCH_GAP.set(Some(hook));
+        }
+    }
+
+    /// Run `hook` once, in the next relatch gap on this thread.
+    fn in_next_gap(hook: impl FnOnce() + 'static) {
+        let mut hook = Some(hook);
+        RELATCH_GAP.set(Some(Box::new(move || {
+            if let Some(h) = hook.take() {
+                h();
+            }
+        })));
+    }
 
     fn entry(k: i64) -> LeafEntry {
         LeafEntry {
@@ -727,7 +846,7 @@ mod tests {
 
     #[test]
     fn splits_keep_order_and_point_reads() {
-        let t = BTree::new(2); // tiny leaves: split constantly
+        let t = BTree::with_fanout(2, 8); // tiny nodes: split constantly
         let mut expect: Vec<i64> = Vec::new();
         for k in [5, 1, 9, 3, 7, 2, 8, 4, 6, 0, 15, 12, 11, 14, 13, 10] {
             insert(&t, k);
@@ -750,7 +869,7 @@ mod tests {
 
     #[test]
     fn merges_shrink_the_tree_back() {
-        let t = BTree::new(2);
+        let t = BTree::with_fanout(2, 8);
         for k in 0..64 {
             insert(&t, k);
         }
@@ -816,7 +935,8 @@ mod tests {
     #[test]
     fn concurrent_readers_never_miss_committed_keys() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        let t = BTree::new(2); // tiny leaves: constant splits and merges
+        // Tiny nodes: constant splits and merges, internal ones included.
+        let t = BTree::with_fanout(2, 8);
         let anchors: Vec<i64> = (0..100).map(|k| k * 2).collect();
         for &k in &anchors {
             insert(&t, k);
@@ -858,13 +978,215 @@ mod tests {
                     }
                 });
             }
-            for c in churners {
-                c.join().expect("churner panicked");
-            }
+            // Stop the readers before surfacing a churner's panic, or the
+            // scope would wait on them forever.
+            let joined: Vec<_> = churners.into_iter().map(|c| c.join()).collect();
             stop.store(true, Ordering::Relaxed);
+            for j in joined {
+                j.expect("churner panicked");
+            }
         });
         assert_eq!(keys_in_order(&t), anchors, "only the anchors remain");
         assert!(t.counters().splits > 0 && t.counters().merges > 0);
+    }
+
+    #[test]
+    fn in_leaf_writes_take_no_root_write_latch() {
+        let t = BTree::new(2);
+        // Keys 0, 3, 6, …: sequential inserts leave one entry in every leaf
+        // but the last, so a key 3k + 1 lands in a leaf with room.
+        for k in 0..400 {
+            insert(&t, 3 * k);
+        }
+        assert!(t.depth() >= 3, "depth {}", t.depth());
+        let before = t.counters();
+        for i in 0..1000 {
+            t.with_entry(&Key::ints(&[3 * (i % 400)]), |e| {
+                e.expect("present").slot += 1;
+            });
+        }
+        for k in 0..200 {
+            insert(&t, 3 * k + 1);
+        }
+        let d = t.counters() - before;
+        assert_eq!(d.root_write_latches, 0, "an in-leaf write latched the root");
+        assert_eq!(d.page_writes, 1200, "one write latch per write: its leaf");
+        assert_eq!(d.splits, 0);
+        // Key 2 belongs in the now-full leaf [0, 1]: the insert splits it,
+        // crabbing down from the root.
+        insert(&t, 2);
+        let d = t.counters() - before;
+        assert!(d.root_write_latches >= 1, "a split descends from the root");
+        assert!(d.splits >= 1);
+        assert_eq!(
+            keys_in_order(&t).len(),
+            601,
+            "every key is still in the tree"
+        );
+        latch_debug_assert_none_held("btree unit test");
+    }
+
+    /// The interleavings the in-leaf writers must survive, forced on one
+    /// thread: between a writer's read latch on its leaf and its write
+    /// latch, inserts change that leaf's key range. The writer must see the
+    /// leaf's version move, restart, and write where the key now belongs.
+    #[test]
+    fn in_leaf_writers_restart_when_their_leaf_splits_in_the_gap() {
+        let t = std::rc::Rc::new(BTree::new(2));
+        // Leaves [0], [10], [20, 30].
+        for k in [0, 10, 20, 30] {
+            insert(&t, k);
+        }
+        // A rewrite of 30: the gap's insert of 35 splits [20, 30] and
+        // moves 30 to a fresh leaf.
+        let t2 = std::rc::Rc::clone(&t);
+        in_next_gap(move || insert(&t2, 35));
+        let before = t.counters();
+        t.with_entry(&Key::ints(&[30]), |e| {
+            e.expect("the rewrite finds its key").slot = 99;
+        });
+        assert_eq!((t.counters() - before).read_restarts, 1);
+        let slot = t.read_entry(&Key::ints(&[30]), |e| e.map(|e| e.slot));
+        assert_eq!(slot, Some(99));
+        // An insert of 5 into [0], which has room: the gap's inserts of 3
+        // and 4 split it, and 5 now belongs in [3, 4].
+        let t2 = std::rc::Rc::clone(&t);
+        in_next_gap(move || {
+            insert(&t2, 3);
+            insert(&t2, 4);
+        });
+        let before = t.counters();
+        insert(&t, 5);
+        assert_eq!((t.counters() - before).read_restarts, 1);
+        assert!(
+            t.read_entry(&Key::ints(&[5]), |e| e.is_some()),
+            "5 is reachable"
+        );
+        assert_eq!(keys_in_order(&t), vec![0, 3, 4, 5, 10, 20, 30, 35]);
+        RELATCH_GAP.take();
+        latch_debug_assert_none_held("btree unit test");
+    }
+
+    /// Optimistic writers against optimistic readers. Two writers rewrite
+    /// their own keys in place through the in-leaf path, bumping a counter
+    /// in the row, while each inserts fresh keys around the other's keys
+    /// and removes them again. So leaves and 4-way internal nodes split,
+    /// borrow and merge under the in-leaf writers, moving the rewritten
+    /// keys between leaves. Readers assert that every owned key stays
+    /// readable and that no counter goes backwards; writers assert that a
+    /// rewrite finds its key and a remove finds its fresh key. A writer
+    /// whose leaf changed between its read latch and its write latch would
+    /// miss its key there, or insert where no descent finds the key.
+    #[test]
+    fn optimistic_writers_keep_every_key_readable() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        const OWNED: i64 = 4; // keys per writer
+        const ROUNDS: i64 = 300;
+        // Writer w's i-th key, and the fresh keys the other writer churns
+        // around it.
+        let owned = |w: i64, i: i64| i * 100 + w * 50;
+        let fresh = |w: i64, i: i64| {
+            let other = owned(1 - w, i);
+            [other - 2, other - 1, other + 1, other + 2]
+        };
+        let counter = |t: &BTree, k: i64| {
+            t.read_entry(&Key::ints(&[k]), |e| {
+                e.map(|e| match e.row.as_ref().expect("live row").0[0] {
+                    acc_common::Value::Int(c) => c,
+                    _ => panic!("int counter"),
+                })
+            })
+        };
+        let t = BTree::with_fanout(2, 4);
+        for w in 0..2 {
+            for i in 0..OWNED {
+                let k = owned(w, i);
+                t.upsert(&Key::ints(&[k]), |entries, idx, _| {
+                    let mut e = entry(k);
+                    e.row = Some(Row(vec![acc_common::Value::Int(0)]));
+                    entries.insert(idx, e);
+                });
+            }
+        }
+        let max_depth = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        let start = Barrier::new(4);
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2)
+                .map(|w| {
+                    let (t, max_depth, start) = (&t, &max_depth, &start);
+                    s.spawn(move || {
+                        // Pause in each gap, so the other writer's
+                        // structure changes land in some.
+                        RELATCH_GAP.set(Some(Box::new(|| {
+                            for _ in 0..1 << 10 {
+                                std::hint::spin_loop();
+                            }
+                        })));
+                        start.wait();
+                        for r in 1..=ROUNDS {
+                            for i in 0..OWNED {
+                                t.with_entry(&Key::ints(&[owned(w, i)]), |e| {
+                                    let e = e.expect("own key is in the latched leaf");
+                                    e.row = Some(Row(vec![acc_common::Value::Int(r)]));
+                                });
+                                for k in fresh(w, i) {
+                                    insert(t, k);
+                                }
+                                max_depth.fetch_max(t.depth(), Ordering::Relaxed);
+                                for k in fresh(w, i) {
+                                    assert!(remove(t, k), "fresh key {k} is where it belongs");
+                                }
+                            }
+                            latch_debug_assert_none_held("writer round");
+                        }
+                    })
+                })
+                .collect();
+            for _ in 0..2 {
+                let (t, stop, start) = (&t, &stop, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut seen = vec![0i64; 2 * OWNED as usize];
+                    while !stop.load(Ordering::Relaxed) {
+                        for w in 0..2 {
+                            for i in 0..OWNED {
+                                let k = owned(w, i);
+                                let c = counter(t, k).unwrap_or_else(|| panic!("key {k} vanished"));
+                                let last = &mut seen[(2 * i + w) as usize];
+                                assert!(c >= *last, "key {k}: counter went {last} -> {c}");
+                                *last = c;
+                            }
+                        }
+                        latch_debug_assert_none_held("reader round");
+                    }
+                });
+            }
+            // Stop the readers before surfacing a writer's panic, or the
+            // scope would wait on them forever.
+            let joined: Vec<_> = writers.into_iter().map(|wr| wr.join()).collect();
+            stop.store(true, Ordering::Relaxed);
+            for j in joined {
+                j.expect("writer panicked");
+            }
+        });
+        assert_eq!(
+            keys_in_order(&t).len() as i64,
+            2 * OWNED,
+            "fresh keys all gone"
+        );
+        for w in 0..2 {
+            for i in 0..OWNED {
+                assert_eq!(counter(&t, owned(w, i)), Some(ROUNDS));
+            }
+        }
+        let c = t.counters();
+        assert!(c.splits > 0 && c.merges > 0);
+        assert!(
+            max_depth.load(Ordering::Relaxed) >= 3,
+            "internal nodes split too"
+        );
     }
 
     #[test]

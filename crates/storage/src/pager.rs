@@ -40,6 +40,8 @@ pub(crate) type PageId = u32;
 /// One page frame: the node payload behind its latch, plus the optimistic
 /// readers' version counter.
 pub(crate) struct Page<N> {
+    /// This frame's index in the directory (page 0 is the tree root).
+    id: PageId,
     /// OLC locked-version counter: even at rest, odd while a write latch
     /// is held (and from free until reuse). Readers capture it while
     /// holding the read latch — so a captured version of a live page is
@@ -115,6 +117,7 @@ impl<N> Drop for WriteLatch<'_, N> {
 pub(crate) struct PagerStats {
     reads: AtomicU64,
     writes: AtomicU64,
+    root_writes: AtomicU64,
     latch_waits: AtomicU64,
     restarts: AtomicU64,
     splits: AtomicU64,
@@ -132,10 +135,14 @@ pub struct PagerCounters {
     pub page_reads: u64,
     /// Write-latch acquisitions (one per node visited on a write descent).
     pub page_writes: u64,
+    /// Write latches taken on page 0, the tree root (counted in
+    /// `page_writes` too). Writers that stay inside one leaf take none
+    /// unless the root is that leaf.
+    pub root_write_latches: u64,
     /// Latch acquisitions that found the page latched and had to block.
     pub latch_waits: u64,
-    /// Optimistic read descents that failed version validation and
-    /// restarted from the root.
+    /// Optimistic descents (reads, and writes that stay in one leaf) that
+    /// failed version validation and restarted from the root.
     pub read_restarts: u64,
     /// Leaf/internal node splits.
     pub splits: u64,
@@ -155,6 +162,7 @@ impl std::ops::Add for PagerCounters {
         PagerCounters {
             page_reads: self.page_reads + o.page_reads,
             page_writes: self.page_writes + o.page_writes,
+            root_write_latches: self.root_write_latches + o.root_write_latches,
             latch_waits: self.latch_waits + o.latch_waits,
             read_restarts: self.read_restarts + o.read_restarts,
             splits: self.splits + o.splits,
@@ -175,6 +183,7 @@ impl std::ops::Sub for PagerCounters {
         PagerCounters {
             page_reads: self.page_reads.saturating_sub(o.page_reads),
             page_writes: self.page_writes.saturating_sub(o.page_writes),
+            root_write_latches: self.root_write_latches.saturating_sub(o.root_write_latches),
             latch_waits: self.latch_waits.saturating_sub(o.latch_waits),
             read_restarts: self.read_restarts.saturating_sub(o.read_restarts),
             splits: self.splits.saturating_sub(o.splits),
@@ -209,6 +218,7 @@ impl<N> Pager<N> {
     pub(crate) fn new(root: N) -> Pager<N> {
         Pager {
             pages: RwLock::new(vec![Arc::new(Page {
+                id: 0,
                 version: AtomicU64::new(0),
                 node: RwLock::new(root),
             })]),
@@ -249,6 +259,9 @@ impl<N> Pager<N> {
     /// under its read latch) and back to even when dropped.
     pub(crate) fn write_latch<'a>(&self, page: &'a Arc<Page<N>>) -> WriteLatch<'a, N> {
         self.stats.writes.fetch_add(1, Relaxed);
+        if page.id == 0 {
+            self.stats.root_writes.fetch_add(1, Relaxed);
+        }
         #[cfg(debug_assertions)]
         let _held = debug::acquire(Arc::as_ptr(page) as usize, true);
         let guard = match page.node.try_write() {
@@ -293,6 +306,7 @@ impl<N> Pager<N> {
         let mut pages = lock_write(&self.pages);
         let id = pages.len() as PageId;
         pages.push(Arc::new(Page {
+            id,
             version: AtomicU64::new(0),
             node: RwLock::new(node),
         }));
@@ -332,6 +346,7 @@ impl<N> Pager<N> {
         PagerCounters {
             page_reads: self.stats.reads.load(Relaxed),
             page_writes: self.stats.writes.load(Relaxed),
+            root_write_latches: self.stats.root_writes.load(Relaxed),
             latch_waits: self.stats.latch_waits.load(Relaxed),
             read_restarts: self.stats.restarts.load(Relaxed),
             splits: self.stats.splits.load(Relaxed),

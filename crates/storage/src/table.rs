@@ -112,12 +112,16 @@ pub struct Table {
     /// *write* side, freezing mutators for the duration of the fast-path
     /// read so the index range + chain precheck see one consistent state.
     sec_gate: RwLock<()>,
-    /// Keys with (possibly) live version chains: the worklist for prune
-    /// and the precheck set for the secondary fast path. Mutated only
-    /// *after* the corresponding tree write (never while a leaf latch is
-    /// held); prune holds this mutex across its per-key tree ops so
-    /// emptiness checks and set removal stay atomic.
+    /// Keys with (possibly) live version chains: the worklist for the
+    /// sweep and the precheck set for the secondary fast path. Keys join
+    /// only *after* the corresponding tree write (never while a leaf latch
+    /// is held) and leave only in the sweep, which holds this mutex across
+    /// its per-key tree ops so emptiness checks and set removal stay
+    /// atomic.
     chained: Mutex<BTreeSet<Key>>,
+    /// Size of `chained` when the last sweep finished. Finalize sweeps
+    /// again once the set has doubled past it.
+    swept_left: AtomicUsize,
     live: AtomicUsize,
 }
 
@@ -137,6 +141,7 @@ impl Table {
             secondary,
             sec_gate: RwLock::new(()),
             chained: Mutex::new(BTreeSet::new()),
+            swept_left: AtomicUsize::new(0),
             live: AtomicUsize::new(0),
         }
     }
@@ -622,12 +627,21 @@ impl Table {
     /// wrote through a versioned mutator. Only those keys can hold its
     /// `Pending` entries, so commit cost scales with the write set rather
     /// than with every in-flight chain in the table; a key left out keeps
-    /// its entry `Pending`, which readers unwind past and prune never drops.
-    /// Returns the number of entries finalized.
+    /// its entry `Pending`, which readers unwind past and pruning never
+    /// drops. Returns the number of entries finalized.
+    ///
+    /// With a `watermark`, the same leaf visit also trims each chain's
+    /// prefix that every view at or after the watermark sees through (see
+    /// [`crate::version`]); a tombstone whose chain empties stays in the
+    /// tree, read as absent, until the sweep removes it. Then, if the
+    /// chained set is non-empty and at least twice the size the last sweep
+    /// left, this runs the sweep ([`Table::prune_versions`]), so each
+    /// written key costs at most two sweep visits, amortized.
     pub fn finalize_versions<'k>(
         &self,
         txn: TxnId,
         commit_lsn: u64,
+        watermark: Option<u64>,
         keys: impl IntoIterator<Item = &'k Key>,
     ) -> usize {
         let mut n = 0;
@@ -642,34 +656,49 @@ impl Table {
                         k += 1;
                     }
                 }
+                if let Some(w) = watermark {
+                    prune_chain(&mut e.chain, w);
+                }
                 k
             });
+        }
+        if let Some(w) = watermark {
+            let chained = mlock(&self.chained).len();
+            if chained > 0 && chained >= 2 * self.swept_left.load(Relaxed) {
+                self.prune_versions(w);
+            }
         }
         n
     }
 
-    /// Prune chains against the low-watermark (see [`crate::version`]):
-    /// drop all-visible prefixes, empty chains, and tombstone entries whose
-    /// whole history fell below the watermark. Holds the chained-set mutex
-    /// across each per-key tree op so emptiness and set membership stay in
-    /// step with concurrent pushes.
+    /// Sweep the chained set against the low-watermark (see
+    /// [`crate::version`]): trim every chain's all-visible prefix, drop
+    /// keys whose chain emptied from the set, and remove tombstone entries
+    /// whose whole history fell below the watermark. Holds the chained-set
+    /// mutex across each per-key tree op so emptiness and set membership
+    /// stay in step with concurrent pushes.
     pub fn prune_versions(&self, watermark: u64) {
         let _gate = self.writer_gate();
         let mut chained = mlock(&self.chained);
         chained.retain(|key| {
-            self.tree.remove_if(key, |e| match e {
+            let (keep, settled) = self.tree.with_entry(key, |e| match e {
                 None => (false, false),
                 Some(e) => {
                     let emptied = prune_chain(&mut e.chain, watermark);
-                    if emptied && e.row.is_none() {
-                        // Settled tombstone: nothing left to reconstruct.
-                        (false, true)
-                    } else {
-                        (!e.chain.is_empty(), false)
-                    }
+                    (!emptied, emptied && e.row.is_none())
                 }
-            })
+            });
+            if settled {
+                // Settled tombstone: nothing left to reconstruct. Re-check
+                // under the removing latch — an insert may have revived
+                // the key since.
+                self.tree.remove_if(key, |e| {
+                    ((), e.is_some_and(|e| e.row.is_none() && e.chain.is_empty()))
+                });
+            }
+            keep
         });
+        self.swept_left.store(chained.len(), Relaxed);
     }
 
     /// Number of live version chains; test/diagnostic helper.
@@ -1274,7 +1303,7 @@ mod tests {
         assert_eq!(slot, 0);
         assert_eq!(key, Key::ints(&[1, 1]));
         assert_eq!(t.n_version_chains(), 1);
-        t.finalize_versions(TxnId(7), 5, [&key]);
+        t.finalize_versions(TxnId(7), 5, None, [&key]);
         t.prune_versions(10);
         assert_eq!(t.n_version_chains(), 0);
     }

@@ -54,6 +54,14 @@
 //! ordinary way (and can in fact never sit below a prunable commit: the
 //! overwriting commit's LSN necessarily exceeds the durable frontier at the
 //! pending owner's begin, which bounds `W` from above).
+//!
+//! Two callers prune. Finalize trims each chain it finalizes, in the same
+//! leaf visit, against the watermark taken after the finishing transaction
+//! left the active map; a chain that a lagging view still keeps stays on the
+//! table's chained-key set. The table sweep walks that set and trims every
+//! chain on it, and it runs from finalize only once the set has doubled
+//! since the last sweep, so sweeping costs each written key at most two
+//! visits, amortized (see `Table::finalize_versions`).
 
 use crate::row::Row;
 use acc_common::TxnId;

@@ -170,7 +170,7 @@ fn version_chains_survive_page_relocation() {
                 }
             };
             if let Some(state) = applied {
-                assert_eq!(t.finalize_versions(txn, lsn, [&Key::ints(&[k])]), 1);
+                assert_eq!(t.finalize_versions(txn, lsn, None, [&Key::ints(&[k])]), 1);
                 history.entry(k).or_default().push((lsn, state));
             }
         }

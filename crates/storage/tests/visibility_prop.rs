@@ -90,7 +90,7 @@ impl Deferred {
     /// Finalize `id`'s chains at its published LSN and retire it.
     fn retire(&mut self, t: &Table, id: TxnId) {
         let lsn = self.published.remove(&id).expect("published commit");
-        t.finalize_versions(id, lsn, &self.written.remove(&id).expect("write set"));
+        t.finalize_versions(id, lsn, None, &self.written.remove(&id).expect("write set"));
     }
 }
 
@@ -201,7 +201,7 @@ impl Active {
                 deferred.written.insert(self.id, self.written());
             }
             _ => {
-                t.finalize_versions(self.id, lsn, &self.written());
+                t.finalize_versions(self.id, lsn, None, &self.written());
             }
         }
         snapshots.push((lsn, committed.clone()));
@@ -369,15 +369,15 @@ fn reinsert_revives_tombstone_history() {
     let key = Key::ints(&[7]);
 
     let (slot, _) = insert(&t, row(7, 1, 10), TxnId(1));
-    t.finalize_versions(TxnId(1), 5, [&key]);
+    t.finalize_versions(TxnId(1), 5, None, [&key]);
 
     t.delete_versioned(&key, slot, TxnId(2))
         .expect("delete")
         .expect("slot is current");
-    t.finalize_versions(TxnId(2), 10, [&key]);
+    t.finalize_versions(TxnId(2), 10, None, [&key]);
 
     insert(&t, row(7, 2, 20), TxnId(3));
-    t.finalize_versions(TxnId(3), 15, [&key]);
+    t.finalize_versions(TxnId(3), 15, None, [&key]);
 
     fn img(t: &Table, key: &Key, view: u64) -> Option<(i64, i64)> {
         match t.read_at(key, view, READER, &NoCommits) {

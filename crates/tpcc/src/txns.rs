@@ -211,7 +211,8 @@ impl TxnProgram for NewOrder {
         let (w, d) = (self.input.w_id, self.input.d_id);
         let o_id = self.o_id.expect("compensating implies step 0 completed");
         // Lines entered by completed steps 1..steps_completed carry numbers
-        // 1..steps_completed. Return goods to stock, then remove the order.
+        // 1..steps_completed. Return goods to the stock each line drew on,
+        // then remove the order.
         for line_no in (1..steps_completed as i64).rev() {
             let Some(line) =
                 ctx.read_for_update(TABLES.order_line, &Key::ints(&[w, d, o_id, line_no]))?
@@ -219,8 +220,9 @@ impl TxnProgram for NewOrder {
                 continue;
             };
             let i_id = line.int(col::ol::I_ID);
+            let supply_w = line.int(col::ol::SUPPLY_W_ID);
             let qty = line.int(col::ol::QUANTITY);
-            ctx.update_key(TABLES.stock, &Key::ints(&[w, i_id]), |r| {
+            ctx.update_key(TABLES.stock, &Key::ints(&[supply_w, i_id]), |r| {
                 let q = r.int(col::s::QUANTITY);
                 r.set(col::s::QUANTITY, Value::Int(q + qty));
                 let ytd = r.int(col::s::YTD);

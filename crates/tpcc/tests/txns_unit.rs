@@ -10,7 +10,7 @@ use acc_tpcc::input::{
 use acc_tpcc::populate::{self, last_name};
 use acc_tpcc::schema::{col, tpcc_catalog, Scale, TABLES};
 use acc_tpcc::txns;
-use acc_txn::{run, RunOutcome, SharedDb, TwoPhase, WaitMode};
+use acc_txn::{run, AbortReason, RunOutcome, SharedDb, TwoPhase, WaitMode};
 use std::sync::Arc;
 
 fn shared(seed: u64) -> Arc<SharedDb> {
@@ -111,6 +111,63 @@ fn new_order_stock_91_rule() {
     assert_eq!(stock.int(col::s::QUANTITY), 99);
     assert_eq!(stock.int(col::s::YTD), 4);
     assert_eq!(stock.int(col::s::ORDER_CNT), 1);
+}
+
+/// A new-order line supplied by another warehouse decrements that
+/// warehouse's stock, so compensating it must restock the same row. The
+/// quantity leaves the stock above the reorder threshold (no 91-rule wrap).
+#[test]
+fn new_order_compensation_restocks_the_supplying_warehouse() {
+    let sys = TpccSystem::build();
+    let mut db = Database::new(&tpcc_catalog());
+    let scale = Scale {
+        warehouses: 2,
+        ..Scale::test()
+    };
+    populate::populate(&mut db, &scale, 3);
+    let s = Arc::new(SharedDb::new(db, Arc::clone(&sys.tables) as _));
+    let stock = |w: i64| {
+        s.table(TABLES.stock)
+            .unwrap()
+            .get(&Key::ints(&[w, 5]))
+            .unwrap()
+            .1
+    };
+    let t = s.table(TABLES.stock).unwrap();
+    let slot = t.slot_of(&Key::ints(&[2, 5])).unwrap();
+    t.update_with(slot, |r| {
+        r.set(col::s::QUANTITY, Value::Int(40));
+    })
+    .unwrap();
+    let (local, remote) = (stock(1), stock(2));
+    // Line 1 comes from warehouse 2; the last line rolls the order back,
+    // so the completed line 1 is compensated.
+    let mut no = txns::NewOrder::new(NewOrderInput {
+        w_id: 1,
+        d_id: 1,
+        c_id: 1,
+        lines: vec![
+            OrderLineInput {
+                i_id: 5,
+                supply_w_id: 2,
+                qty: 3,
+            },
+            OrderLineInput {
+                i_id: 6,
+                supply_w_id: 1,
+                qty: 1,
+            },
+        ],
+        rollback: true,
+    });
+    let out = run(&s, &*sys.acc, &mut no, WaitMode::Block).unwrap();
+    assert_eq!(out, RunOutcome::RolledBack(AbortReason::UserAbort));
+    assert_eq!(stock(2), remote, "the supplying warehouse is restocked");
+    assert_eq!(
+        stock(1),
+        local,
+        "the ordering warehouse's stock is untouched"
+    );
 }
 
 #[test]

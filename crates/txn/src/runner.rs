@@ -274,8 +274,12 @@ pub fn end_step(
 
 /// Finalize a finished transaction's version chains at `end_lsn` (the
 /// `Commit` record's LSN, or the `Abort` record's on rollback) — the chains
-/// of exactly the keys in its write set — deregister it from the active
-/// map, and prune the touched tables against the fresh watermark.
+/// of exactly the keys in its write set — after deregistering it from the
+/// active map. Each table trims those chains against the fresh watermark in
+/// the same leaf visit, and sweeps its whole chained set only when that set
+/// has doubled since its last sweep (see `Table::finalize_versions`), so a
+/// commit pays for its own keys, not for every chain in the tables it
+/// touched.
 ///
 /// On the commit path the transaction's commit LSN is already published
 /// (see [`SharedDb::publish_commit`]), so `reconstruct` resolves its
@@ -297,10 +301,7 @@ fn finalize_versions(shared: &SharedDb, txn: &Transaction, end_lsn: u64) {
     let watermark = shared.version_watermark();
     for (&table, keys) in &txn.write_set {
         if let Ok(t) = shared.table(table) {
-            t.finalize_versions(txn.id, end_lsn, keys);
-            if let Some(w) = watermark {
-                t.prune_versions(w);
-            }
+            t.finalize_versions(txn.id, end_lsn, watermark, keys);
         }
     }
 }

@@ -109,7 +109,7 @@ fn readers_straddling_the_finalize_window_see_one_snapshot() {
     // Finalization + retirement must be invisible to both readers.
     s.table(T)
         .unwrap()
-        .finalize_versions(wid, c_lsn.0, &w.write_set[&T]);
+        .finalize_versions(wid, c_lsn.0, None, &w.write_set[&T]);
     s.retire_commit(wid);
     s.deregister_active(wid);
     s.release_all(wid, &NoInterference);

@@ -21,11 +21,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== cargo test =="
 cargo test --workspace --offline -q
 
+echo "== storage tests, optimized (the latch-race tests at tighter interleavings) =="
+cargo test --release --offline -q -p acc-storage
+
 echo "== benchmark package: build and test against its own lockfile =="
 # perfbench/ is a separate package; --locked fails on a dependency-edge
 # change its Cargo.lock does not record, and the build lands under target/.
 CARGO_TARGET_DIR="$PWD/target/perfbench" \
     cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
+echo "== benchmark record: no end-to-end metric worse than its BENCHMARK.json bound =="
+# BENCH_perfbench.json holds the last perf change's alternating parent/change
+# perfbench runs; bench_diff.sh summarizes them and exits 1 on a regression.
+bash scripts/bench_diff.sh BENCH_perfbench.json BENCHMARK.json >/dev/null
 
 echo "== pagebench smoke (page-latch protocol, release) =="
 cargo run -p acc-bench --release --offline --bin figures -- pagebench --quick >/dev/null
