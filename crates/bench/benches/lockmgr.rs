@@ -98,6 +98,7 @@ fn bench_sharded_single_thread(c: &mut Criterion) {
             let out = lm.request(
                 Request::new(txn, r, LockKind::X, RequestCtx::plain(StepTypeId(1))),
                 &oracle,
+                &mut |_| (),
             );
             assert_eq!(out, RequestOutcome::Granted);
             lm.release_all(txn, &oracle, &mut |n| {

@@ -7,9 +7,14 @@
 //! - [`mtbench`] — lock-manager shard scaling plus the disjoint-warehouse /
 //!   hot-district TPC-C microbench at 1/2/4/8 threads;
 //! - [`retry_sweep`] — closed-loop calibration of [`RetryPolicy`]
-//!   (max-retries × base-backoff) under a deliberately hot mix;
-//! - [`stress`] — the release-mode 8-thread smoke `scripts/check.sh` runs:
-//!   a short closed-loop soak that must end consistent with no leaked locks.
+//!   (max-retries × base-backoff) as the front-end's engine-side policy,
+//!   under a deliberately deadlock-prone mix;
+//! - [`stress`] — the release-mode 8-terminal smoke `scripts/check.sh` runs:
+//!   short closed-loop soaks through the front-end that must end consistent
+//!   with no leaked locks.
+//!
+//! The last two drive [`acc_server::Frontend`] with closed-loop terminals
+//! and audit the front-end they drove.
 //!
 //! Throughput numbers depend on the host (core count, scheduler); the
 //! invariant checks (consistency audit, drained lock tables) do not.
@@ -17,19 +22,24 @@
 use acc_common::events::EventSink;
 use acc_common::rng::SeededRng;
 use acc_common::{ResourceId, StepTypeId, TxnId};
-use acc_engine::{run_closed_loop, ClosedLoopConfig, RetryPolicy, Workload};
+use acc_engine::RetryPolicy;
 use acc_lockmgr::ShardedLockManager;
 use acc_lockmgr::{LockKind, NoInterference, Request, RequestCtx, RequestOutcome};
-use acc_storage::{Database, Key};
+use acc_server::{
+    run_closed_loop, ClosedLoopConfig, Frontend, LoadgenReport, Mix, ServerConfig, WorkloadHost,
+};
+use acc_storage::Database;
 use acc_tpcc::decompose::TpccSystem;
 use acc_tpcc::input::{
-    CustomerSelector, InputGen, NewOrderInput, OrderLineInput, OrderStatusInput, StockLevelInput,
-    TpccConfig,
+    CustomerSelector, NewOrderInput, OrderLineInput, OrderStatusInput, StockLevelInput,
 };
 use acc_tpcc::schema::{tpcc_catalog, Scale};
 use acc_tpcc::{consistency, populate, txns};
 use acc_txn::runner::run;
-use acc_txn::{ConcurrencyControl, RunOutcome, SharedDb, TxnProgram, WaitMode};
+use acc_txn::{ConcurrencyControl, RunOutcome, SharedDb, TwoPhase, TxnProgram, WaitMode};
+use acc_wal::{LogRecord, Wal};
+use acc_workloads::saga;
+use acc_workloads::smallbank::{self, SmallbankKit};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -82,6 +92,7 @@ fn lockmgr_ops_per_sec(threads: usize, iters: u64, disjoint: bool) -> f64 {
                 let out = lm.request(
                     Request::new(txn, r, kind, RequestCtx::plain(StepTypeId(1))),
                     &NoInterference,
+                    &mut |_| {},
                 );
                 assert_eq!(out, RequestOutcome::Granted);
                 lm.release_all(txn, &NoInterference, &mut |_| {});
@@ -463,168 +474,122 @@ pub fn mtbench(quick: bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Retry-policy calibration
+// Closed loops through the front-end
 // ---------------------------------------------------------------------------
 
-/// One closed-loop run of the standard mix at test scale under `retry`.
-fn retry_cell(retry: RetryPolicy, terminals: usize, duration: Duration, seed: u64) -> MtCell {
-    let sys = TpccSystem::build();
-    let scale = Scale::test();
-    let mut db = Database::new(&tpcc_catalog());
-    populate(&mut db, &scale, seed);
-    let shared = Arc::new(SharedDb::new(db, Arc::clone(&sys.tables) as _));
-    let cc = Arc::clone(&sys.acc) as _;
-    let workload: Arc<dyn Workload> = Arc::new(InputGen::new(TpccConfig::standard(scale), seed));
+/// A front-end with one worker per terminal and `engine_retry` as its
+/// engine-side resubmission policy.
+fn closed_loop_server(terminals: usize, engine_retry: RetryPolicy) -> ServerConfig {
+    ServerConfig {
+        workers: terminals,
+        engine_retry,
+        ..ServerConfig::default()
+    }
+}
+
+/// Drive `frontend` from `terminals` zero-think closed-loop terminals for
+/// `duration`, shut it down and audit what it left: every request settled
+/// exactly once, none with an `Error` answer, no grant or transaction left
+/// behind, and one `Commit` record on the durable log per committed answer.
+/// Panics on a violation; returns the report and the quiesced engine.
+fn audited_closed_loop(
+    frontend: Frontend,
+    terminals: usize,
+    duration: Duration,
+    seed: u64,
+) -> (LoadgenReport, Arc<SharedDb>) {
     let report = run_closed_loop(
-        &shared,
-        &cc,
-        &workload,
+        &frontend,
         &ClosedLoopConfig {
             terminals,
             duration,
             think_time: Duration::ZERO,
             seed,
-            retry,
         },
     );
-    let violations = consistency::check(&shared.snapshot_db(), false);
-    assert!(violations.is_empty(), "{violations:#?}");
+    assert_eq!(
+        report.settled(),
+        report.offered,
+        "requests settled: {report:?}"
+    );
+    assert_eq!(report.errors, 0, "error answers: {report:?}");
+    frontend.shutdown();
+    let shared = Arc::clone(frontend.shared());
     assert_eq!(shared.total_grants(), 0, "lock grants leaked");
-    MtCell {
-        committed: report.committed,
-        aborted: report.aborted,
-        tps: report.throughput_tps,
-    }
+    assert_eq!(shared.active_txns(), 0, "transactions left active");
+    let commits = Wal::from_bytes(&shared.wal_durable_stream())
+        .records()
+        .iter()
+        .filter(|r| matches!(r, LogRecord::Commit { .. }))
+        .count();
+    assert_eq!(
+        commits as u64, report.committed,
+        "commits on the durable log vs committed answers"
+    );
+    (report, shared)
 }
 
-// --- deadlock-prone transfer workload for the retry calibration ------------
-//
-// TPC-C acquires its locks in a consistent order, so deadlocks (the only
-// thing a [`RetryPolicy`] retries besides dooms) are too rare to calibrate
-// against. Transfers that update `from` then `to` in request order produce
-// classic AB/BA cycles on demand: a handful of accounts and zero think time
-// make the deadlock rate high enough that the retry knobs visibly move both
-// goodput and wasted work.
+// ---------------------------------------------------------------------------
+// Retry-policy calibration
+// ---------------------------------------------------------------------------
 
-const ACCOUNTS: acc_common::TableId = acc_common::TableId(0);
-
-struct Transfer {
-    from: i64,
-    to: i64,
-}
-
-impl TxnProgram for Transfer {
-    fn txn_type(&self) -> acc_common::TxnTypeId {
-        acc_common::TxnTypeId(0)
-    }
-    fn step(
-        &mut self,
-        _i: u32,
-        ctx: &mut acc_txn::StepCtx<'_>,
-    ) -> acc_common::Result<acc_txn::StepOutcome> {
-        let amount = acc_common::Decimal::from_int(1);
-        ctx.update_key(ACCOUNTS, &Key::ints(&[self.from]), |r| {
-            let b = r.decimal(1);
-            r.set(1, acc_common::Value::from(b - amount));
-        })?;
-        ctx.update_key(ACCOUNTS, &Key::ints(&[self.to]), |r| {
-            let b = r.decimal(1);
-            r.set(1, acc_common::Value::from(b + amount));
-        })?;
-        Ok(acc_txn::StepOutcome::Done)
-    }
-}
-
-struct TransferWorkload {
-    accounts: i64,
-}
-
-impl Workload for TransferWorkload {
-    fn next_program(&self, rng: &mut SeededRng) -> Box<dyn TxnProgram + Send> {
-        let from = rng.int_range(0, self.accounts - 1);
-        let mut to = rng.int_range(0, self.accounts - 1);
-        if to == from {
-            to = (to + 1) % self.accounts;
-        }
-        Box::new(Transfer { from, to })
-    }
-}
-
+/// Per-cell outcome of the retry calibration.
 struct RetryCell {
     committed: u64,
-    aborted: u64,
+    /// Deadlock victims: every attempt the lock manager rolled back.
+    aborts: u64,
+    /// Engine-side retries behind the committed answers.
     retries: u64,
     tps: f64,
 }
 
-/// One closed-loop run of the transfer workload under `retry`. Audits
-/// balance conservation (committed transfers are zero-sum) and a drained
-/// lock table.
-fn transfer_cell(retry: RetryPolicy, terminals: usize, duration: Duration, seed: u64) -> RetryCell {
-    const N_ACCOUNTS: i64 = 8;
-    let mut catalog = acc_storage::Catalog::new();
-    catalog.add_table(
-        acc_storage::TableSchema::builder("accounts")
-            .column("id", acc_storage::ColumnType::Int)
-            .column("balance", acc_storage::ColumnType::Decimal)
-            .key(&["id"])
-            .rows_per_page(1)
-            .build(),
+/// One closed-loop run of smallbank at 8 accounts under strict 2PL, with
+/// `retry` as the front-end's engine-side policy. Audits the front-end and
+/// the family's conservation of money.
+///
+/// TPC-C acquires its locks in a consistent order, so deadlocks (the only
+/// thing the policy retries under 2PL) are too rare to calibrate against.
+/// Eight accounts keep every savings and checking row on one page, so every
+/// transaction meets the others on that page's locks, and zero think time
+/// makes the deadlock rate high enough that the retry knobs visibly move
+/// both goodput and wasted work.
+fn retry_cell(retry: RetryPolicy, terminals: usize, duration: Duration, seed: u64) -> RetryCell {
+    const ACCOUNTS: i64 = 8;
+    let kit = SmallbankKit::build(ACCOUNTS);
+    let shared = SharedDb::new(smallbank::populate(ACCOUNTS), Arc::clone(&kit.tables) as _);
+    // Counters only: deadlock victims, since a rolled-back answer does not
+    // say how many attempts it took.
+    let sink = EventSink::enabled(0);
+    shared.set_event_sink(Arc::clone(&sink));
+    let host = WorkloadHost::new(Mix::Smallbank, Box::new(kit), Arc::new(TwoPhase));
+    let frontend = Frontend::start(
+        shared,
+        Box::new(host),
+        &closed_loop_server(terminals, retry),
     );
-    let mut db = Database::new(&catalog);
-    for i in 0..N_ACCOUNTS {
-        db.table_mut(ACCOUNTS)
-            .expect("accounts table")
-            .insert(acc_storage::Row::from(vec![
-                acc_common::Value::Int(i),
-                acc_common::Value::from(acc_common::Decimal::from_int(1000)),
-            ]))
-            .expect("populate");
-    }
-    let shared = Arc::new(SharedDb::new(db, Arc::new(NoInterference)));
-    let cc: Arc<dyn acc_txn::ConcurrencyControl> = Arc::new(acc_txn::TwoPhase);
-    let workload: Arc<dyn Workload> = Arc::new(TransferWorkload {
-        accounts: N_ACCOUNTS,
-    });
-    let report = run_closed_loop(
-        &shared,
-        &cc,
-        &workload,
-        &ClosedLoopConfig {
-            terminals,
-            duration,
-            think_time: Duration::ZERO,
-            seed,
-            retry,
-        },
-    );
-    let t = shared.table(ACCOUNTS).expect("accounts table");
-    let total: acc_common::Decimal = t.iter().map(|(_, r)| r.decimal(1)).sum();
-    assert_eq!(
-        total,
-        acc_common::Decimal::from_int(N_ACCOUNTS * 1000),
-        "committed transfers must conserve balance"
-    );
-    assert_eq!(shared.total_grants(), 0, "lock grants leaked");
+    let (report, shared) = audited_closed_loop(frontend, terminals, duration, seed);
+    let violations = smallbank::audit(&shared.snapshot_db());
+    assert!(violations.is_empty(), "{violations:#?}");
     RetryCell {
         committed: report.committed,
-        aborted: report.aborted,
-        retries: report.retries,
-        tps: report.throughput_tps,
+        aborts: sink.counters().deadlock_victims,
+        retries: report.engine_retries,
+        tps: report.committed_tps,
     }
 }
 
-/// Calibrate [`RetryPolicy`]: sweep max-retries × base-backoff under a
-/// deadlock-prone 8-terminal transfer loop and print goodput, abort and
-/// retry counts per cell. The *thrash point* is the corner where retries
-/// balloon without raising goodput (deep retry budgets with no backoff) —
-/// recorded in EXPERIMENTS.md from this table's output.
+/// Calibrate [`RetryPolicy`] as the front-end's engine-side policy: sweep
+/// max-retries × base-backoff under a deadlock-prone 8-terminal smallbank
+/// loop and print goodput, abort and retry counts per cell. The *thrash
+/// point* is the corner where retries balloon without raising goodput
+/// (deep retry budgets with no backoff) — recorded in EXPERIMENTS.md from
+/// this table's output.
 pub fn retry_sweep(quick: bool) {
     parallelism_banner();
     let duration = Duration::from_millis(if quick { 250 } else { 600 });
     let terminals = 8;
     println!(
-        "\n=== retry-policy calibration: {terminals} terminals, 8-account transfers, {} ms/cell ===",
+        "\n=== retry-policy calibration: {terminals} terminals, 8-account smallbank under 2PL, {} ms/cell ===",
         duration.as_millis()
     );
     println!(
@@ -643,12 +608,12 @@ pub fn retry_sweep(quick: bool) {
                 base_backoff: Duration::from_micros(base_us),
                 max_backoff: Duration::from_millis(16),
             };
-            let cell = transfer_cell(retry, terminals, duration, 42);
+            let cell = retry_cell(retry, terminals, duration, 42);
             println!(
                 "{max_retries:>11} {:>9} us {:>12.0} {:>10} {:>9} {:>14.2}",
                 base_us,
                 cell.tps,
-                cell.aborted,
+                cell.aborts,
                 cell.retries,
                 cell.retries as f64 / cell.committed.max(1) as f64
             );
@@ -660,72 +625,47 @@ pub fn retry_sweep(quick: bool) {
 // Release-mode stress smoke
 // ---------------------------------------------------------------------------
 
-/// One closed-loop soak of the fulfilment-saga mix under its *inferred*
-/// interference tables (no hand analysis exists for this family), audited at
-/// quiescence.
-fn saga_cell(terminals: usize, duration: Duration, seed: u64) -> MtCell {
-    use acc_workloads::{saga, WorkloadKit};
-    let kit = Arc::new(saga::SagaKit::build(12, 8));
-    let shared = Arc::new(SharedDb::new(kit.base(), kit.tables() as _));
-    let cc = kit.acc() as _;
-    let workload: Arc<dyn Workload> = Arc::clone(&kit) as _;
-    let report = run_closed_loop(
-        &shared,
-        &cc,
-        &workload,
-        &ClosedLoopConfig {
-            terminals,
-            duration,
-            think_time: Duration::ZERO,
-            seed,
-            retry: RetryPolicy::standard(),
-        },
-    );
-    let violations = kit.audit(&shared.snapshot_db());
-    assert!(violations.is_empty(), "{violations:#?}");
-    assert_eq!(shared.total_grants(), 0, "lock grants leaked");
-    MtCell {
-        committed: report.committed,
-        aborted: report.aborted,
-        tps: report.throughput_tps,
-    }
-}
-
-/// The PR-gate stress smoke: 8-thread closed-loop soaks of the standard
-/// TPC-C mix and of the fulfilment-saga mix (deep compensation chains,
-/// inferred tables), each of which must end with its consistency audit
-/// clean, the lock table drained, and a sane commit count. Exits non-zero on
-/// failure so `scripts/check.sh` can gate on it.
-pub fn stress(quick: bool) {
-    parallelism_banner();
-    let duration = Duration::from_millis(if quick { 500 } else { 1500 });
+/// Print one soak's line, or exit 1 if it committed nothing.
+fn stress_line(what: &str, report: &LoadgenReport) {
     println!(
-        "\n=== stress smoke: 8 terminals, standard retry, {} ms ===",
-        duration.as_millis()
+        "committed={} rolled_back={} engine_retries={} throughput={:.0} tps — {what}",
+        report.committed, report.rolled_back, report.engine_retries, report.committed_tps
     );
-    let cell = retry_cell(RetryPolicy::standard(), 8, duration, 1337);
-    acc_storage::latch_debug_assert_none_held("stress smoke end");
-    println!(
-        "committed={} aborted={} throughput={:.0} tps — consistency clean, locks drained",
-        cell.committed, cell.aborted, cell.tps
-    );
-    if cell.committed == 0 {
+    if report.committed == 0 {
         eprintln!("stress smoke committed nothing — runtime wedged");
         std::process::exit(1);
     }
+}
+
+/// The PR-gate stress smoke: 8-terminal closed-loop soaks through the
+/// front-end of the standard TPC-C mix and of the fulfilment-saga mix (deep
+/// compensation chains, inferred tables), each of which must end with the
+/// front-end's audit and the family's consistency audit clean and a sane
+/// commit count. Exits non-zero on failure so `scripts/check.sh` can gate on
+/// it.
+pub fn stress(quick: bool) {
+    parallelism_banner();
+    let duration = Duration::from_millis(if quick { 500 } else { 1500 });
+    let server = closed_loop_server(8, RetryPolicy::standard());
+    println!(
+        "\n=== stress smoke: TPC-C, 8 terminals, standard retry, {} ms ===",
+        duration.as_millis()
+    );
+    let frontend = Frontend::tpcc(Scale::test(), 1337, &server);
+    let (report, shared) = audited_closed_loop(frontend, 8, duration, 1337);
+    let violations = consistency::check(&shared.snapshot_db(), false);
+    assert!(violations.is_empty(), "{violations:#?}");
+    acc_storage::latch_debug_assert_none_held("stress smoke end");
+    stress_line("consistency clean, locks drained", &report);
 
     println!(
         "\n=== stress smoke: fulfilment saga, 8 terminals, standard retry, {} ms ===",
         duration.as_millis()
     );
-    let cell = saga_cell(8, duration, 4242);
+    let frontend = Frontend::saga(12, 8, &server);
+    let (report, shared) = audited_closed_loop(frontend, 8, duration, 4242);
+    let violations = saga::audit(&shared.snapshot_db());
+    assert!(violations.is_empty(), "{violations:#?}");
     acc_storage::latch_debug_assert_none_held("saga stress smoke end");
-    println!(
-        "committed={} aborted={} throughput={:.0} tps — saga audit clean, locks drained",
-        cell.committed, cell.aborted, cell.tps
-    );
-    if cell.committed == 0 {
-        eprintln!("saga stress smoke committed nothing — runtime wedged");
-        std::process::exit(1);
-    }
+    stress_line("saga audit clean, locks drained", &report);
 }

@@ -32,7 +32,7 @@ use crate::torture::{self, CutSource, TortureConfig};
 use acc_common::events::EventSink;
 use acc_common::faults::ConnPlan;
 use acc_common::{Error, Result, SeededRng};
-use acc_engine::threaded::RetryPolicy;
+use acc_engine::RetryPolicy;
 use acc_server::{
     run_open_loop, ArrivalSchedule, CallOutcome, Frontend, LoadgenConfig, MemConn, Mix, Response,
     ServerConfig,
@@ -301,8 +301,7 @@ pub fn saturate(quick: bool) {
     fe.shutdown();
     let saturation_tps = cal.committed_tps.max(1.0);
     println!(
-        "saturation probe: {} committed in {:.1} ms -> {:.0} tps ({} workers, 1-core caveat: \
-         workers and loadgen share the host)",
+        "saturation probe: {} committed in {:.1} ms -> {:.0} tps ({} workers)",
         cal.committed,
         cal.elapsed.as_secs_f64() * 1e3,
         saturation_tps,
@@ -344,13 +343,9 @@ pub fn saturate(quick: bool) {
                 retry: RetryPolicy::disabled(),
             },
         );
-        let settled = report.committed
-            + report.shed
-            + report.deadline_exceeded
-            + report.rolled_back
-            + report.errors;
         assert_eq!(
-            settled, report.offered,
+            report.settled(),
+            report.offered,
             "every request settles exactly once"
         );
         assert_eq!(report.errors, 0, "no protocol errors");

@@ -1,8 +1,4 @@
-//! Latency and throughput accounting.
-
-use acc_common::clock::SimTime;
-use acc_common::events::{CounterSnapshot, EventSink};
-use std::sync::{Arc, Mutex};
+//! Latency percentiles.
 
 /// Summary statistics over a set of latencies.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -53,86 +49,6 @@ impl LatencyStats {
     }
 }
 
-/// Thread-safe sample sink used by the closed-loop engine.
-#[derive(Debug, Default)]
-pub struct StatsCollector {
-    samples: Mutex<Vec<u64>>,
-    committed: Mutex<u64>,
-    aborted: Mutex<u64>,
-    retries: Mutex<u64>,
-    retry_backoff_micros: Mutex<u64>,
-    sink: Mutex<Option<Arc<EventSink>>>,
-}
-
-impl StatsCollector {
-    /// Fresh collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attach the lock manager's event sink so reports can embed lock/step
-    /// counters next to latency and throughput.
-    pub fn attach_sink(&self, sink: Arc<EventSink>) {
-        *self.sink.lock().unwrap() = Some(sink);
-    }
-
-    /// Snapshot of the attached sink's counters (all zero if no sink is
-    /// attached or the sink is disabled).
-    pub fn lock_counters(&self) -> CounterSnapshot {
-        self.sink
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map(|s| s.counters())
-            .unwrap_or_default()
-    }
-
-    /// Record one committed transaction's response time.
-    pub fn record_commit(&self, start: SimTime, end: SimTime) {
-        self.samples
-            .lock()
-            .unwrap()
-            .push(end.since(start).as_micros());
-        *self.committed.lock().unwrap() += 1;
-    }
-
-    /// Record a rollback (counts toward aborts, not latency).
-    pub fn record_abort(&self) {
-        *self.aborted.lock().unwrap() += 1;
-    }
-
-    /// Record one resubmission and the backoff slept before it.
-    pub fn record_retry(&self, backoff: std::time::Duration) {
-        *self.retries.lock().unwrap() += 1;
-        *self.retry_backoff_micros.lock().unwrap() += backoff.as_micros() as u64;
-    }
-
-    /// Commits recorded so far.
-    pub fn committed(&self) -> u64 {
-        *self.committed.lock().unwrap()
-    }
-
-    /// Aborts recorded so far.
-    pub fn aborted(&self) -> u64 {
-        *self.aborted.lock().unwrap()
-    }
-
-    /// Resubmissions recorded so far.
-    pub fn retries(&self) -> u64 {
-        *self.retries.lock().unwrap()
-    }
-
-    /// Total backoff slept before resubmissions, microseconds.
-    pub fn retry_backoff_micros(&self) -> u64 {
-        *self.retry_backoff_micros.lock().unwrap()
-    }
-
-    /// Snapshot the latency distribution.
-    pub fn latency(&self) -> LatencyStats {
-        LatencyStats::from_micros(self.samples.lock().unwrap().clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,18 +70,5 @@ mod tests {
         assert!((s.p95_ms - 95.0).abs() <= 1.0);
         assert!((s.p99_ms - 99.0).abs() <= 1.0);
         assert_eq!(s.max_ms, 100.0);
-    }
-
-    #[test]
-    fn collector_accumulates() {
-        let c = StatsCollector::new();
-        c.record_commit(SimTime::from_millis(0), SimTime::from_millis(10));
-        c.record_commit(SimTime::from_millis(5), SimTime::from_millis(25));
-        c.record_abort();
-        assert_eq!(c.committed(), 2);
-        assert_eq!(c.aborted(), 1);
-        let l = c.latency();
-        assert_eq!(l.count, 2);
-        assert!((l.mean_ms - 15.0).abs() < 0.01);
     }
 }

@@ -277,7 +277,11 @@ impl LockManager {
         });
         match resolution {
             CycleResolution::Retry => {
-                self.withdraw_ticket(req.resource, ticket);
+                // Withdrawn in the critical section that queued it, so the
+                // drain grants nothing.
+                let mut unblocked = Vec::new();
+                self.withdraw_ticket(req.resource, ticket, oracle, &mut unblocked);
+                debug_assert!(unblocked.is_empty(), "{unblocked:?}");
                 RequestOutcome::Deadlock {
                     victims: vec![req.txn],
                     ticket: None,
@@ -419,17 +423,36 @@ impl LockManager {
         self.heads.is_empty() && self.held.is_empty()
     }
 
-    /// Withdraw one queued request by ticket, *without* processing the
-    /// queue — exactly what enqueue-time victim resolution does: the ticket
-    /// was pushed moments ago, so nothing behind it can have been waiting on
-    /// it yet. Returns true if the ticket was still queued.
-    pub(crate) fn withdraw_ticket(&mut self, resource: ResourceId, ticket: Ticket) -> bool {
+    /// Withdraw one queued request by ticket and grant the waiters its
+    /// departure unblocked, appending their notices to `notices`. Returns
+    /// true if the ticket was still queued.
+    ///
+    /// The queues keep one invariant: in a non-empty queue, the front waiter
+    /// conflicts with some grant. A front waiter that conflicts with none has
+    /// no wait-for edge, so no release wakes it and no deadlock detection
+    /// sees a cycle through it. Removing a ticket can expose such a waiter:
+    /// one queued behind it by FIFO order alone (an S request behind a
+    /// queued X while every holder holds S). Inside the critical section
+    /// that queued the ticket nothing can have joined behind it, but the
+    /// sharded manager withdraws after re-locking the shard, so the queue is
+    /// drained again here.
+    pub(crate) fn withdraw_ticket(
+        &mut self,
+        resource: ResourceId,
+        ticket: Ticket,
+        oracle: &dyn InterferenceOracle,
+        notices: &mut Vec<GrantNotice>,
+    ) -> bool {
         let Some(head) = self.heads.get_mut(&resource) else {
             return false;
         };
         let before = head.waiting.len();
         head.waiting.retain(|w| w.ticket != ticket);
-        head.waiting.len() != before
+        let withdrawn = head.waiting.len() != before;
+        if withdrawn {
+            self.process_queue(resource, oracle, notices);
+        }
+        withdrawn
     }
 
     /// True if the ticket is still queued on `resource` (it has neither been

@@ -186,13 +186,23 @@ impl ShardedLockManager {
     /// shard, deadlock detection across all shards. Semantics (victim
     /// choice, §3.4 compensating rule, outcome shape) match
     /// [`LockManager::request`].
-    pub fn request(&self, req: Request, oracle: &dyn InterferenceOracle) -> RequestOutcome {
+    ///
+    /// When the request is withdrawn as a deadlock victim, waiters queued
+    /// behind it in the meantime may have become grantable; their notices
+    /// are delivered through `notify` under the home shard's mutex, and
+    /// dropping them strands the newly granted waiters.
+    pub fn request(
+        &self,
+        req: Request,
+        oracle: &dyn InterferenceOracle,
+        notify: &mut dyn FnMut(GrantNotice),
+    ) -> RequestOutcome {
         let outcome = self.shards[self.shard_of(req.resource)]
             .lock_noting(req.txn)
             .grant_or_enqueue(req, oracle);
         match outcome {
             EnqueueOutcome::Granted => RequestOutcome::Granted,
-            EnqueueOutcome::Waiting(ticket) => self.detect_enqueued(req, ticket, oracle),
+            EnqueueOutcome::Waiting(ticket) => self.detect_enqueued(req, ticket, oracle, notify),
         }
     }
 
@@ -217,21 +227,22 @@ impl ShardedLockManager {
         req: Request,
         ticket: Ticket,
         oracle: &dyn InterferenceOracle,
+        notify: &mut dyn FnMut(GrantNotice),
     ) -> RequestOutcome {
         let Some(cycle) = self.snapshot_graph(oracle).cycle_through(req.txn) else {
             return RequestOutcome::Waiting(ticket);
         };
+        #[cfg(test)]
+        tests::detect_gap();
         // Re-verify under the home shard: if a racing release already
         // granted our ticket, the snapshot's cycle is stale — take the grant
         // instead of a spurious abort. A non-compensating requester is its
         // own victim, so its ticket is withdrawn in the same critical section.
-        let still_queued = {
-            let mut home = self.shard(req.resource);
-            if req.ctx.compensating {
-                home.is_ticket_waiting(req.resource, ticket)
-            } else {
-                home.withdraw_ticket(req.resource, ticket)
-            }
+        let still_queued = if req.ctx.compensating {
+            self.shard(req.resource)
+                .is_ticket_waiting(req.resource, ticket)
+        } else {
+            self.withdraw(req.resource, ticket, oracle, notify)
         };
         if !still_queued {
             return RequestOutcome::Waiting(ticket);
@@ -242,8 +253,7 @@ impl ShardedLockManager {
         match resolution {
             CycleResolution::Retry => {
                 if req.ctx.compensating {
-                    self.shard(req.resource)
-                        .withdraw_ticket(req.resource, ticket);
+                    self.withdraw(req.resource, ticket, oracle, notify);
                 }
                 RequestOutcome::Deadlock {
                     victims: vec![req.txn],
@@ -255,6 +265,28 @@ impl ShardedLockManager {
                 ticket: Some(ticket),
             },
         }
+    }
+
+    /// Withdraw `ticket` from its home shard, delivering the notices of the
+    /// waiters queued behind it that its departure unblocked before the
+    /// shard's mutex drops. The shard was unlocked since the ticket was
+    /// queued, so such waiters can exist (see
+    /// `LockManager::withdraw_ticket`). Returns true if the ticket was still
+    /// queued.
+    fn withdraw(
+        &self,
+        resource: ResourceId,
+        ticket: Ticket,
+        oracle: &dyn InterferenceOracle,
+        notify: &mut dyn FnMut(GrantNotice),
+    ) -> bool {
+        let mut unblocked = Vec::new();
+        let mut home = self.shard(resource);
+        let withdrawn = home.withdraw_ticket(resource, ticket, oracle, &mut unblocked);
+        for n in unblocked {
+            notify(n);
+        }
+        withdrawn
     }
 
     /// Timeout-slice re-detection from a currently waiting transaction:
@@ -395,6 +427,25 @@ mod tests {
     use crate::oracle::NoInterference;
     use crate::request::RequestCtx;
     use acc_common::StepTypeId;
+    use std::cell::RefCell;
+
+    type Hook = Box<dyn FnOnce()>;
+
+    thread_local! {
+        /// Runs on the requester's thread in enqueue-time detection, between
+        /// the cross-shard snapshot that found a cycle and the re-lock of the
+        /// home shard. Another thread's requests can land in that gap; tests
+        /// put one there.
+        static DETECT_GAP: RefCell<Option<Hook>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn detect_gap() {
+        // Out of its slot while it runs, so a request inside it that finds a
+        // cycle of its own does not re-enter it.
+        if let Some(hook) = DETECT_GAP.take() {
+            hook();
+        }
+    }
 
     fn t(n: u64) -> TxnId {
         TxnId(n)
@@ -431,10 +482,14 @@ mod tests {
         for i in 0..32u32 {
             let r = ResourceId::Named(i);
             assert_eq!(
-                lm.request(req(1, r, LockKind::X), &NoInterference),
+                lm.request(req(1, r, LockKind::X), &NoInterference, &mut |_| ()),
                 RequestOutcome::Granted
             );
-            match lm.request(req(2 + u64::from(i), r, LockKind::X), &NoInterference) {
+            match lm.request(
+                req(2 + u64::from(i), r, LockKind::X),
+                &NoInterference,
+                &mut |_| (),
+            ) {
                 RequestOutcome::Waiting(ticket) => assert!(tickets.insert(ticket)),
                 other => panic!("expected wait, got {other:?}"),
             }
@@ -446,10 +501,10 @@ mod tests {
         let lm = ShardedLockManager::new(8);
         let r = ResourceId::Named(7);
         assert_eq!(
-            lm.request(req(1, r, LockKind::X), &NoInterference),
+            lm.request(req(1, r, LockKind::X), &NoInterference, &mut |_| ()),
             RequestOutcome::Granted
         );
-        let ticket = match lm.request(req(2, r, LockKind::X), &NoInterference) {
+        let ticket = match lm.request(req(2, r, LockKind::X), &NoInterference, &mut |_| ()) {
             RequestOutcome::Waiting(ticket) => ticket,
             other => panic!("expected wait, got {other:?}"),
         };
@@ -472,14 +527,14 @@ mod tests {
         let r2 = rs
             .find(|r| lm.shard_of(*r) != lm.shard_of(r1))
             .expect("two shards");
-        lm.request(req(1, r1, LockKind::X), &NoInterference);
-        lm.request(req(2, r2, LockKind::X), &NoInterference);
+        lm.request(req(1, r1, LockKind::X), &NoInterference, &mut |_| ());
+        lm.request(req(2, r2, LockKind::X), &NoInterference, &mut |_| ());
         assert!(matches!(
-            lm.request(req(1, r2, LockKind::X), &NoInterference),
+            lm.request(req(1, r2, LockKind::X), &NoInterference, &mut |_| ()),
             RequestOutcome::Waiting(_)
         ));
         // Txn 2 requesting r1 closes a cycle spanning both shards.
-        match lm.request(req(2, r1, LockKind::X), &NoInterference) {
+        match lm.request(req(2, r1, LockKind::X), &NoInterference, &mut |_| ()) {
             RequestOutcome::Deadlock { victims, ticket } => {
                 assert_eq!(victims, vec![t(2)]);
                 assert!(ticket.is_none());
@@ -504,20 +559,20 @@ mod tests {
         // victimize tV AND deliver a grant notice for tW.
         let lm = ShardedLockManager::new(8);
         let (tc, tv, tw) = (t(1), t(2), t(3));
-        lm.request(req(1, R, LockKind::S), &NoInterference);
-        lm.request(req(2, R2, LockKind::X), &NoInterference);
+        lm.request(req(1, R, LockKind::S), &NoInterference, &mut |_| ());
+        lm.request(req(2, R2, LockKind::X), &NoInterference, &mut |_| ());
         assert!(matches!(
-            lm.request(req(2, R, LockKind::X), &NoInterference),
+            lm.request(req(2, R, LockKind::X), &NoInterference, &mut |_| ()),
             RequestOutcome::Waiting(_)
         ));
-        let tw_ticket = match lm.request(req(3, R, LockKind::S), &NoInterference) {
+        let tw_ticket = match lm.request(req(3, R, LockKind::S), &NoInterference, &mut |_| ()) {
             RequestOutcome::Waiting(tk) => tk,
             other => panic!("expected wait, got {other:?}"),
         };
         let mut comp = req(1, R2, LockKind::X);
         comp.ctx.compensating = true;
         assert!(matches!(
-            lm.request(comp, &NoInterference),
+            lm.request(comp, &NoInterference, &mut |_| ()),
             RequestOutcome::Deadlock {
                 ticket: Some(_),
                 ..
@@ -541,16 +596,16 @@ mod tests {
         // Same shape, but re-detection is run from the *compensating* waiter:
         // the other party is the victim and the caller's request stays put.
         let lm = ShardedLockManager::new(8);
-        lm.request(req(1, R, LockKind::X), &NoInterference);
-        lm.request(req(2, R2, LockKind::X), &NoInterference);
+        lm.request(req(1, R, LockKind::X), &NoInterference, &mut |_| ());
+        lm.request(req(2, R2, LockKind::X), &NoInterference, &mut |_| ());
         assert!(matches!(
-            lm.request(req(2, R, LockKind::X), &NoInterference),
+            lm.request(req(2, R, LockKind::X), &NoInterference, &mut |_| ()),
             RequestOutcome::Waiting(_)
         ));
         let mut comp = req(1, R2, LockKind::X);
         comp.ctx.compensating = true;
         assert!(matches!(
-            lm.request(comp, &NoInterference),
+            lm.request(comp, &NoInterference, &mut |_| ()),
             RequestOutcome::Deadlock {
                 ticket: Some(_),
                 ..
@@ -561,5 +616,64 @@ mod tests {
         assert_eq!(resolution, Some(CycleResolution::Doom(vec![t(2)])));
         assert!(notices.is_empty());
         assert!(lm.is_waiting(t(1)), "compensating request stays queued");
+    }
+
+    #[test]
+    fn enqueue_victim_withdrawal_wakes_waiters_queued_in_the_gap() {
+        // Regression: enqueue-time detection drops the home shard's mutex
+        // while it snapshots the wait-for graph, then re-locks it to
+        // withdraw the victim's ticket. A request that queued behind the
+        // ticket in that window, blocked by FIFO order alone, became the
+        // front waiter, compatible with every grant and with no wait-for
+        // edge: nothing ever granted it.
+        //
+        // A holds S on R; T holds X on R2; A queues X on R2. T's X on R
+        // closes the cycle T→A→T, and in the gap U queues S on R behind T's
+        // X. Withdrawing T must grant U's S, compatible with A's.
+        let lm = Arc::new(ShardedLockManager::new(8));
+        let (ta, tt, tu) = (t(1), t(2), t(3));
+        lm.request(req(1, R, LockKind::S), &NoInterference, &mut |_| ());
+        lm.request(req(2, R2, LockKind::X), &NoInterference, &mut |_| ());
+        assert!(matches!(
+            lm.request(req(1, R2, LockKind::X), &NoInterference, &mut |_| ()),
+            RequestOutcome::Waiting(_)
+        ));
+        let u_ticket = Arc::new(Mutex::new(None));
+        {
+            let (lm, u_ticket) = (Arc::clone(&lm), Arc::clone(&u_ticket));
+            DETECT_GAP.set(Some(Box::new(move || {
+                let out = lm.request(req(3, R, LockKind::S), &NoInterference, &mut |_| ());
+                *u_ticket.lock().unwrap() = Some(out);
+            })));
+        }
+        let mut notices = Vec::new();
+        let out = lm.request(req(2, R, LockKind::X), &NoInterference, &mut |n| {
+            notices.push(n)
+        });
+        assert!(DETECT_GAP.take().is_none(), "the gap hook never ran");
+        assert_eq!(
+            out,
+            RequestOutcome::Deadlock {
+                victims: vec![tt],
+                ticket: None
+            }
+        );
+        let Some(RequestOutcome::Waiting(u_ticket)) = *u_ticket.lock().unwrap() else {
+            panic!("U's S must queue behind T's X");
+        };
+        assert!(
+            lm.holds(tu, R, LockKind::S),
+            "U still waiting (notices {notices:?})"
+        );
+        assert_eq!(
+            notices,
+            vec![GrantNotice {
+                ticket: u_ticket,
+                txn: tu,
+                resource: R
+            }]
+        );
+        assert!(lm.holds(ta, R, LockKind::S));
+        assert!(!lm.is_waiting(tt));
     }
 }

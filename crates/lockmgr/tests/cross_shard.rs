@@ -77,7 +77,11 @@ fn three_shard_cycle_matches_unsharded_victims_and_notices() {
     let mut unsharded = LockManager::new();
 
     let closing = plain(1, rs[2], LockKind::X);
-    let sharded_out = drive_cycle(&mut |r| sharded.request(r, &oracle), rs, closing);
+    let sharded_out = drive_cycle(
+        &mut |r| sharded.request(r, &oracle, &mut |_| ()),
+        rs,
+        closing,
+    );
     let unsharded_out = drive_cycle(&mut |r| unsharded.request(r, &oracle), rs, closing);
 
     // Same victim set (the non-compensating requester) in both managers.
@@ -137,7 +141,11 @@ fn compensating_closer_dooms_cycle_members_across_shards() {
     let mut unsharded = LockManager::new();
 
     let closing = compensating(1, rs[2], LockKind::X);
-    let sharded_out = drive_cycle(&mut |r| sharded.request(r, &oracle), rs, closing);
+    let sharded_out = drive_cycle(
+        &mut |r| sharded.request(r, &oracle, &mut |_| ()),
+        rs,
+        closing,
+    );
     let unsharded_out = drive_cycle(&mut |r| unsharded.request(r, &oracle), rs, closing);
 
     match (&sharded_out, &unsharded_out) {

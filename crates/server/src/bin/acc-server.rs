@@ -1,7 +1,7 @@
 //! `acc-server`: serve the assertional concurrency control engine over TCP.
 //!
 //! ```text
-//! acc-server [--addr 127.0.0.1:7878] [--mix smallbank|tpcc] [--workers N]
+//! acc-server [--addr 127.0.0.1:7878] [--mix smallbank|tpcc|saga] [--workers N]
 //!            [--queue N] [--accounts N] [--seed N] [--lockstat]
 //! ```
 
@@ -9,6 +9,9 @@ use acc_server::{serve, Frontend, Mix, ServerConfig};
 use acc_tpcc::Scale;
 use std::net::TcpListener;
 use std::sync::Arc;
+
+/// SKUs in the saga population (`--accounts` sizes its customers).
+const SAGA_SKUS: i64 = 64;
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -23,10 +26,10 @@ fn main() {
             "acc-server: TCP front-end for the ACC engine\n\n\
              options:\n\
              \x20 --addr HOST:PORT   listen address (default 127.0.0.1:7878)\n\
-             \x20 --mix FAMILY       smallbank (default) or tpcc\n\
+             \x20 --mix FAMILY       smallbank (default), tpcc or saga\n\
              \x20 --workers N        worker threads (default 4)\n\
              \x20 --queue N          admission queue bound (default 64)\n\
-             \x20 --accounts N       smallbank population (default 200)\n\
+             \x20 --accounts N       smallbank accounts or saga customers (default 200)\n\
              \x20 --seed N           population/input seed (default 42)\n\
              \x20 --lockstat         enable the event sink and dump counters on exit"
         );
@@ -36,8 +39,9 @@ fn main() {
     let mix = match flag_value(&args, "--mix").as_deref() {
         None | Some("smallbank") => Mix::Smallbank,
         Some("tpcc") => Mix::Tpcc,
+        Some("saga") => Mix::Saga,
         Some(other) => {
-            eprintln!("unknown --mix {other} (expected smallbank or tpcc)");
+            eprintln!("unknown --mix {other} (expected smallbank, tpcc or saga)");
             std::process::exit(2);
         }
     };
@@ -60,6 +64,7 @@ fn main() {
     let frontend = Arc::new(match mix {
         Mix::Smallbank => Frontend::smallbank(accounts, &config),
         Mix::Tpcc => Frontend::tpcc(Scale::benchmark(), seed, &config),
+        Mix::Saga => Frontend::saga(SAGA_SKUS, accounts, &config),
     });
     if args.iter().any(|a| a == "--lockstat") {
         let sink = acc_common::events::EventSink::enabled(256);

@@ -24,10 +24,11 @@
 //!   slow-loris delivery, churn storms) driven by
 //!   [`acc_common::faults::ConnPlan`], pure functions of the request
 //!   ordinal.
-//! - **Open-loop load generation** ([`loadgen`]): seeded Poisson arrival
-//!   schedules that keep coming past saturation, with client-side
-//!   resubmission accounted separately from the server's engine-side
-//!   retries.
+//! - **Load generation** ([`loadgen`]): seeded Poisson arrival schedules
+//!   that keep coming past saturation, with client-side resubmission
+//!   accounted separately from the server's engine-side retries; and
+//!   closed-loop terminals that think, submit one request and wait for its
+//!   answer.
 
 pub mod admission;
 pub mod loadgen;
@@ -37,8 +38,11 @@ pub mod session;
 pub mod wire;
 
 pub use admission::{AdmissionQueue, Job, Offer};
-pub use loadgen::{run_open_loop, Arrival, ArrivalSchedule, LoadgenConfig, LoadgenReport};
+pub use loadgen::{
+    run_closed_loop, run_open_loop, Arrival, ArrivalSchedule, ClosedLoopConfig, LoadgenConfig,
+    LoadgenReport,
+};
 pub use memnet::{CallOutcome, MemConn};
-pub use server::{serve, Client, Frontend, Host, ServerConfig, SmallbankHost, TpccHost};
+pub use server::{serve, Client, Frontend, Host, ServerConfig, WorkloadHost};
 pub use session::{Endpoint, Inbound, Outbound};
 pub use wire::{Mix, Request, Response, WireAbort};

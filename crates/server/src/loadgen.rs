@@ -1,11 +1,11 @@
-//! Open-loop load generation against a [`Frontend`].
+//! Load generation against a [`Frontend`]: open-loop and closed-loop.
 //!
-//! A closed-loop driver (the engine's `run_closed_loop`) cannot take a
-//! system past saturation: its terminals wait for each response, so offered
-//! load self-limits at capacity. The open-loop generator here does what real
-//! front-ends face — arrivals keep coming on a seeded Poisson schedule
-//! whether or not the server keeps up. Past saturation the only stable
-//! behaviors are an unbounded queue (latency grows without bound) or
+//! A closed-loop generator ([`run_closed_loop`]) cannot take a system past
+//! saturation: its terminals wait for each response, so offered load
+//! self-limits at capacity. The open-loop generator ([`run_open_loop`]) does
+//! what real front-ends face — arrivals keep coming on a seeded Poisson
+//! schedule whether or not the server keeps up. Past saturation the only
+//! stable behaviors are an unbounded queue (latency grows without bound) or
 //! admission control (excess arrivals shed, accepted-request latency stays
 //! bounded); the `figures -- saturate` experiment measures which one the
 //! front-end delivers.
@@ -14,14 +14,17 @@
 //! requests)`: the figure harness dumps it to bytes and byte-compares a
 //! repeated run, so the *offered* workload in every experiment is provably
 //! identical even though service times are wall-clock.
+//!
+//! Both generators count final answers into the same [`LoadgenReport`].
 
 use crate::server::Frontend;
 use crate::wire::{Mix, Request, Response};
 use acc_common::SeededRng;
-use acc_engine::stats::LatencyStats;
-use acc_engine::threaded::RetryPolicy;
+use acc_engine::{LatencyStats, RetryPolicy};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One scheduled arrival.
@@ -116,13 +119,14 @@ impl Default for LoadgenConfig {
     }
 }
 
-/// What the open-loop run observed, separated by layer: `engine_retries`
+/// What a load-generator run observed, separated by layer: `engine_retries`
 /// happened inside the server (one admission, several engine attempts);
 /// `client_resubmits` are whole new requests this generator sent after a
 /// typed transient failure.
 #[derive(Debug, Clone, Default)]
 pub struct LoadgenReport {
-    /// Requests the schedule offered (excluding resubmissions).
+    /// Requests offered, excluding resubmissions: the schedule's arrivals,
+    /// or a closed loop's submissions.
     pub offered: u64,
     /// Requests that ended committed.
     pub committed: u64,
@@ -147,6 +151,50 @@ pub struct LoadgenReport {
     pub committed_tps: f64,
 }
 
+impl LoadgenReport {
+    /// Requests with a final answer, whatever it was. A run that settles
+    /// every request exactly once has `settled() == offered`.
+    pub fn settled(&self) -> u64 {
+        self.committed + self.shed + self.deadline_exceeded + self.rolled_back + self.errors
+    }
+}
+
+/// Final answers counted by outcome, plus the client-observed latencies of
+/// the committed ones: what both generators fold into a [`LoadgenReport`].
+#[derive(Default)]
+struct Tally {
+    report: LoadgenReport,
+    latencies: Vec<u64>,
+}
+
+impl Tally {
+    /// Count one request's final answer.
+    fn settle(&mut self, resp: Response, latency: Duration) {
+        let r = &mut self.report;
+        match resp {
+            Response::Committed { engine_retries, .. } => {
+                r.committed += 1;
+                r.engine_retries += engine_retries as u64;
+                self.latencies.push(latency.as_micros() as u64);
+            }
+            Response::Overloaded { .. } => r.shed += 1,
+            Response::DeadlineExceeded { .. } => r.deadline_exceeded += 1,
+            Response::RolledBack { .. } => r.rolled_back += 1,
+            Response::Error { .. } => r.errors += 1,
+        }
+    }
+
+    /// The report of a run that took `elapsed`.
+    fn finish(self, elapsed: Duration) -> LoadgenReport {
+        LoadgenReport {
+            latency: LatencyStats::from_micros(self.latencies),
+            elapsed,
+            committed_tps: self.report.committed as f64 / elapsed.as_secs_f64().max(1e-9),
+            ..self.report
+        }
+    }
+}
+
 /// Drive `schedule` against `frontend`, open-loop: each arrival is submitted
 /// at its scheduled offset (late submission happens immediately — the
 /// schedule never waits for the server). Blocks until every request has a
@@ -160,11 +208,9 @@ pub fn run_open_loop(
     let (tx, rx) = channel::<Response>();
     // client_seq -> (first submission instant, resubmits so far, txn seed)
     let mut inflight: HashMap<u64, (Instant, u32, u64)> = HashMap::new();
-    let mut report = LoadgenReport {
-        offered: schedule.entries.len() as u64,
-        ..LoadgenReport::default()
-    };
-    let mut latencies: Vec<u64> = Vec::with_capacity(schedule.entries.len());
+    let mut tally = Tally::default();
+    tally.report.offered = schedule.entries.len() as u64;
+    tally.latencies.reserve(schedule.entries.len());
     let mut backoff_rng = SeededRng::new(schedule.seed ^ 0x0062_6163_6b6f_6666);
     let mut outstanding = 0u64;
 
@@ -196,8 +242,7 @@ pub fn run_open_loop(
             settle(
                 resp,
                 &mut inflight,
-                &mut report,
-                &mut latencies,
+                &mut tally,
                 &mut outstanding,
                 &mut backoff_rng,
                 config,
@@ -211,26 +256,22 @@ pub fn run_open_loop(
         settle(
             resp,
             &mut inflight,
-            &mut report,
-            &mut latencies,
+            &mut tally,
             &mut outstanding,
             &mut backoff_rng,
             config,
             &submit,
         );
     }
-    report.elapsed = started.elapsed();
-    report.latency = LatencyStats::from_micros(latencies);
-    report.committed_tps = report.committed as f64 / report.elapsed.as_secs_f64().max(1e-9);
-    report
+    tally.finish(started.elapsed())
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Resubmit a transient failure while the client's retry budget lasts,
+/// otherwise count the final answer.
 fn settle(
     resp: Response,
     inflight: &mut HashMap<u64, (Instant, u32, u64)>,
-    report: &mut LoadgenReport,
-    latencies: &mut Vec<u64>,
+    tally: &mut Tally,
     outstanding: &mut u64,
     backoff_rng: &mut SeededRng,
     config: &LoadgenConfig,
@@ -249,24 +290,87 @@ fn settle(
     };
     if transient && resubmits < config.retry.max_retries {
         inflight.insert(seq, (first_submit, resubmits + 1, seed));
-        report.client_resubmits += 1;
+        tally.report.client_resubmits += 1;
         std::thread::sleep(config.retry.backoff(resubmits + 1, backoff_rng));
         submit(seq, seed);
         return;
     }
     inflight.remove(&seq);
     *outstanding -= 1;
-    match resp {
-        Response::Committed { engine_retries, .. } => {
-            report.committed += 1;
-            report.engine_retries += engine_retries as u64;
-            latencies.push(first_submit.elapsed().as_micros() as u64);
+    tally.settle(resp, first_submit.elapsed());
+}
+
+/// Closed-loop run parameters.
+#[derive(Debug, Clone)]
+pub struct ClosedLoopConfig {
+    /// Number of terminal threads. Each has at most one request
+    /// outstanding, so a front-end with this many workers runs them all at
+    /// once, and an admission queue at least this deep never sheds.
+    pub terminals: usize,
+    /// Wall-clock measurement duration.
+    pub duration: Duration,
+    /// Mean think time between requests (exponentially distributed).
+    pub think_time: Duration,
+    /// Seed of the terminals' think times and transaction seeds.
+    pub seed: u64,
+}
+
+/// Drive `frontend` from `config.terminals` terminal threads for
+/// `config.duration`: each thinks, submits one request (no deadline) through
+/// [`Frontend::submit`] and waits for its answer. Terminals never resubmit;
+/// deadlock victims and doomed transactions are retried inside the server
+/// under its `engine_retry` policy. A terminal waiting when the time is up
+/// finishes its request, so every submitted request settles exactly once,
+/// and `offered` counts the submissions.
+pub fn run_closed_loop(frontend: &Frontend, config: &ClosedLoopConfig) -> LoadgenReport {
+    let started = Instant::now();
+    let stop = AtomicBool::new(false);
+    let total = Mutex::new(Tally::default());
+    let mut root_rng = SeededRng::new(config.seed);
+    let think_us = config.think_time.as_micros() as f64;
+    let mix = frontend.mix();
+    std::thread::scope(|s| {
+        for _ in 0..config.terminals {
+            let mut rng = root_rng.fork();
+            let (stop, total) = (&stop, &total);
+            s.spawn(move || {
+                let (tx, rx) = channel::<Response>();
+                let mut client_seq = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    if think_us > 0.0 {
+                        let t = rng.exponential(think_us);
+                        std::thread::sleep(Duration::from_micros(t as u64));
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    client_seq += 1;
+                    let request = Request {
+                        client_seq,
+                        deadline_micros: 0,
+                        mix,
+                        // The generator's raw 64-bit output.
+                        seed: rng.int_range(i64::MIN, i64::MAX) as u64,
+                    };
+                    let submitted = Instant::now();
+                    frontend.submit(request, tx.clone());
+                    let resp = rx.recv().expect("frontend answers every request");
+                    assert_eq!(resp.client_seq(), client_seq, "answer to another request");
+                    let latency = submitted.elapsed();
+                    total
+                        .lock()
+                        .expect("tally not poisoned")
+                        .settle(resp, latency);
+                }
+                assert!(rx.try_recv().is_err(), "a request was answered twice");
+                total.lock().expect("tally not poisoned").report.offered += client_seq;
+            });
         }
-        Response::Overloaded { .. } => report.shed += 1,
-        Response::DeadlineExceeded { .. } => report.deadline_exceeded += 1,
-        Response::RolledBack { .. } => report.rolled_back += 1,
-        Response::Error { .. } => report.errors += 1,
-    }
+        std::thread::sleep(config.duration);
+        stop.store(true, Ordering::Relaxed);
+    });
+    let total = total.into_inner().expect("tally not poisoned");
+    total.finish(started.elapsed())
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! The front-end proper: workload hosts, the worker pool, and TCP serving.
 //!
-//! A [`Frontend`] owns one engine ([`SharedDb`] + ACC policy) for one
-//! workload family and runs a fixed pool of worker threads fed by the
-//! bounded [`AdmissionQueue`]. Transports — the TCP listener here, the
-//! deterministic in-memory connection in [`crate::memnet`], and the open-loop
-//! generator in [`crate::loadgen`] — all converge on [`Frontend::submit`],
-//! so admission control, deadline bookkeeping, and the engine-side retry
-//! loop behave identically however a request arrives.
+//! A [`Frontend`] owns one engine ([`SharedDb`]) and one [`Host`] (a
+//! workload family under a concurrency-control policy) and runs a fixed pool
+//! of worker threads fed by the bounded [`AdmissionQueue`]. Transports — the
+//! TCP listener here, the deterministic in-memory connection in
+//! [`crate::memnet`], and the open- and closed-loop generators in
+//! [`crate::loadgen`] — all converge on [`Frontend::submit`], so admission
+//! control, deadline bookkeeping, and the engine-side retry loop (the only
+//! one in the system) behave identically however a request arrives.
 //!
 //! Deadlines exist at three points, all answered with the same typed
 //! response: expired while queued (cheapest — the engine never sees it),
@@ -20,12 +21,12 @@ use crate::session::{Inbound, Outbound};
 use crate::wire::{Mix, Request, Response, WireAbort};
 use acc_common::events::{AdmissionVerdict, Event};
 use acc_common::{Result, SeededRng};
-use acc_engine::threaded::RetryPolicy;
+use acc_engine::{RetryPolicy, Workload};
 use acc_storage::Database;
 use acc_tpcc::{populate as tpcc_populate, tpcc_catalog, InputGen, Scale, TpccConfig, TpccSystem};
 use acc_txn::runner::run_with_deadline;
 use acc_txn::{AbortReason, ConcurrencyControl, RunOutcome, SharedDb, TxnProgram, WaitMode};
-use acc_workloads::smallbank;
+use acc_workloads::{saga, smallbank};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,7 +38,7 @@ use std::time::{Duration, Instant};
 const RETRY_SALT: u64 = 0x7265_7472_795f_6265;
 
 /// A workload family the server can host: expands a request seed into a
-/// concrete transaction program and supplies the ACC policy to run it under.
+/// concrete transaction program and supplies the policy to run it under.
 pub trait Host: Send + Sync {
     /// The family this host serves.
     fn mix(&self) -> Mix;
@@ -47,45 +48,38 @@ pub trait Host: Send + Sync {
     fn cc(&self) -> &dyn ConcurrencyControl;
 }
 
-/// TPC-C host: the decomposed five-transaction system.
-pub struct TpccHost {
-    sys: TpccSystem,
-    gen: InputGen,
-    districts: i64,
+/// The host for every family: the family's seeded program stream under a
+/// concurrency-control policy. The policy is a plain value, so serving a
+/// family under strict 2PL instead of its ACC means passing
+/// [`acc_txn::TwoPhase`] here.
+pub struct WorkloadHost {
+    mix: Mix,
+    workload: Box<dyn Workload>,
+    cc: Arc<dyn ConcurrencyControl>,
 }
 
-impl Host for TpccHost {
+impl WorkloadHost {
+    /// Serve `workload`'s programs as family `mix` under `cc`.
+    pub fn new(
+        mix: Mix,
+        workload: Box<dyn Workload>,
+        cc: Arc<dyn ConcurrencyControl>,
+    ) -> WorkloadHost {
+        WorkloadHost { mix, workload, cc }
+    }
+}
+
+impl Host for WorkloadHost {
     fn mix(&self) -> Mix {
-        Mix::Tpcc
+        self.mix
     }
 
     fn program(&self, seed: u64) -> Box<dyn TxnProgram + Send> {
-        let mut rng = SeededRng::new(seed);
-        acc_tpcc::txns::program_for(self.gen.next_input(&mut rng), self.districts)
+        self.workload.next_program(&mut SeededRng::new(seed))
     }
 
     fn cc(&self) -> &dyn ConcurrencyControl {
-        &*self.sys.acc
-    }
-}
-
-/// Smallbank host.
-pub struct SmallbankHost {
-    kit: smallbank::SmallbankKit,
-}
-
-impl Host for SmallbankHost {
-    fn mix(&self) -> Mix {
-        Mix::Smallbank
-    }
-
-    fn program(&self, seed: u64) -> Box<dyn TxnProgram + Send> {
-        let mut rng = SeededRng::new(seed);
-        self.kit.next_program(&mut rng)
-    }
-
-    fn cc(&self) -> &dyn ConcurrencyControl {
-        &*self.kit.acc
+        &*self.cc
     }
 }
 
@@ -131,26 +125,32 @@ impl Frontend {
         let sys = TpccSystem::build();
         let mut db = Database::new(&tpcc_catalog());
         tpcc_populate(&mut db, &scale, seed);
-        let districts = scale.districts;
         let gen = InputGen::new(TpccConfig::standard(scale), seed);
         let shared = SharedDb::new(db, Arc::clone(&sys.tables) as _);
-        Frontend::start(
-            shared,
-            Box::new(TpccHost {
-                sys,
-                gen,
-                districts,
-            }),
-            config,
-        )
+        let host = WorkloadHost::new(Mix::Tpcc, Box::new(gen), sys.acc);
+        Frontend::start(shared, Box::new(host), config)
     }
 
     /// A front-end hosting smallbank over `accounts` accounts.
     pub fn smallbank(accounts: i64, config: &ServerConfig) -> Frontend {
         let kit = smallbank::SmallbankKit::build(accounts);
-        let db = smallbank::populate(accounts);
-        let shared = SharedDb::new(db, Arc::clone(&kit.tables) as _);
-        Frontend::start(shared, Box::new(SmallbankHost { kit }), config)
+        let shared = SharedDb::new(smallbank::populate(accounts), Arc::clone(&kit.tables) as _);
+        let acc = Arc::clone(&kit.acc);
+        let host = WorkloadHost::new(Mix::Smallbank, Box::new(kit), acc);
+        Frontend::start(shared, Box::new(host), config)
+    }
+
+    /// A front-end hosting the fulfilment saga over `skus` SKUs and
+    /// `customers` customer accounts.
+    pub fn saga(skus: i64, customers: i64, config: &ServerConfig) -> Frontend {
+        let kit = saga::SagaKit::build(skus, customers);
+        let shared = SharedDb::new(
+            saga::populate(skus, customers),
+            Arc::clone(&kit.tables) as _,
+        );
+        let acc = Arc::clone(&kit.acc);
+        let host = WorkloadHost::new(Mix::Saga, Box::new(kit), acc);
+        Frontend::start(shared, Box::new(host), config)
     }
 
     /// Wire an already-built engine and host into a running front-end.

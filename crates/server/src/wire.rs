@@ -14,7 +14,7 @@
 //! | tag              | u8   | `0x01` = submit-txn                            |
 //! | client_seq       | u64  | client-chosen correlation id                   |
 //! | deadline_micros  | u64  | budget from server receipt; `0` = no deadline  |
-//! | mix              | u8   | workload family (`0` TPC-C, `1` smallbank)     |
+//! | mix              | u8   | family (`0` TPC-C, `1` smallbank, `2` saga)    |
 //! | seed             | u64  | derives the transaction deterministically      |
 //!
 //! Response payload (first two fields always `tag: u8, client_seq: u64`):
@@ -41,6 +41,8 @@ pub enum Mix {
     Tpcc,
     /// The decomposed smallbank system (`acc-workloads`).
     Smallbank,
+    /// The order-fulfilment saga (`acc-workloads`).
+    Saga,
 }
 
 impl Mix {
@@ -49,6 +51,7 @@ impl Mix {
         match self {
             Mix::Tpcc => 0,
             Mix::Smallbank => 1,
+            Mix::Saga => 2,
         }
     }
 
@@ -57,6 +60,7 @@ impl Mix {
         match b {
             0 => Some(Mix::Tpcc),
             1 => Some(Mix::Smallbank),
+            2 => Some(Mix::Saga),
             _ => None,
         }
     }
@@ -66,6 +70,7 @@ impl Mix {
         match self {
             Mix::Tpcc => "tpcc",
             Mix::Smallbank => "smallbank",
+            Mix::Saga => "saga",
         }
     }
 }

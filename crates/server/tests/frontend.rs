@@ -5,7 +5,7 @@
 use acc_common::events::EventSink;
 use acc_common::faults::ConnPlan;
 use acc_common::SeededRng;
-use acc_engine::threaded::RetryPolicy;
+use acc_engine::RetryPolicy;
 use acc_server::{
     serve, ArrivalSchedule, CallOutcome, Client, Frontend, LoadgenConfig, MemConn, Mix, Request,
     Response, ServerConfig,

@@ -617,7 +617,10 @@ impl SharedDb {
             return Err(Error::TxnAborted(txn));
         }
         let req = Request::new(txn, resource, kind, ctx);
-        match self.lm.request(req, oracle) {
+        match self
+            .lm
+            .request(req, oracle, &mut |n| self.parking.grant(n.ticket))
+        {
             RequestOutcome::Granted => Ok(()),
             RequestOutcome::Waiting(ticket) => {
                 self.wait_on(txn, resource, ticket, mode, ctx.compensating, oracle)

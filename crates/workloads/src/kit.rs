@@ -3,8 +3,8 @@
 //!
 //! A [`WorkloadKit`] populates a deterministic base database, generates the
 //! family's seeded programs (it is an [`acc_engine::Workload`], so the same
-//! stream also drives closed-loop runs), rebuilds in-flight programs from
-//! recovered work areas, and audits its own invariants. Any family that can
+//! stream also feeds the network front-end's host), rebuilds in-flight
+//! programs from recovered work areas, and audits its own invariants. Any family that can
 //! do those four things gets every crash sweep and every table-switchover
 //! check the harness knows.
 

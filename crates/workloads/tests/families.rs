@@ -1,18 +1,14 @@
-//! The two bring-your-own-workload families end to end: matrix shape as the
-//! inference derives it and a short multi-threaded closed-loop burn for each
-//! family. (Their crash sweeps run in `acc-bench`'s torture tests.)
+//! The two bring-your-own-workload families' matrix shape as the inference
+//! derives it. (Their crash sweeps run in `acc-bench`'s torture tests, their
+//! closed-loop burns in `acc-server`'s `closed_loop` tests.)
 //!
 //! Nothing here consults a hand-written interference table — the matrices
 //! under test are exactly what [`acc_core::Inference`] produced from the
 //! declared footprints, installed through the live registry.
 
 use acc_core::{InterferenceTables, DIRTY};
-use acc_engine::{run_closed_loop, ClosedLoopConfig, RetryPolicy, Workload};
 use acc_lockmgr::InterferenceOracle;
-use acc_txn::SharedDb;
-use acc_workloads::{saga, smallbank, WorkloadKit};
-use std::sync::Arc;
-use std::time::Duration;
+use acc_workloads::{saga, smallbank};
 
 // ---------------------------------------------------------------------------
 // Matrix shape: the inference must prove exactly the cells the footprint
@@ -104,46 +100,4 @@ fn inference_decisions_cover_every_declared_step() {
     assert!(!sb.decisions.is_empty());
     let sg = saga::SagaKit::build(4, 3);
     assert!(!sg.decisions.is_empty());
-}
-
-// ---------------------------------------------------------------------------
-// Concurrency: a short closed-loop burn under the inferred tables, audited
-// at quiescence. (The release-mode stress gate runs the long version; this
-// keeps the property in the plain test suite.)
-// ---------------------------------------------------------------------------
-
-fn burn(kit: Arc<dyn WorkloadKit>, seed: u64) {
-    let shared = Arc::new(SharedDb::new(kit.base(), kit.tables() as _));
-    let cc: Arc<dyn acc_txn::ConcurrencyControl> = kit.acc();
-    let workload: Arc<dyn Workload> = Arc::clone(&kit) as _;
-    let report = run_closed_loop(
-        &shared,
-        &cc,
-        &workload,
-        &ClosedLoopConfig {
-            terminals: 8,
-            duration: Duration::from_millis(200),
-            think_time: Duration::ZERO,
-            seed,
-            retry: RetryPolicy::standard(),
-        },
-    );
-    assert!(report.committed > 0, "{}: nothing committed", kit.name());
-    let violations = kit.audit(&shared.snapshot_db());
-    assert!(
-        violations.is_empty(),
-        "{} audit after 8-thread burn: {violations:?}",
-        kit.name()
-    );
-    assert_eq!(shared.total_grants(), 0, "{}: grants leaked", kit.name());
-}
-
-#[test]
-fn smallbank_eight_thread_burn() {
-    burn(Arc::new(smallbank::SmallbankKit::build(12)), 0xCAFE);
-}
-
-#[test]
-fn saga_eight_thread_burn() {
-    burn(Arc::new(saga::SagaKit::build(8, 6)), 0xFEED);
 }

@@ -1,5 +1,7 @@
 //! TPC-C on real threads: the same transaction mix under strict 2PL and
-//! under the ACC, with wall-clock response times and a consistency audit.
+//! under the ACC, submitted by closed-loop terminals to the network
+//! front-end's worker pool, with wall-clock response times and an audit of
+//! the quiesced engine.
 //!
 //! ```text
 //! cargo run --release --example tpcc_demo [terminals] [seconds]
@@ -9,21 +11,30 @@
 //! (`cargo run -p acc-bench --release --bin figures`). Expect the same
 //! qualitative picture, with wall-clock noise.
 
-use acc_engine::{run_closed_loop, ClosedLoopConfig, RetryPolicy, Workload};
+use acc_engine::RetryPolicy;
+use acc_server::{run_closed_loop, ClosedLoopConfig, Frontend, Mix, ServerConfig, WorkloadHost};
 use assertional_acc::prelude::*;
 use assertional_acc::tpcc;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn build_shared(seed: u64) -> (Arc<SharedDb>, tpcc::TpccSystem, tpcc::Scale) {
+/// TPC-C at benchmark scale under the ACC or strict 2PL, one worker
+/// per terminal.
+fn frontend(use_acc: bool, terminals: usize) -> Frontend {
     let sys = tpcc::TpccSystem::build();
+    let cc: Arc<dyn ConcurrencyControl> = if use_acc { sys.acc } else { Arc::new(TwoPhase) };
     let scale = tpcc::Scale::benchmark();
     let mut db = Database::new(&tpcc::tpcc_catalog());
-    tpcc::populate(&mut db, &scale, seed);
-    let shared = Arc::new(
-        SharedDb::new(db, Arc::clone(&sys.tables) as _).with_wait_cap(Duration::from_secs(30)),
-    );
-    (shared, sys, scale)
+    tpcc::populate(&mut db, &scale, 42);
+    let shared = SharedDb::new(db, Arc::clone(&sys.tables) as _);
+    let gen = tpcc::InputGen::new(tpcc::TpccConfig::standard(scale), 7);
+    let host = WorkloadHost::new(Mix::Tpcc, Box::new(gen), cc);
+    let config = ServerConfig {
+        workers: terminals,
+        engine_retry: RetryPolicy::standard(),
+        ..ServerConfig::default()
+    };
+    Frontend::start(shared, Box::new(host), &config)
 }
 
 fn main() {
@@ -36,45 +47,47 @@ fn main() {
     );
     println!(
         "{:<10} {:>9} {:>9} {:>9} {:>10} {:>10} {:>9}",
-        "system", "commits", "aborts", "retries", "mean (ms)", "p95 (ms)", "tps"
+        "system", "commits", "rollbacks", "retries", "mean (ms)", "p95 (ms)", "tps"
     );
 
     let mut means = Vec::new();
     for (name, use_acc) in [("strict-2pl", false), ("acc", true)] {
-        let (shared, sys, scale) = build_shared(42);
-        let cc: Arc<dyn ConcurrencyControl> = if use_acc {
-            Arc::clone(&sys.acc) as _
-        } else {
-            Arc::new(TwoPhase)
-        };
-        let workload: Arc<dyn Workload> =
-            Arc::new(tpcc::InputGen::new(tpcc::TpccConfig::standard(scale), 7));
+        let frontend = frontend(use_acc, terminals);
         let report = run_closed_loop(
-            &shared,
-            &cc,
-            &workload,
+            &frontend,
             &ClosedLoopConfig {
                 terminals,
                 duration: Duration::from_secs(seconds),
                 think_time: Duration::from_millis(10),
                 seed: 99,
-                retry: RetryPolicy::standard(),
             },
         );
+        frontend.shutdown();
         println!(
             "{:<10} {:>9} {:>9} {:>9} {:>10.2} {:>10.2} {:>9.0}",
             name,
             report.committed,
-            report.aborted,
-            report.retries,
+            report.rolled_back,
+            report.engine_retries,
             report.latency.mean_ms,
             report.latency.p95_ms,
-            report.throughput_tps
+            report.committed_tps
         );
         means.push(report.latency.mean_ms);
 
-        // Audit at quiescence: strict conditions for 2PL, the semantic
+        // Audit at quiescence: no error answers and nothing left locked or
+        // active, then strict conditions for 2PL and the semantic
         // (gap-tolerant) conditions for the ACC.
+        let shared = frontend.shared();
+        if report.errors > 0 || shared.total_grants() > 0 || shared.active_txns() > 0 {
+            println!(
+                "           front-end audit FAILED: {} error answers, {} grants, {} active",
+                report.errors,
+                shared.total_grants(),
+                shared.active_txns()
+            );
+            std::process::exit(1);
+        }
         let violations = tpcc::consistency::check(&shared.snapshot_db(), !use_acc);
         if violations.is_empty() {
             println!("           consistency: OK");

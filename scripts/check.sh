@@ -48,8 +48,14 @@ echo "== crash torture (every kit x every cut-point source, plus the network fro
 cargo run -p acc-bench --release --offline --bin figures -- torture --quick > "$t1"
 cmp "$t1" scripts/torture_quick.golden
 
-echo "== multi-thread stress smoke (8-terminal closed loop, release) =="
+echo "== multi-thread stress smoke (8-terminal closed loop through the front-end, release) =="
 cargo run -p acc-bench --release --offline --bin figures -- stress --quick
+
+echo "== retry calibration smoke (smallbank under 2PL: deadlock victims on one shared page) =="
+# The one threaded gate in which compatible waiters queue behind a
+# conflicting one on a shared page: the window in which a withdrawn
+# deadlock victim must hand its queue on. Each cell audits the front-end.
+cargo run -p acc-bench --release --offline --bin figures -- retry --quick >/dev/null
 
 echo "== determinism: two consecutive 'figures -- tables' runs byte-identical =="
 cargo run -p acc-bench --release --offline --bin figures -- tables > "$t1"
@@ -72,9 +78,10 @@ done > "$t1"
 cmp "$t1" scripts/examples.golden
 
 echo "== tpcc_demo: threaded TPC-C consistency audit under 2PL and the ACC =="
-# The one example the golden leaves out: its output is wall-clock. It runs
-# real threads, so 2PL deadlock victims exercise physical undo under load,
-# and it exits 1 if either audit finds a TPC-C consistency violation.
+# The one example the golden leaves out: its output is wall-clock. Its
+# closed-loop terminals drive the front-end's worker threads, so 2PL
+# deadlock victims exercise physical undo under load, and it exits 1 if an
+# error answer, a leaked grant or a TPC-C consistency violation remains.
 cargo run -q --release --offline --example tpcc_demo -- 4 1 >/dev/null
 
 echo "== determinism: seeded open-loop arrival schedule byte-identical =="

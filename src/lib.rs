@@ -18,8 +18,9 @@
 //!   baseline, compensation;
 //! * [`acc`] — the paper's contribution: assertion templates, the
 //!   design-time interference analysis, and the one-level ACC policy;
-//! * [`engine`] — a deterministic interleaving explorer and a threaded
-//!   closed-loop engine;
+//! * [`engine`] — a deterministic interleaving explorer, plus the
+//!   `Workload` and `RetryPolicy` types the network front-end (`acc-server`)
+//!   serves and retries with;
 //! * [`sim`] — the discrete-event simulator behind the figure
 //!   reproductions;
 //! * [`tpcc`] — the TPC-C workload, decomposed as in the paper's
