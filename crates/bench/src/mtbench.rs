@@ -47,18 +47,12 @@ use std::time::{Duration, Instant};
 /// Thread counts every table sweeps.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
+/// Print the host's core count, the first line of every wall-clock bench.
 pub(crate) fn parallelism_banner() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     println!("host parallelism: {cores} core(s) available");
-    if cores < 4 {
-        println!(
-            "NOTE: fewer cores than benchmark threads — thread counts beyond \
-             {cores} time-slice one core, so wall-clock scaling cannot appear \
-             on this host; the tables below measure contention overhead only."
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------

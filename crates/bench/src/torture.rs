@@ -63,7 +63,6 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Salt XORed into the torture seed for the TPC-C mix (`"tort"`).
 const TORT_SALT: u64 = 0x746f_7274;
@@ -574,8 +573,7 @@ impl<'a> Sweep<'a> {
                 let (dev, snaps) = Snooper::new(MemDevice::new());
                 (Box::new(dev), snaps)
             };
-            let policy = GroupCommitPolicy::fixed(Duration::ZERO, max_batch);
-            shared = shared.with_wal_backend(dev, policy);
+            shared = shared.with_wal_backend(dev, GroupCommitPolicy { max_batch });
             snooped = Some(snaps);
         }
         let injector = setup.plan.map(FaultInjector::with_plan);

@@ -3,23 +3,22 @@
 //! Wall-clock, real threads, so — like `mtbench` — none of this belongs in
 //! `figures -- all`. Each cell runs `threads` committers in a closed loop of
 //! single-update transactions against a [`SharedDb`] whose WAL sits on a
-//! [`MemDevice`] or a [`FileDevice`], under a given group-commit window (the
-//! fsync interval the batch leader waits before flushing). Rows are disjoint
-//! per thread, so the cell isolates the commit path: WAL append, parking on
-//! the durable LSN, the leader's write+fsync.
+//! [`MemDevice`] or a [`FileDevice`]. Rows are disjoint per thread, so the
+//! cell isolates the commit path: WAL append, parking on the durable LSN,
+//! the leader's write+fsync.
 //!
-//! The interesting columns are `recs/fsync` (batch size actually achieved —
-//! emergent, not configured) and the latency/throughput trade as the window
-//! grows: wider windows coalesce more commits per fsync at the price of each
-//! commit waiting out the window.
+//! The interesting column is `recs/fsync`: the batch size achieved by
+//! committers that parked behind an in-flight fsync and retired together in
+//! the next flush (3 records per commit: update + step-end + commit).
 
+use crate::mtbench::parallelism_banner;
 use acc_common::{Result, TableId, TxnTypeId, Value};
 use acc_lockmgr::NoInterference;
 use acc_storage::{Catalog, ColumnType, Database, Key, Row, TableSchema};
 use acc_txn::runner::commit;
 use acc_txn::{SharedDb, StepCtx, Transaction, TwoPhase, WaitMode};
 use acc_wal::device::temp_log_path;
-use acc_wal::{CommitWindow, FileDevice, GroupCommitPolicy, LogDevice, MemDevice};
+use acc_wal::{FileDevice, GroupCommitPolicy, LogDevice, MemDevice};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -69,16 +68,8 @@ struct WalCell {
     recs_per_fsync: f64,
 }
 
-fn wal_cell(
-    dev: Box<dyn LogDevice>,
-    window: CommitWindow,
-    threads: usize,
-    duration: Duration,
-) -> WalCell {
-    let policy = GroupCommitPolicy {
-        window,
-        max_batch: 256,
-    };
+fn wal_cell(dev: Box<dyn LogDevice>, threads: usize, duration: Duration) -> WalCell {
+    let policy = GroupCommitPolicy { max_batch: 256 };
     let shared = Arc::new(
         SharedDb::new(counters_db(threads as i64), Arc::new(NoInterference))
             .with_wal_backend(dev, policy),
@@ -128,83 +119,39 @@ fn wal_cell(
     }
 }
 
-/// The `figures -- wal` sweep: device × group-commit window × committer
-/// threads. Wall-clock; the durability and lock-drain invariants are
-/// asserted per cell, the throughput numbers are host-dependent.
+/// The `figures -- wal` sweep: device × committer threads. Wall-clock; the
+/// durability and lock-drain invariants are asserted per cell, the
+/// throughput numbers are host-dependent.
 pub fn walbench(quick: bool) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("host parallelism: {cores} core(s) available");
-    if cores < 4 {
-        println!(
-            "NOTE: fewer cores than committer threads — counts beyond {cores} \
-             time-slice one core; the latency/batching columns remain \
-             meaningful, wall-clock scaling does not."
-        );
-    }
+    parallelism_banner();
     let duration = Duration::from_millis(if quick { 150 } else { 400 });
     let threads: &[usize] = if quick { &[1, 4] } else { &[1, 4, 8] };
-    // Fixed windows plus the rate-adaptive policy (floor 50 µs, ceil 2 ms):
-    // the adaptive rows should stay near window-0 wherever flushes retire
-    // ~one commit each (lone committer; mem device) and engage a window
-    // sized to the arrival rate where coalescing pays (file device under
-    // concurrency) — without hand-tuning.
-    let mut windows: Vec<(String, CommitWindow)> = if quick {
-        vec![0u64, 200]
-    } else {
-        vec![0, 100, 500, 2000]
-    }
-    .into_iter()
-    .map(|us| {
-        (
-            format!("{us} us"),
-            CommitWindow::Fixed(Duration::from_micros(us)),
-        )
-    })
-    .collect();
-    windows.push((
-        "adaptive".to_string(),
-        CommitWindow::Adaptive {
-            floor: Duration::from_micros(50),
-            ceil: Duration::from_millis(2),
-        },
-    ));
     println!(
         "\n=== group commit: single-update commits, {} ms/cell, max_batch 256 ===",
         duration.as_millis()
     );
     println!(
-        "{:>6} {:>10} {:>8} {:>12} {:>12} {:>14} {:>10} {:>11}",
-        "device",
-        "window",
-        "threads",
-        "commits",
-        "commits/s",
-        "mean lat us",
-        "fsyncs",
-        "recs/fsync"
+        "{:>6} {:>8} {:>12} {:>12} {:>14} {:>10} {:>11}",
+        "device", "threads", "commits", "commits/s", "mean lat us", "fsyncs", "recs/fsync"
     );
     for kind in ["mem", "file"] {
-        for (label, win) in &windows {
-            for &t in threads {
-                let path = temp_log_path(&format!("walbench-{label}-{t}").replace(' ', ""));
-                let dev: Box<dyn LogDevice> = match kind {
-                    "mem" => Box::new(MemDevice::new()),
-                    _ => {
-                        let _ = std::fs::remove_file(&path);
-                        Box::new(FileDevice::create(&path).expect("create bench log"))
-                    }
-                };
-                let cell = wal_cell(dev, *win, t, duration);
-                if kind == "file" {
+        for &t in threads {
+            let path = temp_log_path(&format!("walbench-{t}"));
+            let dev: Box<dyn LogDevice> = match kind {
+                "mem" => Box::new(MemDevice::new()),
+                _ => {
                     let _ = std::fs::remove_file(&path);
+                    Box::new(FileDevice::create(&path).expect("create bench log"))
                 }
-                println!(
-                    "{kind:>6} {label:>10} {t:>8} {:>12} {:>12.0} {:>14.1} {:>10} {:>11.1}",
-                    cell.commits, cell.tps, cell.mean_latency_us, cell.fsyncs, cell.recs_per_fsync
-                );
+            };
+            let cell = wal_cell(dev, t, duration);
+            if kind == "file" {
+                let _ = std::fs::remove_file(&path);
             }
+            println!(
+                "{kind:>6} {t:>8} {:>12} {:>12.0} {:>14.1} {:>10} {:>11.1}",
+                cell.commits, cell.tps, cell.mean_latency_us, cell.fsyncs, cell.recs_per_fsync
+            );
         }
     }
 }

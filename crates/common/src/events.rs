@@ -650,11 +650,6 @@ impl EventSink {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Flip recording on or off.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// Record one event: bump its counters and append it to the ring.
     /// No-op when disabled.
     pub fn emit(&self, ev: Event) {

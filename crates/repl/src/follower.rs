@@ -197,12 +197,6 @@ impl Follower {
         self.dev
     }
 
-    /// Direct mutable access to the local device (tests: simulate torn
-    /// local writes before a crash).
-    pub fn device_mut(&mut self) -> &mut dyn LogDevice {
-        &mut *self.dev
-    }
-
     /// The frontier handshake offered to the leader on resume.
     pub fn resume_point(&self) -> ResumePoint {
         ResumePoint {

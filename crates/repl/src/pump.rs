@@ -40,11 +40,10 @@ pub struct PumpStats {
 }
 
 /// Leader-side replication driver: owns the shipper, the transport, the
-/// retry policy for transient sends, and the observability plumbing.
+/// backoff rng for transient sends, and the observability plumbing.
 pub struct Replicator<T: ShipTransport> {
     shipper: Shipper,
     transport: T,
-    retry: RetryPolicy,
     rng: SeededRng,
     sink: Arc<EventSink>,
     faults: Arc<FaultInjector>,
@@ -56,7 +55,6 @@ impl<T: ShipTransport> Replicator<T> {
         Replicator {
             shipper: Shipper::new(max_batch),
             transport,
-            retry: RetryPolicy::standard(),
             rng: SeededRng::new(seed),
             sink: EventSink::disabled(),
             faults: FaultInjector::disabled(),
@@ -75,21 +73,10 @@ impl<T: ShipTransport> Replicator<T> {
         self
     }
 
-    /// Override the transient-send retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Replicator<T> {
-        self.retry = retry;
-        self
-    }
-
     /// Leader records the follower has verified (the shipped frontier the
     /// caller feeds to [`acc_txn::SharedDb::set_shipped_frontier`]).
     pub fn shipped_records(&self) -> u64 {
         self.shipper.acked_records()
-    }
-
-    /// The underlying transport (tests: inject misbehavior mid-stream).
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
     }
 
     /// Resume handshake after a follower restart: verify the follower's
@@ -104,16 +91,18 @@ impl<T: ShipTransport> Replicator<T> {
     }
 
     /// Send one batch, retrying transient transport failures with seeded
-    /// full-jitter backoff. Returns retries spent.
+    /// full-jitter backoff under [`RetryPolicy::standard`]. Returns retries
+    /// spent.
     fn send_with_retry(&mut self, batch: crate::ship::ShipBatch) -> Result<u64> {
+        let retry = RetryPolicy::standard();
         let mut attempt = 0u32;
         loop {
             match self.transport.send(batch.clone()) {
                 Ok(()) => return Ok(attempt as u64),
-                Err(e) if attempt < self.retry.max_retries => {
+                Err(e) if attempt < retry.max_retries => {
                     attempt += 1;
                     self.sink.emit(Event::ShipRetry { attempt });
-                    std::thread::sleep(self.retry.backoff(attempt, &mut self.rng));
+                    std::thread::sleep(retry.backoff(attempt, &mut self.rng));
                     let _ = e;
                 }
                 Err(e) => return Err(e),

@@ -12,7 +12,6 @@ use acc_txn::runner::commit;
 use acc_txn::{SharedDb, StepCtx, Transaction, TwoPhase, WaitMode};
 use acc_wal::{GroupCommitPolicy, MemDevice};
 use std::sync::Arc;
-use std::time::Duration;
 
 const T: TableId = TableId(0);
 
@@ -41,9 +40,9 @@ fn seeded_db() -> Database {
     db
 }
 
-/// A leader whose every commit syncs immediately (zero batch window).
+/// A leader whose every commit syncs immediately.
 fn leader() -> Arc<SharedDb> {
-    let policy = GroupCommitPolicy::fixed(Duration::ZERO, 1 << 20);
+    let policy = GroupCommitPolicy { max_batch: 1 << 20 };
     Arc::new(
         SharedDb::new(seeded_db(), Arc::new(NoInterference))
             .with_wal_backend(Box::new(MemDevice::new()), policy),

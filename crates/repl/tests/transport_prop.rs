@@ -19,7 +19,6 @@ use acc_txn::runner::commit;
 use acc_txn::{SharedDb, StepCtx, Transaction, TwoPhase, WaitMode};
 use acc_wal::{GroupCommitPolicy, MemDevice};
 use std::sync::Arc;
-use std::time::Duration;
 
 const T: TableId = TableId(0);
 const KEYS: i64 = 12;
@@ -68,7 +67,7 @@ fn add(s: &SharedDb, id: i64, delta: i64) -> Result<()> {
 
 /// Run a seeded leader workload and return its durable stream + records.
 fn leader_history(rng: &mut SeededRng, txns: usize) -> (Vec<u8>, u64) {
-    let policy = GroupCommitPolicy::fixed(Duration::ZERO, 1 << 20);
+    let policy = GroupCommitPolicy { max_batch: 1 << 20 };
     let s = SharedDb::new(seeded_db(), Arc::new(NoInterference))
         .with_wal_backend(Box::new(MemDevice::new()), policy);
     for _ in 0..txns {

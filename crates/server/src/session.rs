@@ -13,7 +13,7 @@
 //! with a peer that has already sent garbage — by design, the same stance the
 //! replication follower takes toward a torn ship batch.
 
-use acc_common::frame::{Decoded, Frame, FrameBuf, StreamChain};
+use acc_common::frame::{Decoded, FrameBuf, StreamChain};
 use acc_common::{Error, Result};
 
 /// The receiving half: reassembly buffer plus the inbound verification
@@ -101,12 +101,6 @@ impl Outbound {
     pub fn seal(&mut self, payload: &[u8]) -> Vec<u8> {
         self.chain.frame(payload.to_vec()).encode()
     }
-
-    /// The next outbound frame in structured form (fault injection tampers
-    /// with it before encoding).
-    pub fn seal_frame(&mut self, payload: &[u8]) -> Frame {
-        self.chain.frame(payload.to_vec())
-    }
 }
 
 /// One direction-pair of a framed connection.
@@ -145,12 +139,6 @@ impl Endpoint {
     /// Seal a payload into the next outbound frame, returning its bytes.
     pub fn seal(&mut self, payload: &[u8]) -> Vec<u8> {
         self.tx.seal(payload)
-    }
-
-    /// Split into independently-owned halves (a TCP connection's reader and
-    /// writer threads each take one).
-    pub fn into_split(self) -> (Inbound, Outbound) {
-        (self.rx, self.tx)
     }
 }
 

@@ -129,11 +129,6 @@ impl ChainEntry {
         }
     }
 
-    /// True if this entry's writer has not yet finalized.
-    pub fn is_pending(&self) -> bool {
-        matches!(self, ChainEntry::Pending { .. })
-    }
-
     /// True if this entry is committed at or before `view`.
     pub fn visible_at(&self, view: u64) -> bool {
         matches!(self, ChainEntry::Committed { commit_lsn, .. } if *commit_lsn <= view)

@@ -12,6 +12,10 @@ use acc_common::{Error, Result};
 use acc_wal::{InFlight, LogRecord};
 use std::time::{Duration, Instant};
 
+/// How many transient failures a compensating step retries before the
+/// rollback is reported wedged (see [`rollback`]).
+const COMP_RETRY_CAP: u32 = 8;
+
 /// Why a transaction rolled back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AbortReason {
@@ -396,16 +400,15 @@ pub fn rollback(
         txn.state = TxnState::Compensating;
         // A compensating step is never a deadlock victim (the lock manager
         // dooms whoever delays it), but transient races can still surface;
-        // retry with a small cap before declaring the system wedged. The cap
-        // is configurable via [`SharedDb::with_comp_retry_cap`].
+        // retry up to `COMP_RETRY_CAP` times before declaring the system
+        // wedged.
         let steps_completed = txn.steps_completed;
-        let cap = shared.comp_retry_cap();
         let mut attempts = 0;
         loop {
             let mut ctx = StepCtx::new(shared, cc, txn, WaitMode::Block);
             match program.compensate(steps_completed, &mut ctx) {
                 Ok(()) => break,
-                Err(e) if e.is_transient() && attempts < cap => {
+                Err(e) if e.is_transient() && attempts < COMP_RETRY_CAP => {
                     attempts += 1;
                     // Undo the failed attempt and drop its conventional
                     // locks so a cross-blocked compensating peer can make
@@ -437,7 +440,7 @@ pub fn rollback(
                     return Err(Error::Internal(if e.is_transient() {
                         format!(
                             "compensation of {} wedged: still transient after \
-                             {attempts} retries (cap {cap}): {e}",
+                             {attempts} retries (cap {COMP_RETRY_CAP}): {e}",
                             txn.id
                         )
                     } else {

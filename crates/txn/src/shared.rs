@@ -106,9 +106,6 @@ pub struct SharedDb {
     wait_cap: Duration,
     /// Fault-injection hook for lock waits (disabled by default).
     faults: Arc<FaultInjector>,
-    /// How many transient failures a compensating step retries before the
-    /// rollback is declared wedged (see `runner::rollback`).
-    comp_retry_cap: u32,
 }
 
 impl SharedDb {
@@ -133,7 +130,6 @@ impl SharedDb {
             boundary_hook: Mutex::new(None),
             wait_cap: Duration::from_secs(30),
             faults: FaultInjector::disabled(),
-            comp_retry_cap: 8,
         }
     }
 
@@ -160,19 +156,6 @@ impl SharedDb {
         self.wal.set_fault_injector(Arc::clone(&faults));
         self.faults = faults;
         self
-    }
-
-    /// Override the compensation transient-retry cap (how many times a
-    /// compensating step retries a transient failure before the rollback is
-    /// reported wedged).
-    pub fn with_comp_retry_cap(mut self, cap: u32) -> Self {
-        self.comp_retry_cap = cap;
-        self
-    }
-
-    /// The compensation transient-retry cap.
-    pub fn comp_retry_cap(&self) -> u32 {
-        self.comp_retry_cap
     }
 
     /// The current interference tables (unpinned snapshot).

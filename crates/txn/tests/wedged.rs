@@ -1,7 +1,6 @@
 //! Wedged compensation: a compensating step that never stops failing
-//! transiently must hit the configurable retry cap and surface a clean
-//! `Error::Internal` — no infinite loop, no leaked locks, no lingering doom
-//! flag.
+//! transiently must hit the retry cap and surface a clean `Error::Internal`
+//! — no infinite loop, no leaked locks, no lingering doom flag.
 
 use acc_common::{Error, Result, StepTypeId, TableId, TxnId, TxnTypeId, Value};
 use acc_lockmgr::{LockKind, LockMode, NoInterference};
@@ -108,18 +107,5 @@ fn wedged_compensation_hits_default_cap_with_clean_error() {
     assert!(msg.contains("cap 8"), "unexpected error: {msg}");
     // The failed transaction must not leak locks or doom flags: a fresh
     // transaction on the same table runs fine.
-    assert_eq!(shared.total_grants(), 0);
-}
-
-#[test]
-fn wedged_compensation_honours_configured_cap() {
-    let shared = Arc::new(
-        SharedDb::new(Database::new(&catalog()), Arc::new(NoInterference))
-            .with_wait_cap(Duration::from_secs(5))
-            .with_comp_retry_cap(2),
-    );
-    let (err, calls) = run_wedged(&shared);
-    assert_eq!(calls, 3, "expected initial attempt + 2 retries");
-    assert!(err.to_string().contains("cap 2"), "{err}");
     assert_eq!(shared.total_grants(), 0);
 }

@@ -4,12 +4,13 @@
 //! independently of lock traffic; this module is the batching layer behind
 //! it. Appenders append under the log mutex (cheap — one encode onto the
 //! log's image, no I/O) and *commit* by parking on their record's LSN in
-//! [`DurableWal::sync_to`]. The first parked committer becomes the batch
-//! leader: it waits out the group-commit window so followers can pile on,
-//! drains every frame appended since the last flush, and retires the whole
-//! batch with one device write + fsync. `durable_lsn` advances only at these
-//! fsync boundaries — a crash loses precisely the suffix past the last
-//! completed fsync, never a prefix of it.
+//! [`DurableWal::sync_to`]. A committer that finds no flush running leads
+//! one at once: it drains every frame appended since the last flush and
+//! retires the whole batch with one device write + fsync. Committers that
+//! arrive during that fsync park, and retire together in the next flush: a
+//! batch is whoever queued behind the fsync in flight. `durable_lsn`
+//! advances only at these fsync boundaries — a crash loses precisely the
+//! suffix past the last completed fsync, never a prefix of it.
 //!
 //! Failure is sticky: if a sync fails mid-batch, no transaction in that
 //! batch (or any later one) is ever acknowledged — the error surfaces to
@@ -21,109 +22,20 @@ use crate::log::{Lsn, Wal};
 use acc_common::faults::FaultInjector;
 use acc_common::{Error, Result};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
-/// How long a batch leader waits for followers before flushing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommitWindow {
-    /// Wait exactly this long. Zero — the default — flushes immediately
-    /// (every committer that finds no flush in progress leads its own
-    /// batch); non-zero trades commit latency for fewer, fatter fsyncs.
-    Fixed(Duration),
-    /// Track the observed arrival rate: the leader waits roughly four EWMA
-    /// inter-append gaps (time enough for a few more records to arrive at
-    /// the current pace), clamped to `floor..=ceil` — but only while
-    /// flushes are actually coalescing commits. The second signal is an
-    /// EWMA of committers retired per flush: while it sits near 1 (a lone
-    /// committer, or a device so fast that batching buys nothing) the wait
-    /// is zero, so a solo thread never pays a window for followers that
-    /// cannot exist. On a slow device under concurrency the in-flight fsync
-    /// itself coalesces the first followers, occupancy rises above the
-    /// engage threshold, and the window switches on. Gaps so long that four
-    /// of them exceed `ceil` mean "idle": zero wait again.
-    Adaptive {
-        /// Smallest engaged wait (granted even when the gap estimate says
-        /// less — an fsync costs the same either way).
-        floor: Duration,
-        /// Largest wait; estimated waits beyond it mean "idle, don't wait".
-        ceil: Duration,
-    },
-}
-
-impl Default for CommitWindow {
-    fn default() -> CommitWindow {
-        CommitWindow::Fixed(Duration::ZERO)
-    }
-}
-
-/// Commits-per-flush below which an adaptive window stays off: flushes are
-/// not coalescing, so waiting would tax the only committer there is.
-const ENGAGE_COMMITS_PER_FLUSH: f64 = 1.5;
-
-/// The leader wait a [`CommitWindow::Adaptive`] window prescribes given the
-/// EWMA of inter-append gaps (`0` = no estimate yet) and the EWMA of
-/// committers retired per flush. Pure, so the clamp/engage policy is
-/// unit-testable without a clock.
-pub fn adaptive_wait(
-    ewma_gap_ns: u64,
-    ewma_commits_per_flush: f64,
-    floor: Duration,
-    ceil: Duration,
-) -> Duration {
-    if ewma_commits_per_flush < ENGAGE_COMMITS_PER_FLUSH {
-        // Flushes retire ~one commit each: either a lone committer (no
-        // follower will ever arrive during the wait) or a device fast
-        // enough that followers retire behind the in-flight fsync anyway.
-        // Waiting buys nothing; don't.
-        return Duration::ZERO;
-    }
-    if ewma_gap_ns == 0 {
-        // Coalescing but no rate estimate yet: the cheapest engaged wait.
-        return floor;
-    }
-    let want = Duration::from_nanos(ewma_gap_ns.saturating_mul(4));
-    if want > ceil {
-        // Records arrive slower than the ceiling covers: idle, don't wait.
-        return Duration::ZERO;
-    }
-    want.max(floor)
-}
-
-/// Tuning for the group-commit batcher.
+/// Tuning for the group-commit batcher. Commit batches form on their own
+/// (see the module docs); the one setting bounds the staged tail.
 #[derive(Debug, Clone, Copy)]
 pub struct GroupCommitPolicy {
-    /// The leader's follower-accumulation wait.
-    pub window: CommitWindow,
     /// Background-flush threshold: once this many records are appended but
     /// not yet durable, a non-committing append may trigger a flush so the
     /// staged tail cannot grow without bound between commits.
     pub max_batch: usize,
 }
 
-impl GroupCommitPolicy {
-    /// A fixed-window policy.
-    pub fn fixed(window: Duration, max_batch: usize) -> GroupCommitPolicy {
-        GroupCommitPolicy {
-            window: CommitWindow::Fixed(window),
-            max_batch,
-        }
-    }
-
-    /// A rate-adaptive policy (see [`CommitWindow::Adaptive`]).
-    pub fn adaptive(floor: Duration, ceil: Duration, max_batch: usize) -> GroupCommitPolicy {
-        GroupCommitPolicy {
-            window: CommitWindow::Adaptive { floor, ceil },
-            max_batch,
-        }
-    }
-}
-
 impl Default for GroupCommitPolicy {
     fn default() -> GroupCommitPolicy {
-        GroupCommitPolicy {
-            window: CommitWindow::default(),
-            max_batch: 256,
-        }
+        GroupCommitPolicy { max_batch: 256 }
     }
 }
 
@@ -147,43 +59,6 @@ struct GcState {
     fsyncs: u64,
     /// Sticky device failure: set once, fails every later sync.
     failed: Option<String>,
-    /// When the last flush completed (adaptive-window rate tracking).
-    last_flush: Option<Instant>,
-    /// EWMA (α = 1/4) of inter-append gaps, nanoseconds; 0 = no estimate.
-    /// Sampled batchwise: elapsed-since-last-flush / records-this-flush.
-    ewma_gap_ns: u64,
-    /// EWMA (α = 1/4) of committers retired per flush — the adaptive
-    /// window's engage signal (see [`adaptive_wait`]).
-    ewma_commits_per_flush: f64,
-    /// `sync_to` calls since the last completed flush.
-    committers_since_flush: u64,
-}
-
-impl GcState {
-    /// Fold one completed flush covering `records` new records into the
-    /// rate estimates. Called at each completed flush, under the state
-    /// mutex.
-    fn note_flush(&mut self, records: u64) {
-        let now = Instant::now();
-        if let Some(prev) = self.last_flush {
-            let elapsed = now.duration_since(prev).as_nanos().min(u64::MAX as u128) as u64;
-            // Mean inter-append gap over the interval. Dividing by the batch
-            // size is also what keeps the feedback loop stable: a longer
-            // window collects proportionally more records, so the per-record
-            // gap — and with it the next window — converges instead of
-            // compounding.
-            let gap = elapsed / records.max(1);
-            self.ewma_gap_ns = if self.ewma_gap_ns == 0 {
-                gap
-            } else {
-                self.ewma_gap_ns - self.ewma_gap_ns / 4 + gap / 4
-            };
-        }
-        self.last_flush = Some(now);
-        self.ewma_commits_per_flush =
-            self.ewma_commits_per_flush * 0.75 + self.committers_since_flush as f64 * 0.25;
-        self.committers_since_flush = 0;
-    }
 }
 
 /// The WAL plus its durable backend and the group-commit state machine.
@@ -250,11 +125,6 @@ impl DurableWal {
         f(&mut self.log.lock().unwrap())
     }
 
-    /// The group-commit policy in force.
-    pub fn policy(&self) -> GroupCommitPolicy {
-        self.policy
-    }
-
     /// Records covered by completed fsyncs.
     pub fn durable_records(&self) -> u64 {
         self.state.lock().unwrap().durable
@@ -282,7 +152,6 @@ impl DurableWal {
     /// every current and future committer gets the error.
     pub fn sync_to(&self, lsn: Lsn) -> Result<Option<FlushStats>> {
         let mut state = self.state.lock().unwrap();
-        state.committers_since_flush += 1;
         loop {
             if let Some(msg) = &state.failed {
                 return Err(Error::Internal(format!("wal device failed: {msg}")));
@@ -294,16 +163,10 @@ impl DurableWal {
                 state = self.cv.wait(state).unwrap();
                 continue;
             }
-            // Lead: let followers accumulate for one window, then flush
-            // everything appended — including appends that arrived during
-            // the wait — in one write + fsync.
-            let wait = match self.policy.window {
-                CommitWindow::Fixed(w) => w,
-                CommitWindow::Adaptive { floor, ceil } => {
-                    adaptive_wait(state.ewma_gap_ns, state.ewma_commits_per_flush, floor, ceil)
-                }
-            };
-            let stats = self.lead_flush(state, wait)?;
+            // Lead at once: flush everything appended so far — this record
+            // and whatever followers appended while the last flush ran — in
+            // one write + fsync.
+            let stats = self.lead_flush(state)?;
             // This leader's own record is covered by construction: it was
             // appended before sync_to was called.
             debug_assert!(self.durable_records() > lsn.0);
@@ -312,11 +175,10 @@ impl DurableWal {
     }
 
     /// Background flush hint: if at least `max_batch` records are appended
-    /// but not durable and no flush is running, lead one now (no window
-    /// wait — the batch is already full). Returns the flush stats if this
-    /// call flushed. Device errors are sticky but deliberately not returned
-    /// here: a failed background flush surfaces at the next commit's
-    /// `sync_to`, which is the ack point that must see it.
+    /// but not durable and no flush is running, lead one now. Returns the
+    /// flush stats if this call flushed. Device errors are sticky but
+    /// deliberately not returned here: a failed background flush surfaces at
+    /// the next commit's `sync_to`, which is the ack point that must see it.
     pub fn flush_if_batchful(&self) -> Option<FlushStats> {
         {
             let state = self.state.lock().unwrap();
@@ -347,21 +209,18 @@ impl DurableWal {
             if state.durable >= appended {
                 return Ok(None);
             }
-            return self.lead_flush(state, Duration::ZERO).map(Some);
+            return self.lead_flush(state).map(Some);
         }
     }
 
     /// The leader's flush, entered holding the state lock with no flush
-    /// running: mark the flush in progress, release the lock for `wait` plus
-    /// the drain and fsync, then re-lock and either account the completed
-    /// flush or record the sticky failure. Either way every parked committer
-    /// is woken to re-check.
-    fn lead_flush(&self, mut state: MutexGuard<'_, GcState>, wait: Duration) -> Result<FlushStats> {
+    /// running: mark the flush in progress, release the lock for the drain
+    /// and fsync, then re-lock and either account the completed flush or
+    /// record the sticky failure. Either way every parked committer is woken
+    /// to re-check.
+    fn lead_flush(&self, mut state: MutexGuard<'_, GcState>) -> Result<FlushStats> {
         state.flushing = true;
         drop(state);
-        if !wait.is_zero() {
-            std::thread::sleep(wait);
-        }
         let flushed = self.flush_once();
         let mut state = self.state.lock().unwrap();
         state.flushing = false;
@@ -373,7 +232,6 @@ impl DurableWal {
                 };
                 state.durable = covered;
                 state.fsyncs += 1;
-                state.note_flush(stats.records);
                 Ok(stats)
             }
             Err(e) => {
@@ -414,6 +272,8 @@ mod tests {
     use crate::codec;
     use crate::record::LogRecord;
     use acc_common::TxnId;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn commit_rec(n: u64) -> LogRecord {
         LogRecord::Commit { txn: TxnId(n) }
@@ -464,21 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn lone_appender_flushes_within_the_window() {
-        // Liveness: one committer, nonzero window, nobody else to batch
-        // with — it must lead its own flush and return, not park forever.
-        let wal = DurableWal::new(
-            Box::new(MemDevice::new()),
-            GroupCommitPolicy::fixed(Duration::from_millis(5), 256),
-        );
-        let lsn = wal.with_log(|w| w.append(commit_rec(1)));
-        let start = std::time::Instant::now();
-        wal.sync_to(lsn).unwrap().expect("led");
-        assert!(start.elapsed() < Duration::from_secs(1));
-        assert_eq!(wal.durable_records(), 1);
-    }
-
-    #[test]
     fn failed_sync_is_sticky_and_acks_nothing() {
         let mut wal = DurableWal::new(Box::new(BrokenDevice), GroupCommitPolicy::default());
         wal.set_fault_injector(FaultInjector::disabled());
@@ -491,38 +336,96 @@ mod tests {
         assert!(wal.force_flush().is_err());
     }
 
-    #[test]
-    fn concurrent_committers_coalesce_into_few_fsyncs() {
-        let wal = Arc::new(DurableWal::new(
-            Box::new(MemDevice::new()),
-            GroupCommitPolicy::fixed(Duration::from_millis(2), 256),
-        ));
-        let threads: Vec<_> = (0..8u64)
-            .map(|i| {
-                let wal = Arc::clone(&wal);
-                std::thread::spawn(move || {
-                    let lsn = wal.with_log(|w| w.append(commit_rec(i)));
-                    wal.sync_to(lsn).unwrap();
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
+    /// A memory device whose `sync` reports that it was entered, then blocks
+    /// until the test opens the gate: an fsync held in flight on demand.
+    struct GatedDevice {
+        inner: MemDevice,
+        entered: mpsc::Sender<()>,
+        gate: Arc<(Mutex<bool>, Condvar)>,
+    }
+
+    impl LogDevice for GatedDevice {
+        fn stage(&mut self, bytes: &[u8]) {
+            self.inner.stage(bytes);
         }
-        assert_eq!(wal.durable_records(), 8);
-        assert!(
-            wal.fsyncs() <= 8,
-            "never more fsyncs than committers: {}",
-            wal.fsyncs()
-        );
-        assert_eq!(codec::decode_all(&wal.durable_stream()).len(), 8);
+        fn sync(&mut self) -> Result<()> {
+            let _ = self.entered.send(());
+            let (open, cv) = &*self.gate;
+            let mut open = open.lock().unwrap();
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+            self.inner.sync()
+        }
+        fn staged_len(&self) -> usize {
+            self.inner.staged_len()
+        }
+        fn durable_len(&self) -> u64 {
+            self.inner.durable_len()
+        }
+        fn durable_stream(&self) -> Vec<u8> {
+            self.inner.durable_stream()
+        }
+        fn raw_image(&self) -> Vec<u8> {
+            self.inner.raw_image()
+        }
+        fn kind(&self) -> &'static str {
+            "gated"
+        }
+    }
+
+    #[test]
+    fn followers_parked_behind_an_inflight_fsync_retire_in_one_flush() {
+        const K: u64 = 6;
+        let (entered_tx, entered) = mpsc::channel();
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let dev = GatedDevice {
+            inner: MemDevice::new(),
+            entered: entered_tx,
+            gate: Arc::clone(&gate),
+        };
+        let wal = Arc::new(DurableWal::new(Box::new(dev), GroupCommitPolicy::default()));
+        let commit = |wal: &Arc<DurableWal>, n: u64| {
+            let wal = Arc::clone(wal);
+            std::thread::spawn(move || {
+                let lsn = wal.with_log(|w| w.append(commit_rec(n)));
+                wal.sync_to(lsn)
+            })
+        };
+        // The leader drains its one record and blocks inside the fsync.
+        let leader = commit(&wal, 0);
+        entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("leader entered sync");
+        // Followers append behind the in-flight fsync and park.
+        let followers: Vec<_> = (1..=K).map(|n| commit(&wal, n)).collect();
+        while wal.with_log(|w| w.len() as u64) < K + 1 {
+            std::thread::yield_now();
+        }
+        {
+            let (open, cv) = &*gate;
+            *open.lock().unwrap() = true;
+            cv.notify_all();
+        }
+        let led = leader.join().unwrap().expect("leader acked");
+        assert_eq!(led.expect("leader led the first flush").records, 1);
+        let second: Vec<FlushStats> = followers
+            .into_iter()
+            .filter_map(|f| f.join().unwrap().expect("follower acked"))
+            .collect();
+        // One follower led the second flush; it covered every follower.
+        assert_eq!(second.len(), 1, "followers led {second:?}");
+        assert_eq!(second[0].records, K);
+        assert_eq!(wal.fsyncs(), 2);
+        assert_eq!(wal.durable_records(), K + 1);
+        assert_eq!(codec::decode_all(&wal.durable_stream()).len() as u64, K + 1);
     }
 
     #[test]
     fn flush_if_batchful_flushes_at_threshold() {
         let wal = DurableWal::new(
             Box::new(MemDevice::new()),
-            GroupCommitPolicy::fixed(Duration::ZERO, 4),
+            GroupCommitPolicy { max_batch: 4 },
         );
         for i in 0..3 {
             wal.with_log(|w| w.append(commit_rec(i)));
@@ -532,58 +435,5 @@ mod tests {
         let stats = wal.flush_if_batchful().expect("at threshold");
         assert_eq!(stats.records, 4);
         assert_eq!(wal.durable_records(), 4);
-    }
-
-    #[test]
-    fn adaptive_wait_clamps_to_the_observed_rate() {
-        let floor = Duration::from_micros(50);
-        let ceil = Duration::from_millis(2);
-        // Not coalescing (~1 commit per flush): never wait, whatever the
-        // rate estimate says — a lone committer has no followers to collect.
-        assert_eq!(adaptive_wait(0, 0.0, floor, ceil), Duration::ZERO);
-        assert_eq!(adaptive_wait(1_000, 1.0, floor, ceil), Duration::ZERO);
-        assert_eq!(adaptive_wait(100_000, 1.4, floor, ceil), Duration::ZERO);
-        // Engaged but no rate estimate yet: the cheapest engaged wait.
-        assert_eq!(adaptive_wait(0, 4.0, floor, ceil), floor);
-        // Gaps so small that 4× still undercuts the floor: floor wins.
-        assert_eq!(adaptive_wait(1_000, 4.0, floor, ceil), floor);
-        // In range: wait ≈ four gaps.
-        assert_eq!(
-            adaptive_wait(100_000, 4.0, floor, ceil),
-            Duration::from_micros(400)
-        );
-        // The exact ceiling is still a wait...
-        assert_eq!(adaptive_wait(500_000, 4.0, floor, ceil), ceil);
-        // ...but beyond it the system is idle: no wait at all.
-        assert_eq!(adaptive_wait(500_001, 4.0, floor, ceil), Duration::ZERO);
-        assert_eq!(adaptive_wait(u64::MAX, 8.0, floor, ceil), Duration::ZERO);
-    }
-
-    #[test]
-    fn adaptive_window_stays_live_and_durable() {
-        // Functional check (the latency/batching numbers live in
-        // `figures -- wal`): an adaptive policy must ack every commit and
-        // advance durability exactly like a fixed one.
-        let wal = Arc::new(DurableWal::new(
-            Box::new(MemDevice::new()),
-            GroupCommitPolicy::adaptive(Duration::from_micros(50), Duration::from_millis(2), 256),
-        ));
-        let threads: Vec<_> = (0..4u64)
-            .map(|i| {
-                let wal = Arc::clone(&wal);
-                std::thread::spawn(move || {
-                    for j in 0..8u64 {
-                        let lsn = wal.with_log(|w| w.append(commit_rec(i * 8 + j)));
-                        wal.sync_to(lsn).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(wal.durable_records(), 32);
-        assert_eq!(codec::decode_all(&wal.durable_stream()).len(), 32);
-        assert!(wal.fsyncs() <= 32);
     }
 }

@@ -30,7 +30,7 @@ pub mod recovery;
 pub mod sector;
 
 pub use device::{FileDevice, FsyncSnapshot, LogDevice, MemDevice, Snooper};
-pub use group::{adaptive_wait, CommitWindow, DurableWal, FlushStats, GroupCommitPolicy};
+pub use group::{DurableWal, FlushStats, GroupCommitPolicy};
 pub use log::{Lsn, Wal};
 pub use record::LogRecord;
 pub use recovery::{recover, InFlight, RecoveryReport};

@@ -38,6 +38,11 @@ bash scripts/bench_diff.sh BENCH_perfbench.json BENCHMARK.json >/dev/null
 echo "== pagebench smoke (page-latch protocol, release) =="
 cargo run -p acc-bench --release --offline --bin figures -- pagebench --quick >/dev/null
 
+echo "== group-commit smoke (threaded commits on both log devices, release) =="
+# Every cell asserts that each acknowledged commit is durable and that no
+# lock is left behind; the one threaded check of the commit path on FileDevice.
+cargo run -p acc-bench --release --offline --bin figures -- wal --quick >/dev/null
+
 t1="$(mktemp)"; t2="$(mktemp)"
 trap 'rm -f "$t1" "$t2"' EXIT
 
