@@ -132,7 +132,8 @@ impl Acc {
         }
     }
 
-    fn spec(&self, ty: TxnTypeId) -> &TxnSpec {
+    /// The declared decomposition of `ty`. Panics for an unregistered type.
+    pub fn spec(&self, ty: TxnTypeId) -> &TxnSpec {
         self.specs
             .get(&ty)
             .unwrap_or_else(|| panic!("no decomposition registered for {ty}"))

@@ -23,7 +23,7 @@ fn run(mode: CcMode) -> f64 {
     let mut source = TpccTraceSource::new(
         TpccConfig::skewed(Scale::benchmark()),
         7,
-        sys.templates,
+        &sys,
         TraceCosts::default(),
     );
     let config = SimConfig {

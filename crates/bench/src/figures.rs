@@ -97,7 +97,7 @@ fn run_custom(
     let mut source = TpccTraceSource::new(
         params.tpcc.clone(),
         params.seed ^ (terminals as u64) << 8,
-        sys.templates,
+        &sys,
         params.costs.clone(),
     );
     let two_level_templates = if mode == CcMode::AccTwoLevel {
@@ -453,7 +453,7 @@ pub fn lockstat(params: &FigureParams) -> SimReport {
     let mut source = TpccTraceSource::new(
         TpccConfig::skewed(params.tpcc.scale),
         params.seed,
-        sys.templates,
+        &sys,
         params.costs.clone(),
     );
     let config = SimConfig {

@@ -33,13 +33,13 @@ use acc_common::events::EventSink;
 use acc_common::faults::ConnPlan;
 use acc_common::{Error, Result, SeededRng};
 use acc_engine::RetryPolicy;
+use acc_engine::Workload;
 use acc_server::{
     run_open_loop, ArrivalSchedule, CallOutcome, Frontend, LoadgenConfig, MemConn, Mix, Response,
     ServerConfig,
 };
 use acc_wal::{recover, Wal};
 use acc_workloads::smallbank::SmallbankKit;
-use acc_workloads::WorkloadKit;
 use std::fmt::Write as _;
 use std::time::Duration;
 

@@ -4,7 +4,7 @@
 //! The paper's robustness argument (§3.4) is that multi-step transactions
 //! survive failure through two things: redo from end-of-step records, and
 //! compensating steps resumed from the saved work area. This module proves
-//! it mechanically. A [`WorkloadKit`] runs its seeded mix single-threaded
+//! it mechanically. A [`Workload`] runs its seeded mix single-threaded
 //! under its own tables, and a [`CutSource`] turns that run into crash
 //! points:
 //!
@@ -48,103 +48,20 @@ use acc_repl::{
     stream_chain, Applied, Follower, MemTransport, Refusal, Replicator, ShipBatch, Shipper,
 };
 use acc_storage::Database;
-use acc_tpcc::decompose::TableEdit;
-use acc_tpcc::{consistency, recovery, tpcc_catalog, InputGen, Scale, TpccConfig, TpccSystem};
+use acc_tpcc::TpccKit;
 use acc_txn::runner::{self, resume_compensation};
-use acc_txn::{SharedDb, TxnProgram, WaitMode};
+use acc_txn::{SharedDb, WaitMode};
 use acc_wal::codec::frame_ends;
 use acc_wal::device::temp_log_path;
 use acc_wal::{
-    recover, sector, FileDevice, FsyncSnapshot, GroupCommitPolicy, InFlight, LogDevice, LogRecord,
-    Lsn, MemDevice, Snooper, Wal,
+    recover, sector, FileDevice, FsyncSnapshot, GroupCommitPolicy, LogDevice, LogRecord, Lsn,
+    MemDevice, Snooper, Wal,
 };
-use acc_workloads::{saga, smallbank, WorkloadKit};
+use acc_workloads::{saga, smallbank};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Salt XORed into the torture seed for the TPC-C mix (`"tort"`).
-const TORT_SALT: u64 = 0x746f_7274;
-
-/// TPC-C as a [`WorkloadKit`]: the hand-analyzed system over a population
-/// seeded with the torture seed, the standard mix, and the three
-/// [`TableEdit`] re-analyses as alternative tables.
-pub struct TpccKit {
-    name: &'static str,
-    scale: Scale,
-    seed: u64,
-    sys: TpccSystem,
-    gen: InputGen,
-}
-
-impl TpccKit {
-    /// TPC-C at [`Scale::test`]; `seed` seeds the population and the NURand
-    /// constants, and must equal the torture config's seed.
-    pub fn test(seed: u64) -> TpccKit {
-        TpccKit::new("tpcc", Scale::test(), seed)
-    }
-
-    /// TPC-C at [`Scale::benchmark`], whose WAL is long enough that the
-    /// append sweep strides.
-    pub fn benchmark(seed: u64) -> TpccKit {
-        TpccKit::new("tpcc-bench", Scale::benchmark(), seed)
-    }
-
-    fn new(name: &'static str, scale: Scale, seed: u64) -> TpccKit {
-        TpccKit {
-            name,
-            scale,
-            seed,
-            sys: TpccSystem::build(),
-            gen: InputGen::new(TpccConfig::standard(scale), seed),
-        }
-    }
-}
-
-impl Workload for TpccKit {
-    fn next_program(&self, rng: &mut SeededRng) -> Box<dyn TxnProgram + Send> {
-        self.gen.next_program(rng)
-    }
-}
-
-impl WorkloadKit for TpccKit {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn base(&self) -> Database {
-        let mut db = Database::new(&tpcc_catalog());
-        acc_tpcc::populate(&mut db, &self.scale, self.seed);
-        db
-    }
-    fn tables(&self) -> Arc<InterferenceTables> {
-        Arc::clone(&self.sys.tables)
-    }
-    fn acc(&self) -> Arc<Acc> {
-        Arc::clone(&self.sys.acc)
-    }
-    fn program_for_inflight(&self, inf: &InFlight) -> Result<Box<dyn TxnProgram + Send>> {
-        recovery::program_for_inflight(inf)
-    }
-    fn audit(&self, db: &Database) -> Vec<String> {
-        consistency::check(db, false)
-            .into_iter()
-            .map(|v| format!("condition {}: {}", v.condition, v.detail))
-            .collect()
-    }
-    fn mix_salt(&self) -> u64 {
-        TORT_SALT
-    }
-    fn alt_tables(&self) -> Vec<Arc<InterferenceTables>> {
-        [
-            TableEdit::AddAudit,
-            TableEdit::WidenNoLoop,
-            TableEdit::RemoveAudit,
-        ]
-        .map(|e| TpccSystem::reanalyze(e).tables)
-        .to_vec()
-    }
-}
 
 /// Where crash points come from. Each variant carries its own sample
 /// counts; `max_*` caps stride the sweep (always keeping the last point).
@@ -297,7 +214,7 @@ impl TortureReport {
 /// Errors are harness-level failures (a recovery that itself failed, a
 /// broken determinism or framing guarantee); audit violations and
 /// mixed-epoch lookups are counted in the report.
-pub fn run(kit: &dyn WorkloadKit, cfg: &TortureConfig) -> Result<TortureReport> {
+pub fn run(kit: &dyn Workload, cfg: &TortureConfig) -> Result<TortureReport> {
     let mut sweep = Sweep::new(kit, cfg);
     match cfg.source {
         CutSource::Append {
@@ -332,7 +249,7 @@ pub fn run(kit: &dyn WorkloadKit, cfg: &TortureConfig) -> Result<TortureReport> 
 /// Run the append sweep over an externally written `image` (recovered into
 /// the kit's base and audited by the kit). Only [`CutSource::Append`]
 /// without injector samples applies: nothing can re-run a foreign log.
-pub fn run_over(kit: &dyn WorkloadKit, cfg: &TortureConfig, image: &[u8]) -> Result<TortureReport> {
+pub fn run_over(kit: &dyn Workload, cfg: &TortureConfig, image: &[u8]) -> Result<TortureReport> {
     let CutSource::Append {
         max_points,
         torn,
@@ -354,10 +271,10 @@ pub fn run_over(kit: &dyn WorkloadKit, cfg: &TortureConfig, image: &[u8]) -> Res
 /// plus (full sweep only) benchmark-scale TPC-C as one more append row.
 /// TPC-C keeps the sizes its pinned tallies were measured at; smallbank and
 /// the saga keep their seeded mixes, so their baseline WALs too.
-pub fn matrix(quick: bool) -> Vec<(Arc<dyn WorkloadKit>, TortureConfig)> {
-    let tpcc: Arc<dyn WorkloadKit> = Arc::new(TpccKit::test(42));
-    let smallbank: Arc<dyn WorkloadKit> = Arc::new(smallbank::SmallbankKit::build(8));
-    let saga: Arc<dyn WorkloadKit> = Arc::new(saga::SagaKit::build(6, 4));
+pub fn matrix(quick: bool) -> Vec<(Arc<dyn Workload>, TortureConfig)> {
+    let tpcc: Arc<dyn Workload> = Arc::new(TpccKit::test(42));
+    let smallbank: Arc<dyn Workload> = Arc::new(smallbank::SmallbankKit::build(8));
+    let saga: Arc<dyn Workload> = Arc::new(saga::SagaKit::build(6, 4));
     let pick = |full: usize, fast: usize| if quick { fast } else { full };
     let mut rows = Vec::new();
     // TPC-C: the quick append mix is 10 transactions, every other quick mix 8.
@@ -451,8 +368,8 @@ pub fn figure(quick: bool) {
 struct MixSetup {
     /// Tables the run boots with instead of the kit's own.
     boot: Option<SharedOracle>,
-    /// Install these tables at a 1-based step boundary through the live
-    /// step-boundary hook.
+    /// Install these tables at a 1-based step boundary through the fault
+    /// injector's step observer (on an otherwise empty plan).
     at_boundary: Option<(u64, SharedOracle)>,
     /// Install these tables between transactions, before transaction `i`.
     before_txn: Option<(usize, SharedOracle)>,
@@ -474,7 +391,6 @@ struct MixRun {
     durable: (Vec<u8>, u64),
     /// What the fault plan captured.
     captured: Option<Vec<u8>>,
-    boundaries: u64,
     outcome: Option<InstallOutcome>,
     epoch: u64,
     switches: u64,
@@ -496,6 +412,15 @@ fn strided(lo: usize, hi: usize, stride: usize) -> Vec<usize> {
     out
 }
 
+/// The step boundaries a run crossed: its end-of-step records.
+fn step_ends(image: &[u8]) -> usize {
+    Wal::from_bytes(image)
+        .records()
+        .iter()
+        .filter(|r| matches!(r, LogRecord::StepEnd { .. }))
+        .count()
+}
+
 /// `true` when `cut` ends exactly on a frame boundary of `offsets`.
 fn on_frame(offsets: &[usize], cut: usize) -> bool {
     cut == 0 || offsets.binary_search(&cut).is_ok()
@@ -512,7 +437,7 @@ macro_rules! ensure {
 
 /// One torture run in progress: the kit, its config, and running tallies.
 struct Sweep<'a> {
-    kit: &'a dyn WorkloadKit,
+    kit: &'a dyn Workload,
     cfg: &'a TortureConfig,
     acc: Arc<Acc>,
     base: Database,
@@ -521,7 +446,7 @@ struct Sweep<'a> {
 }
 
 impl<'a> Sweep<'a> {
-    fn new(kit: &'a dyn WorkloadKit, cfg: &'a TortureConfig) -> Sweep<'a> {
+    fn new(kit: &'a dyn Workload, cfg: &'a TortureConfig) -> Sweep<'a> {
         Sweep {
             kit,
             cfg,
@@ -576,7 +501,12 @@ impl<'a> Sweep<'a> {
             shared = shared.with_wal_backend(dev, GroupCommitPolicy { max_batch });
             snooped = Some(snaps);
         }
-        let injector = setup.plan.map(FaultInjector::with_plan);
+        // The step observer fires only on an enabled injector, so a
+        // boundary install runs under an empty plan.
+        let plan = setup
+            .plan
+            .or(setup.at_boundary.as_ref().map(|_| FaultPlan::default()));
+        let injector = plan.map(FaultInjector::with_plan);
         if let Some(f) = &injector {
             shared = shared.with_fault_injector(Arc::clone(f));
         }
@@ -584,10 +514,10 @@ impl<'a> Sweep<'a> {
         let sink = EventSink::enabled(64);
         shared.set_event_sink(Arc::clone(&sink));
         let outcome = Arc::new(Mutex::new(None));
-        if let Some((at, tables)) = setup.at_boundary {
+        if let (Some((at, tables)), Some(f)) = (setup.at_boundary, &injector) {
             let sh = Arc::clone(&shared);
             let out = Arc::clone(&outcome);
-            shared.set_step_boundary_hook(Some(Box::new(move |count| {
+            f.set_step_observer(Some(Box::new(move |count| {
                 if count == at {
                     let o = sh.install_oracle(Arc::clone(&tables));
                     *out.lock().expect("outcome not poisoned") = Some(o);
@@ -607,8 +537,10 @@ impl<'a> Sweep<'a> {
             // part of the mix; hard errors are harness bugs.
             runner::run(&shared, &*self.acc, program.as_mut(), WaitMode::Block)?;
         }
-        // Dropping the hook breaks its `Arc<SharedDb>` cycle.
-        shared.set_step_boundary_hook(None);
+        if let Some(f) = &injector {
+            // Dropping the observer breaks its `Arc<SharedDb>` cycle.
+            f.set_step_observer(None);
+        }
         let len = shared.wal_len();
         if snooped.is_some() && len > 0 {
             // Force-sync the tail (an abort record can trail the last
@@ -624,7 +556,6 @@ impl<'a> Sweep<'a> {
             raw: shared.wal_raw_image(),
             durable: (shared.wal_durable_stream(), shared.durable_wal_records()),
             captured: injector.and_then(|f| f.captured_image()),
-            boundaries: shared.step_boundaries(),
             outcome: *outcome.lock().expect("outcome not poisoned"),
             epoch: reg.epoch(),
             switches: reg.switches(),
@@ -820,11 +751,7 @@ impl<'a> Sweep<'a> {
     /// end-of-step record — the distinction that decides replay-then-
     /// compensate versus discard for the in-flight step.
     fn step_edges(&mut self, image: &[u8]) -> Result<()> {
-        let n_boundaries = Wal::from_bytes(image)
-            .records()
-            .iter()
-            .filter(|r| matches!(r, LogRecord::StepEnd { .. }))
-            .count();
+        let n_boundaries = step_ends(image);
         if n_boundaries == 0 {
             return Ok(());
         }
@@ -1013,7 +940,7 @@ impl<'a> Sweep<'a> {
         self.report.mixed_epoch_lookups += baseline.mixed;
         let image = baseline.image;
         let offsets: Vec<usize> = frame_ends(&image).collect();
-        let n_boundaries = baseline.boundaries as usize;
+        let n_boundaries = step_ends(&image);
         self.report.wal_bytes = image.len();
         self.report.boundaries = n_boundaries;
         self.log(format_args!(

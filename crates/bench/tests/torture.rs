@@ -7,13 +7,14 @@
 //! exercise what it claims to (compensation, rejected records, refusals,
 //! switchovers), or it proves nothing.
 
-use acc_bench::torture::{matrix, run, CutSource, TortureConfig, TortureReport, TpccKit};
-use acc_workloads::WorkloadKit;
+use acc_bench::torture::{matrix, run, CutSource, TortureConfig, TortureReport};
+use acc_engine::Workload;
+use acc_tpcc::TpccKit;
 use std::sync::Arc;
 
 /// The `figures -- torture` row for `kit` × `source`, so the tallies pinned
 /// here are the ones the figure prints.
-fn row(quick: bool, kit: &str, source: &str) -> (Arc<dyn WorkloadKit>, TortureConfig) {
+fn row(quick: bool, kit: &str, source: &str) -> (Arc<dyn Workload>, TortureConfig) {
     matrix(quick)
         .into_iter()
         .find(|(k, cfg)| k.name() == kit && cfg.source.name() == source)
@@ -23,7 +24,7 @@ fn row(quick: bool, kit: &str, source: &str) -> (Arc<dyn WorkloadKit>, TortureCo
 /// Run one sweep and apply the checks every sweep must pass: zero
 /// violations, zero mixed-epoch lookups, something replayed and something
 /// compensated, and one `RecoveryOutcome` per recovery point.
-fn sweep(kit: &dyn WorkloadKit, cfg: TortureConfig) -> TortureReport {
+fn sweep(kit: &dyn Workload, cfg: TortureConfig) -> TortureReport {
     let source = cfg.source;
     let r = run(kit, &cfg).unwrap_or_else(|e| panic!("{} {source:?}: {e}", kit.name()));
     assert_eq!(r.violations, 0, "consistency violated:\n{}", r.log);
@@ -182,7 +183,7 @@ fn family_row(
     kit: &str,
     source: &str,
     txns: usize,
-) -> (Arc<dyn WorkloadKit>, TortureConfig) {
+) -> (Arc<dyn Workload>, TortureConfig) {
     let (kit, cfg) = row(quick, kit, source);
     (kit, TortureConfig { txns, ..cfg })
 }

@@ -1,12 +1,7 @@
-//! Time, for both wall-clock execution and discrete-event simulation.
-//!
-//! The engine measures real elapsed time; the simulator advances a virtual
-//! clock. Both speak [`SimTime`], an integer count of microseconds, so metrics
-//! code is shared.
+//! Simulated time: [`SimTime`], an integer count of microseconds, the unit
+//! of the discrete-event simulator and the figures built on it.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// A point in time, in microseconds since an arbitrary origin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -55,65 +50,6 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// A source of time.
-pub trait Clock: Send + Sync {
-    /// The current time.
-    fn now(&self) -> SimTime;
-}
-
-/// Wall-clock time relative to clock construction.
-#[derive(Debug)]
-pub struct RealClock {
-    origin: Instant,
-}
-
-impl RealClock {
-    /// A clock whose origin is "now".
-    pub fn new() -> Self {
-        RealClock {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for RealClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for RealClock {
-    fn now(&self) -> SimTime {
-        SimTime(self.origin.elapsed().as_micros() as u64)
-    }
-}
-
-/// A manually advanced clock, shared by reference between a simulator and the
-/// components it drives.
-#[derive(Debug, Default)]
-pub struct VirtualClock {
-    now: AtomicU64,
-}
-
-impl VirtualClock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Move the clock forward to `t`. Time never goes backwards; attempts to
-    /// do so are ignored (concurrent observers may have raced past).
-    pub fn advance_to(&self, t: SimTime) {
-        self.now.fetch_max(t.0, Ordering::Relaxed);
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now(&self) -> SimTime {
-        SimTime(self.now.load(Ordering::Relaxed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,24 +62,6 @@ mod tests {
         assert_eq!(a.since(b).as_micros(), 2500);
         assert_eq!(b.since(a), SimTime::ZERO);
         assert_eq!(a.as_millis_f64(), 3.0);
-    }
-
-    #[test]
-    fn virtual_clock_monotone() {
-        let c = VirtualClock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        c.advance_to(SimTime::from_millis(10));
-        assert_eq!(c.now(), SimTime::from_millis(10));
-        c.advance_to(SimTime::from_millis(5)); // ignored
-        assert_eq!(c.now(), SimTime::from_millis(10));
-    }
-
-    #[test]
-    fn real_clock_advances() {
-        let c = RealClock::new();
-        let t0 = c.now();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(c.now() > t0);
     }
 
     #[test]

@@ -386,9 +386,12 @@ pub struct FaultCounters {
     pub spurious_wakes: u64,
 }
 
-/// The injector: an enable flag, a plan, per-site counters, and at most one
-/// captured crash image. Cheap to share (`Arc<FaultInjector>`), inert when
-/// disabled.
+/// A step-boundary observer (see [`FaultInjector::set_step_observer`]).
+pub type StepObserver = Box<dyn Fn(u64) + Send + Sync>;
+
+/// The injector: an enable flag, a plan, per-site counters, at most one
+/// captured crash image, and an optional step-boundary observer. Cheap to
+/// share (`Arc<FaultInjector>`), inert when disabled.
 pub struct FaultInjector {
     enabled: AtomicBool,
     plan: FaultPlan,
@@ -399,6 +402,7 @@ pub struct FaultInjector {
     lock_waits: AtomicU64,
     spurious_wakes: AtomicU64,
     image: Mutex<Option<Vec<u8>>>,
+    step_observer: Mutex<Option<StepObserver>>,
 }
 
 impl fmt::Debug for FaultInjector {
@@ -423,6 +427,7 @@ impl Default for FaultInjector {
             lock_waits: AtomicU64::new(0),
             spurious_wakes: AtomicU64::new(0),
             image: Mutex::new(None),
+            step_observer: Mutex::new(None),
         }
     }
 }
@@ -467,7 +472,8 @@ impl FaultInjector {
     }
 
     /// Site hook: the current end-of-step boundary, on `edge`. Boundaries are
-    /// numbered from 0 in the order their `Before` edges occur.
+    /// numbered from 0 in the order their `Before` edges occur. The `After`
+    /// edge then calls the step observer, if one is set.
     pub fn on_step_boundary(&self, edge: BoundaryEdge, serialize: impl FnOnce() -> Vec<u8>) {
         if !self.is_enabled() {
             return;
@@ -482,6 +488,22 @@ impl FaultInjector {
         if self.plan.crash_at_step_boundary == Some((ord, edge)) {
             self.capture(serialize());
         }
+        if edge == BoundaryEdge::After {
+            if let Some(observe) = self.step_observer.lock().unwrap().as_ref() {
+                observe(ord + 1);
+            }
+        }
+    }
+
+    /// Set (or clear) the step-boundary observer: while the injector is
+    /// enabled, it receives the 1-based count of each end-of-step boundary
+    /// once that step's record is appended (torture harnesses install
+    /// re-analyses at exact boundaries through it). It runs under the WAL
+    /// append mutex, so it must not touch the log. An observer that holds
+    /// the system the injector is installed in must be cleared to break
+    /// that cycle.
+    pub fn set_step_observer(&self, observer: Option<StepObserver>) {
+        *self.step_observer.lock().unwrap() = observer;
     }
 
     /// Site hook: one WAL group-commit fsync just completed. `serialize`
@@ -611,6 +633,30 @@ mod tests {
         }
         assert_eq!(before.captured_image(), Some(vec![20]));
         assert_eq!(after.captured_image(), Some(vec![21]));
+    }
+
+    #[test]
+    fn step_observer_sees_after_edges_only_while_enabled() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let observer = |seen: &Arc<Mutex<Vec<u64>>>| -> StepObserver {
+            let seen = Arc::clone(seen);
+            Box::new(move |n| seen.lock().unwrap().push(n))
+        };
+        let f = FaultInjector::with_plan(FaultPlan::default());
+        f.set_step_observer(Some(observer(&seen)));
+        for _ in 0..3 {
+            f.on_step_boundary(BoundaryEdge::Before, || panic!("no capture planned"));
+            f.on_step_boundary(BoundaryEdge::After, || panic!("no capture planned"));
+        }
+        f.set_step_observer(None);
+        f.on_step_boundary(BoundaryEdge::Before, || panic!("no capture planned"));
+        f.on_step_boundary(BoundaryEdge::After, || panic!("no capture planned"));
+        assert_eq!(*seen.lock().unwrap(), [1, 2, 3]);
+
+        let disabled = FaultInjector::disabled();
+        disabled.set_step_observer(Some(observer(&seen)));
+        disabled.on_step_boundary(BoundaryEdge::After, || panic!("inert"));
+        assert_eq!(seen.lock().unwrap().len(), 3);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`error`] — the workspace-wide [`error::Error`] type,
 //! * [`rng`] — seeded random generation, Zipf skew and the TPC-C `NURand`
 //!   non-uniform distribution,
-//! * [`clock`] — a clock abstraction shared by the real engine (wall clock)
-//!   and the discrete-event simulator (virtual clock),
+//! * [`clock`] — [`clock::SimTime`], the discrete-event simulator's time
+//!   unit (integer microseconds),
 //! * [`events`] — the zero-cost-when-disabled observability sink (structured
 //!   lock/step events, atomic counters, `lockstat` dumps),
 //! * [`faults`] — seeded, deterministic fault injection (planned crash
@@ -34,6 +34,7 @@ pub use events::{
 };
 pub use faults::{
     BoundaryEdge, ConnAction, ConnPlan, Corruption, FaultCounters, FaultInjector, FaultPlan,
+    StepObserver,
 };
 pub use frame::{Decoded, Frame, FrameBuf, StreamChain};
 pub use ids::{

@@ -8,8 +8,12 @@
 //!   covers the full behaviour space. This is the semantic-correctness test
 //!   oracle.
 //! * [`stats`] — latency percentiles.
-//! * [`Workload`] and [`RetryPolicy`] — what a front-end host draws its
-//!   programs from, and how a rollback is resubmitted.
+//! * [`Workload`] — a whole workload family: its base database, tables,
+//!   policy, seeded programs, crash recovery and audit. Each family
+//!   implements it once, in its own crate (`acc_tpcc::TpccKit`, and
+//!   `acc-workloads`' smallbank and saga kits); the network front-end
+//!   (`acc-server`) and the crash-torture harness (`acc-bench`) consume it.
+//! * [`RetryPolicy`] — how a rollback is resubmitted.
 //!
 //! Wall-clock runs of whole workloads go through the network front-end
 //! (`acc-server`): closed-loop terminals submit to its worker pool.
@@ -21,17 +25,53 @@ pub use stats::LatencyStats;
 pub use stepper::{Stepper, StepperConfig, StepperReport};
 
 use acc_common::rng::SeededRng;
+use acc_common::Result;
+use acc_core::{Acc, InterferenceTables};
+use acc_storage::Database;
 use acc_txn::TxnProgram;
+use acc_wal::InFlight;
+use std::sync::Arc;
 use std::time::Duration;
+
+/// Salt XORed into the torture seed for a family's program stream unless
+/// it overrides [`Workload::mix_salt`] (`"wkld"`).
+const WKLD_SALT: u64 = 0x776b_6c64;
 
 // These two stay here because `acc-server` and `acc-repl` already depend on
 // this crate for them; moving them would change the dependency edges.
 
-/// Produces a workload family's stream of transaction programs: the same
-/// seeded draw feeds the front-end's hosts and the crash-torture harness.
+/// A workload family, defined once: a deterministic base database, its
+/// interference tables and ACC policy, its seeded program stream, the
+/// rebuild of in-flight programs from recovered work areas, and its
+/// quiescent audit. The front-end serves any family through this trait,
+/// and the crash-torture harness runs every crash sweep and table
+/// switchover it knows over any family.
 pub trait Workload: Send + Sync {
+    /// Family name for report lines.
+    fn name(&self) -> &'static str;
+    /// A freshly populated base database (deterministic).
+    fn base(&self) -> Database;
+    /// The family's interference tables.
+    fn tables(&self) -> Arc<InterferenceTables>;
+    /// The family's ACC policy.
+    fn acc(&self) -> Arc<Acc>;
     /// Generate the next transaction.
     fn next_program(&self, rng: &mut SeededRng) -> Box<dyn TxnProgram + Send>;
+    /// Rebuild the compensable program for a recovered in-flight
+    /// transaction from its durable work area.
+    fn program_for_inflight(&self, inf: &InFlight) -> Result<Box<dyn TxnProgram + Send>>;
+    /// The family's quiescent consistency audit: one line per violation.
+    fn audit(&self, db: &Database) -> Vec<String>;
+    /// Salt XORed into the torture seed to seed the program stream.
+    fn mix_salt(&self) -> u64 {
+        WKLD_SALT
+    }
+    /// Re-derived tables the re-analysis sweep installs at step boundaries
+    /// (cycling through them). The policy must stay interchangeable: base
+    /// template ids are preserved.
+    fn alt_tables(&self) -> Vec<Arc<InterferenceTables>> {
+        vec![Arc::new(InterferenceTables::default())]
+    }
 }
 
 /// Bounded resubmission of transient failures with seeded full-jitter

@@ -22,11 +22,10 @@ use crate::wire::{Mix, Request, Response, WireAbort};
 use acc_common::events::{AdmissionVerdict, Event};
 use acc_common::{Result, SeededRng};
 use acc_engine::{RetryPolicy, Workload};
-use acc_storage::Database;
-use acc_tpcc::{populate as tpcc_populate, tpcc_catalog, InputGen, Scale, TpccConfig, TpccSystem};
+use acc_tpcc::{Scale, TpccKit};
 use acc_txn::runner::run_with_deadline;
 use acc_txn::{AbortReason, ConcurrencyControl, RunOutcome, SharedDb, TxnProgram, WaitMode};
-use acc_workloads::{saga, smallbank};
+use acc_workloads::{saga::SagaKit, smallbank::SmallbankKit};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -122,34 +121,26 @@ pub struct Frontend {
 impl Frontend {
     /// A front-end hosting TPC-C at `scale`, populated with `seed`.
     pub fn tpcc(scale: Scale, seed: u64, config: &ServerConfig) -> Frontend {
-        let sys = TpccSystem::build();
-        let mut db = Database::new(&tpcc_catalog());
-        tpcc_populate(&mut db, &scale, seed);
-        let gen = InputGen::new(TpccConfig::standard(scale), seed);
-        let shared = SharedDb::new(db, Arc::clone(&sys.tables) as _);
-        let host = WorkloadHost::new(Mix::Tpcc, Box::new(gen), sys.acc);
-        Frontend::start(shared, Box::new(host), config)
+        Frontend::hosting(Mix::Tpcc, TpccKit::new(scale, seed, seed), config)
     }
 
     /// A front-end hosting smallbank over `accounts` accounts.
     pub fn smallbank(accounts: i64, config: &ServerConfig) -> Frontend {
-        let kit = smallbank::SmallbankKit::build(accounts);
-        let shared = SharedDb::new(smallbank::populate(accounts), Arc::clone(&kit.tables) as _);
-        let acc = Arc::clone(&kit.acc);
-        let host = WorkloadHost::new(Mix::Smallbank, Box::new(kit), acc);
-        Frontend::start(shared, Box::new(host), config)
+        Frontend::hosting(Mix::Smallbank, SmallbankKit::build(accounts), config)
     }
 
     /// A front-end hosting the fulfilment saga over `skus` SKUs and
     /// `customers` customer accounts.
     pub fn saga(skus: i64, customers: i64, config: &ServerConfig) -> Frontend {
-        let kit = saga::SagaKit::build(skus, customers);
-        let shared = SharedDb::new(
-            saga::populate(skus, customers),
-            Arc::clone(&kit.tables) as _,
-        );
-        let acc = Arc::clone(&kit.acc);
-        let host = WorkloadHost::new(Mix::Saga, Box::new(kit), acc);
+        Frontend::hosting(Mix::Saga, SagaKit::build(skus, customers), config)
+    }
+
+    /// A front-end serving `family` as `mix` under its own ACC, over its
+    /// freshly populated base database.
+    fn hosting(mix: Mix, family: impl Workload + 'static, config: &ServerConfig) -> Frontend {
+        let shared = SharedDb::new(family.base(), family.tables() as _);
+        let acc = family.acc();
+        let host = WorkloadHost::new(mix, Box::new(family), acc);
         Frontend::start(shared, Box::new(host), config)
     }
 

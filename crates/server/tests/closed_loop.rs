@@ -2,12 +2,11 @@
 //! its policy, each run audited at quiescence through the front-end it drove.
 
 use acc_common::faults::{FaultInjector, FaultPlan};
-use acc_engine::RetryPolicy;
+use acc_engine::{RetryPolicy, Workload};
 use acc_server::{
     run_closed_loop, ClosedLoopConfig, Frontend, LoadgenReport, Mix, ServerConfig, WorkloadHost,
 };
-use acc_storage::Database;
-use acc_tpcc::{consistency, populate, tpcc_catalog, InputGen, Scale, TpccConfig, TpccSystem};
+use acc_tpcc::{consistency, Scale, TpccKit};
 use acc_txn::{ConcurrencyControl, SharedDb, TwoPhase};
 use acc_wal::{LogRecord, Wal};
 use acc_workloads::{saga, smallbank};
@@ -50,18 +49,18 @@ fn drive(frontend: Frontend, run: &ClosedLoopConfig) -> (LoadgenReport, Arc<Shar
 /// TPC-C at test scale under its ACC or strict 2PL, with the standard
 /// engine retry.
 fn tpcc_frontend(use_acc: bool, faults: Option<Arc<FaultInjector>>) -> Frontend {
-    let sys = TpccSystem::build();
-    let cc: Arc<dyn ConcurrencyControl> = if use_acc { sys.acc } else { Arc::new(TwoPhase) };
-    let scale = Scale::test();
-    let mut db = Database::new(&tpcc_catalog());
-    populate(&mut db, &scale, 31);
+    let kit = TpccKit::new(Scale::test(), 31, 5);
+    let cc: Arc<dyn ConcurrencyControl> = if use_acc {
+        kit.acc()
+    } else {
+        Arc::new(TwoPhase)
+    };
     let mut shared =
-        SharedDb::new(db, Arc::clone(&sys.tables) as _).with_wait_cap(Duration::from_secs(20));
+        SharedDb::new(kit.base(), kit.tables() as _).with_wait_cap(Duration::from_secs(20));
     if let Some(faults) = faults {
         shared = shared.with_fault_injector(faults);
     }
-    let gen = InputGen::new(TpccConfig::standard(scale), 5);
-    let host = WorkloadHost::new(Mix::Tpcc, Box::new(gen), cc);
+    let host = WorkloadHost::new(Mix::Tpcc, Box::new(kit), cc);
     Frontend::start(shared, Box::new(host), &config(6, RetryPolicy::standard()))
 }
 

@@ -3,19 +3,22 @@
 //! The trace generator mirrors the statement-by-statement lock footprint of
 //! the programs in [`crate::txns`] — same step types, same decomposition,
 //! same hot district row — against the page geometry of
-//! [`crate::schema::tpcc_catalog`]. A small amount of logical state (order
-//! counters, undelivered-order queues) keeps resource ids realistic.
+//! [`crate::schema::tpcc_catalog`]. Each trace's compensating step, guard
+//! and version-read declaration come from its type's `TxnSpec` in
+//! [`TpccSystem`]. A small amount of logical state (order counters,
+//! undelivered-order queues) keeps resource ids realistic.
 
-use crate::decompose::{step, ty};
+use crate::decompose::{step, ty, TpccSystem};
 use crate::input::{InputGen, TpccConfig, TxnKind};
 use crate::schema::{tpcc_catalog, TABLES};
 use acc_common::clock::SimTime;
 use acc_common::rng::SeededRng;
-use acc_common::{AssertionTemplateId, ResourceId, TableId};
-use acc_core::DIRTY;
+use acc_common::{AssertionTemplateId, ResourceId, TableId, TxnTypeId};
+use acc_core::Acc;
 use acc_lockmgr::LockMode;
 use acc_sim::{Op, StepTrace, TraceSource, TxnTrace};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Cost knobs for trace generation.
 #[derive(Debug, Clone)]
@@ -44,6 +47,7 @@ const DISTRICT_STRIDE: i64 = 1 << 20;
 pub struct TpccTraceSource {
     gen: InputGen,
     costs: TraceCosts,
+    acc: Arc<Acc>,
     templates: crate::decompose::Templates,
     /// Rows per page of each table, by table id, from the schema.
     rows_per_page: Vec<i64>,
@@ -53,13 +57,8 @@ pub struct TpccTraceSource {
 }
 
 impl TpccTraceSource {
-    /// Build from a workload config and the system's template handles.
-    pub fn new(
-        config: TpccConfig,
-        seed: u64,
-        templates: crate::decompose::Templates,
-        costs: TraceCosts,
-    ) -> Self {
+    /// Build from a workload config and the system's declarations.
+    pub fn new(config: TpccConfig, seed: u64, sys: &TpccSystem, costs: TraceCosts) -> Self {
         let scale = config.scale;
         let next_o = vec![scale.initial_orders_per_district + 1; scale.districts as usize + 1];
         let undelivered = (0..=scale.districts)
@@ -72,7 +71,8 @@ impl TpccTraceSource {
         TpccTraceSource {
             gen: InputGen::new(config, seed),
             costs,
-            templates,
+            acc: Arc::clone(&sys.acc),
+            templates: sys.templates,
             rows_per_page: tpcc_catalog()
                 .tables()
                 .map(|t| i64::from(t.rows_per_page))
@@ -85,6 +85,24 @@ impl TpccTraceSource {
 
     fn cpu(&self) -> SimTime {
         self.costs.cpu_per_stmt
+    }
+
+    /// A `txn_type` trace declared as its `TxnSpec` declares the type.
+    fn trace(
+        &self,
+        txn_type: TxnTypeId,
+        steps: Vec<StepTrace>,
+        abort_after_step: Option<usize>,
+    ) -> TxnTrace {
+        let spec = self.acc.spec(txn_type);
+        TxnTrace {
+            txn_type,
+            steps,
+            comp_step: spec.comp_step,
+            guard: spec.guard,
+            abort_after_step,
+            version_safe: spec.version_safe,
+        }
     }
 
     // ----- resource mapping -------------------------------------------------
@@ -186,14 +204,7 @@ impl TpccTraceSource {
         if !input.rollback {
             self.undelivered[d as usize].push_back((o_id, input.lines.len() as i64));
         }
-        TxnTrace {
-            txn_type: ty::NEW_ORDER,
-            steps,
-            comp_step: Some(step::NO_CS),
-            guard: DIRTY,
-            abort_after_step: input.rollback.then_some(n - 1),
-            version_safe: false,
-        }
+        self.trace(ty::NEW_ORDER, steps, input.rollback.then_some(n - 1))
     }
 
     fn payment_trace(&mut self, rng: &mut SeededRng) -> TxnTrace {
@@ -225,20 +236,11 @@ impl TpccTraceSource {
             Op::write(self.history_page(), cpu)
                 .with_lock(ResourceId::Table(TABLES.history), LockMode::IX),
         );
-        TxnTrace {
-            txn_type: ty::PAYMENT,
-            steps: vec![
-                s1,
-                StepTrace {
-                    step_type: step::PAY_S2,
-                    ops: ops2,
-                },
-            ],
-            comp_step: Some(step::PAY_CS),
-            guard: DIRTY,
-            abort_after_step: None,
-            version_safe: false,
-        }
+        let s2 = StepTrace {
+            step_type: step::PAY_S2,
+            ops: ops2,
+        };
+        self.trace(ty::PAYMENT, vec![s1, s2], None)
     }
 
     fn order_status_trace(&mut self, rng: &mut SeededRng) -> TxnTrace {
@@ -246,22 +248,15 @@ impl TpccTraceSource {
         let c_id = self.gen.customer(rng);
         let cpu = self.cpu();
         let recent = (self.next_o[d as usize] - 1).max(1);
-        TxnTrace {
-            txn_type: ty::ORDER_STATUS,
-            steps: vec![StepTrace {
-                step_type: step::OST,
-                ops: vec![
-                    Op::read(self.customer_page(d, c_id), cpu),
-                    Op::read(self.order_page(d, recent), cpu),
-                    Op::read(Self::order_line_page(d, recent), cpu),
-                ],
-            }],
-            comp_step: None,
-            guard: DIRTY,
-            abort_after_step: None,
-            // Read-only: eligible for coordination-free version reads.
-            version_safe: true,
-        }
+        let ost = StepTrace {
+            step_type: step::OST,
+            ops: vec![
+                Op::read(self.customer_page(d, c_id), cpu),
+                Op::read(self.order_page(d, recent), cpu),
+                Op::read(Self::order_line_page(d, recent), cpu),
+            ],
+        };
+        self.trace(ty::ORDER_STATUS, vec![ost], None)
     }
 
     fn delivery_trace(&mut self, _rng: &mut SeededRng) -> TxnTrace {
@@ -307,14 +302,7 @@ impl TpccTraceSource {
                 ops: apply_ops,
             });
         }
-        TxnTrace {
-            txn_type: ty::DELIVERY,
-            steps,
-            comp_step: Some(step::DLV_CS),
-            guard: self.templates.dlv_dirty,
-            abort_after_step: None,
-            version_safe: false,
-        }
+        self.trace(ty::DELIVERY, steps, None)
     }
 
     fn stock_level_trace(&mut self, rng: &mut SeededRng) -> TxnTrace {
@@ -329,18 +317,11 @@ impl TpccTraceSource {
         for _ in 0..8 {
             ops.push(Op::read(self.stock_page(self.gen.item(rng)), cpu));
         }
-        TxnTrace {
-            txn_type: ty::STOCK_LEVEL,
-            steps: vec![StepTrace {
-                step_type: step::STK,
-                ops,
-            }],
-            comp_step: None,
-            guard: DIRTY,
-            abort_after_step: None,
-            // Read-only: eligible for coordination-free version reads.
-            version_safe: true,
-        }
+        let stk = StepTrace {
+            step_type: step::STK,
+            ops,
+        };
+        self.trace(ty::STOCK_LEVEL, vec![stk], None)
     }
 }
 
@@ -367,7 +348,7 @@ mod tests {
         TpccTraceSource::new(
             TpccConfig::standard(Scale::benchmark()),
             1,
-            sys.templates,
+            &sys,
             TraceCosts::default(),
         )
     }
@@ -427,7 +408,7 @@ mod tests {
             TpccTraceSource::new(
                 TpccConfig::standard(Scale::benchmark()),
                 9,
-                sys.templates,
+                &sys,
                 TraceCosts::default(),
             )
         };
@@ -455,7 +436,7 @@ mod tests {
         let mut s = TpccTraceSource::new(
             TpccConfig::standard(Scale::benchmark()),
             1,
-            sys.templates,
+            &sys,
             TraceCosts {
                 cpu_per_stmt: SimTime::from_millis(5),
                 compute_time: SimTime::from_millis(7),

@@ -5,6 +5,13 @@
 //! compensating steps). Program-local state is written idempotently per step
 //! because a deadlock-victim step is re-executed after its effects are
 //! undone.
+//!
+//! [`program_for`] builds a program from a generated input;
+//! [`program_for_inflight`] rebuilds a compensable one after a crash. The
+//! paper's system "saves some of its work area in a database table for
+//! compensation" (§5); ours travels with the end-of-step log record, and
+//! each compensable program's decoder (`recovered`) sits beside its
+//! `work_area` encoder.
 
 use crate::input::{
     CustomerSelector, DeliveryInput, NewOrderInput, OrderStatusInput, PaymentInput, StockLevelInput,
@@ -12,7 +19,8 @@ use crate::input::{
 use crate::schema::{col, TABLES};
 use acc_common::{Decimal, Error, Result, TxnTypeId, Value};
 use acc_storage::{Key, Row};
-use acc_txn::{StepCtx, StepOutcome, TxnProgram};
+use acc_txn::{decode_work_area, encode_work_area, StepCtx, StepOutcome, TxnProgram};
+use acc_wal::InFlight;
 use std::collections::HashSet;
 
 use crate::decompose::ty;
@@ -69,10 +77,17 @@ pub struct NewOrder {
 }
 
 impl NewOrder {
-    /// Rebuild a program skeleton from a recovered work area, sufficient to
-    /// run the compensating step (which reads everything else it needs from
-    /// the durable order lines themselves).
-    pub fn recovered(w_id: i64, d_id: i64, o_id: i64) -> Self {
+    /// Rebuild a program skeleton from a recovered work area
+    /// `[w_id, d_id, o_id]`, sufficient to run the compensating step (which
+    /// reads everything else it needs from the durable order lines
+    /// themselves). `None` for a malformed area.
+    pub fn recovered(work_area: &[u8]) -> Option<Self> {
+        let &[w_id, d_id, o_id] = decode_work_area(work_area)?.as_slice() else {
+            return None;
+        };
+        if o_id < 0 {
+            return None;
+        }
         let mut p = NewOrder::new(NewOrderInput {
             w_id,
             d_id,
@@ -81,7 +96,7 @@ impl NewOrder {
             rollback: false,
         });
         p.o_id = Some(o_id);
-        p
+        Some(p)
     }
 
     /// Wrap an input.
@@ -240,11 +255,7 @@ impl TxnProgram for NewOrder {
     }
 
     fn work_area(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24);
-        out.extend_from_slice(&self.input.w_id.to_le_bytes());
-        out.extend_from_slice(&self.input.d_id.to_le_bytes());
-        out.extend_from_slice(&self.o_id.unwrap_or(-1).to_le_bytes());
-        out
+        encode_work_area(&[self.input.w_id, self.input.d_id, self.o_id.unwrap_or(-1)])
     }
 }
 
@@ -267,16 +278,19 @@ impl Payment {
         Payment { input, c_id: None }
     }
 
-    /// Rebuild from a recovered work area (enough for compensation: the
-    /// warehouse/district pair and the amount).
-    pub fn recovered(w_id: i64, d_id: i64, amount: Decimal) -> Self {
-        Payment::new(PaymentInput {
+    /// Rebuild from a recovered work area `[w_id, d_id, amount]` (enough for
+    /// compensation). `None` for a malformed area.
+    pub fn recovered(work_area: &[u8]) -> Option<Self> {
+        let &[w_id, d_id, amount] = decode_work_area(work_area)?.as_slice() else {
+            return None;
+        };
+        Some(Payment::new(PaymentInput {
             w_id,
             d_id,
             c_d_id: d_id,
             customer: CustomerSelector::ById(1),
-            amount,
-        })
+            amount: Decimal::from_units(amount),
+        }))
     }
 }
 
@@ -330,11 +344,7 @@ impl TxnProgram for Payment {
     }
 
     fn work_area(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24);
-        out.extend_from_slice(&self.input.w_id.to_le_bytes());
-        out.extend_from_slice(&self.input.d_id.to_le_bytes());
-        out.extend_from_slice(&self.input.amount.units().to_le_bytes());
-        out
+        encode_work_area(&[self.input.w_id, self.input.d_id, self.input.amount.units()])
     }
 
     fn compensate(&mut self, steps_completed: u32, ctx: &mut StepCtx<'_>) -> Result<()> {
@@ -438,19 +448,16 @@ impl Delivery {
         }
     }
 
-    /// Rebuild from a recovered work area. Returns `None` for a malformed
-    /// area: every field a corrupt log could hand us is validated before it
-    /// sizes an allocation or indexes a slice.
+    /// Rebuild from a recovered work area `[w_id, districts, (idx, o_id,
+    /// c_id, ol_cnt, amount, applied) * claims]`. Returns `None` for a
+    /// malformed area: every field a corrupt log could hand us is validated
+    /// before it sizes an allocation or indexes a slice.
     pub fn recovered(work_area: &[u8]) -> Option<Self> {
-        if !work_area.len().is_multiple_of(8) {
+        let fields = decode_work_area(work_area)?;
+        let &[w_id, districts, ref claims @ ..] = fields.as_slice() else {
             return None;
-        }
-        let mut it = work_area
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        let w_id = it.next()?;
-        let districts = it.next()?;
-        if w_id < 1 || !(1..=100).contains(&districts) {
+        };
+        if w_id < 1 || !(1..=100).contains(&districts) || !claims.len().is_multiple_of(6) {
             return None;
         }
         let mut p = Delivery::new(
@@ -460,12 +467,10 @@ impl Delivery {
             },
             districts,
         );
-        while let Some(idx) = it.next() {
-            let o_id = it.next()?;
-            let c_id = it.next()?;
-            let ol_cnt = it.next()?;
-            let amount = it.next()?;
-            let applied = it.next()?;
+        for claim in claims.chunks_exact(6) {
+            let &[idx, o_id, c_id, ol_cnt, amount, applied] = claim else {
+                unreachable!("chunks_exact yields 6 fields");
+            };
             if !(0..districts).contains(&idx) || !(0..=1).contains(&applied) {
                 return None;
             }
@@ -556,23 +561,19 @@ impl TxnProgram for Delivery {
     }
 
     fn work_area(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.input.w_id.to_le_bytes());
-        out.extend_from_slice(&self.districts.to_le_bytes());
+        let mut fields = vec![self.input.w_id, self.districts];
         for (idx, claim) in self.claims.iter().enumerate() {
             let Some(c) = claim else { continue };
-            for v in [
+            fields.extend([
                 idx as i64,
                 c.o_id,
                 c.c_id,
                 c.ol_cnt,
                 c.amount.units(),
                 i64::from(c.applied),
-            ] {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            ]);
         }
-        out
+        encode_work_area(&fields)
     }
 
     fn compensate(&mut self, steps_completed: u32, ctx: &mut StepCtx<'_>) -> Result<()> {
@@ -682,10 +683,147 @@ pub fn program_for(input: crate::input::TxnInput, districts: i64) -> Box<dyn Txn
     }
 }
 
-/// The generator as a front-end workload: each call draws the next input
-/// of the configured mix and builds its step-decomposed program.
-impl acc_engine::Workload for crate::input::InputGen {
-    fn next_program(&self, rng: &mut acc_common::SeededRng) -> Box<dyn TxnProgram + Send> {
-        program_for(self.next_input(rng), self.config().scale.districts)
+/// Rebuild the compensable program for a recovered in-flight transaction
+/// from its durable work area: the crash-recovery counterpart of
+/// [`program_for`]. `acc_txn::runner::resume_compensation` then runs its
+/// compensating step.
+pub fn program_for_inflight(inflight: &InFlight) -> Result<Box<dyn TxnProgram + Send>> {
+    fn boxed(p: Option<impl TxnProgram + Send + 'static>) -> Option<Box<dyn TxnProgram + Send>> {
+        p.map(|p| Box::new(p) as _)
+    }
+    let wa = &inflight.work_area;
+    let (what, program) = match inflight.txn_type {
+        t if t == ty::NEW_ORDER => ("new-order", boxed(NewOrder::recovered(wa))),
+        t if t == ty::PAYMENT => ("payment", boxed(Payment::recovered(wa))),
+        t if t == ty::DELIVERY => ("delivery", boxed(Delivery::recovered(wa))),
+        other => {
+            return Err(Error::Recovery(format!(
+                "in-flight transaction {} has non-compensable type {other}",
+                inflight.txn
+            )))
+        }
+    };
+    program.ok_or_else(|| {
+        Error::Recovery(format!("unparseable {what} work area for {}", inflight.txn))
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use acc_common::TxnId;
+
+    fn inflight(txn_type: TxnTypeId, work_area: Vec<u8>) -> InFlight {
+        InFlight {
+            txn: TxnId(9),
+            txn_type,
+            steps_completed: 1,
+            work_area,
+            compensating: false,
+        }
+    }
+
+    /// The rebuilt program is of the recovered type and writes back exactly
+    /// the work area it was rebuilt from.
+    fn round_trip(txn_type: TxnTypeId, work_area: Vec<u8>) {
+        let p = program_for_inflight(&inflight(txn_type, work_area.clone()));
+        assert!(p.is_ok(), "work area {work_area:?} must be accepted");
+        let p = p.unwrap();
+        assert_eq!(p.txn_type(), txn_type);
+        assert_eq!(p.work_area(), work_area);
+    }
+
+    #[test]
+    fn new_order_work_area_round_trip() {
+        round_trip(ty::NEW_ORDER, encode_work_area(&[1, 4, 77]));
+    }
+
+    #[test]
+    fn payment_work_area_round_trip() {
+        let amount = Decimal::from_cents(555).units();
+        round_trip(ty::PAYMENT, encode_work_area(&[1, 2, amount]));
+    }
+
+    #[test]
+    fn delivery_work_area_round_trip() {
+        let p = Delivery::new(
+            DeliveryInput {
+                w_id: 1,
+                carrier_id: 3,
+            },
+            10,
+        );
+        round_trip(ty::DELIVERY, p.work_area());
+        round_trip(
+            ty::DELIVERY,
+            encode_work_area(&[1, 3, 0, 5, 6, 7, 800, 1, 2, 9, 9, 9, 0, 0]),
+        );
+    }
+
+    fn expect_recovery_err(txn_type: TxnTypeId, work_area: Vec<u8>) {
+        let inf = inflight(txn_type, work_area);
+        assert!(
+            matches!(program_for_inflight(&inf), Err(Error::Recovery(_))),
+            "work area {:?} must be rejected",
+            inf.work_area
+        );
+    }
+
+    #[test]
+    fn short_work_areas_are_errors_not_panics() {
+        // Every prefix length shorter than the fixed header of each program.
+        for len in [0usize, 1, 7, 8, 15, 16, 23] {
+            expect_recovery_err(ty::NEW_ORDER, vec![0xab; len]);
+            expect_recovery_err(ty::PAYMENT, vec![0xab; len]);
+        }
+        for len in [0usize, 1, 7, 8, 15] {
+            expect_recovery_err(ty::DELIVERY, vec![0xab; len]);
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_are_errors() {
+        for t in [ty::NEW_ORDER, ty::PAYMENT] {
+            // A trailing partial field, then a trailing whole one.
+            let mut wa = encode_work_area(&[1, 1, 5]);
+            wa.push(0);
+            expect_recovery_err(t, wa);
+            expect_recovery_err(t, encode_work_area(&[1, 1, 5, 0]));
+        }
+    }
+
+    #[test]
+    fn new_order_negative_order_id_is_rejected() {
+        expect_recovery_err(ty::NEW_ORDER, encode_work_area(&[1, 1, -5]));
+    }
+
+    #[test]
+    fn delivery_malformed_work_areas_are_errors_not_panics() {
+        let i64s = encode_work_area;
+        // Negative district count: previously sized a `vec![None; n as usize]`
+        // allocation from attacker-controlled bytes.
+        expect_recovery_err(ty::DELIVERY, i64s(&[1, -1]));
+        // Absurd district count: ditto, as a near-usize::MAX allocation.
+        expect_recovery_err(ty::DELIVERY, i64s(&[1, i64::MAX]));
+        // Claim index outside the district range: previously an
+        // out-of-bounds slice write.
+        expect_recovery_err(ty::DELIVERY, i64s(&[1, 3, 99, 5, 5, 5, 5, 1]));
+        expect_recovery_err(ty::DELIVERY, i64s(&[1, 3, -2, 5, 5, 5, 5, 1]));
+        // Claim tuple cut mid-field (length not a multiple of 8).
+        let mut torn = i64s(&[1, 3, 0, 5, 5, 5, 5, 1]);
+        torn.truncate(torn.len() - 3);
+        expect_recovery_err(ty::DELIVERY, torn);
+        // Claim tuple missing trailing fields.
+        expect_recovery_err(ty::DELIVERY, i64s(&[1, 3, 0, 5, 5]));
+        // Garbage `applied` flag.
+        expect_recovery_err(ty::DELIVERY, i64s(&[1, 3, 0, 5, 5, 5, 5, 7]));
+        // Non-positive warehouse id.
+        expect_recovery_err(ty::DELIVERY, i64s(&[0, 3]));
+    }
+
+    #[test]
+    fn garbage_work_area_is_an_error() {
+        expect_recovery_err(ty::NEW_ORDER, vec![1, 2, 3]);
+        expect_recovery_err(ty::ORDER_STATUS, vec![]);
     }
 }

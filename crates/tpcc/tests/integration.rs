@@ -2,7 +2,7 @@
 //! consistency conditions checked at quiescence.
 
 use acc_common::rng::SeededRng;
-use acc_common::Decimal;
+use acc_common::{Decimal, FaultInjector, FaultPlan};
 use acc_engine::{Stepper, StepperConfig};
 use acc_lockmgr::InstallOutcome;
 use acc_storage::{Database, Key};
@@ -374,11 +374,18 @@ fn stepper_drains_an_epoch_switchover_mid_run() {
     // exactly one switch completes, and no step ever runs under a stale
     // epoch.
     let scale = Scale::test();
-    let (shared, sys) = system(scale, 4);
+    let sys = TpccSystem::build();
+    let mut db = Database::new(&tpcc_catalog());
+    populate(&mut db, &scale, 4);
+    // The step observer rides an enabled injector with an empty plan.
+    let faults = FaultInjector::with_plan(FaultPlan::default());
+    let shared = Arc::new(
+        SharedDb::new(db, Arc::clone(&sys.tables) as _).with_fault_injector(Arc::clone(&faults)),
+    );
     let audit = TpccSystem::reanalyze(TableEdit::AddAudit).tables;
     let installed = Arc::new(Mutex::new(None));
     let (sh, out) = (Arc::clone(&shared), Arc::clone(&installed));
-    shared.set_step_boundary_hook(Some(Box::new(move |count| {
+    faults.set_step_observer(Some(Box::new(move |count| {
         if count == 5 {
             *out.lock().unwrap() = Some(sh.install_oracle(Arc::clone(&audit) as _));
         }
@@ -397,8 +404,8 @@ fn stepper_drains_an_epoch_switchover_mid_run() {
             },
         )
         .unwrap();
-    // Dropping the hook breaks its `Arc<SharedDb>` cycle.
-    shared.set_step_boundary_hook(None);
+    // Dropping the observer breaks its `Arc<SharedDb>` cycle.
+    faults.set_step_observer(None);
 
     assert!(
         matches!(

@@ -38,7 +38,7 @@ pub mod step;
 pub mod transaction;
 
 pub use cc::{ConcurrencyControl, TwoPhase, TxnMeta, LEGACY_STEP};
-pub use program::{StepOutcome, TxnProgram};
+pub use program::{decode_work_area, encode_work_area, StepOutcome, TxnProgram};
 pub use runner::{run, AbortReason, RunOutcome};
 pub use shared::{PublishedCommits, SharedDb, WaitMode};
 pub use step::StepCtx;

@@ -1,4 +1,5 @@
-//! Transaction programs: step-decomposed application code.
+//! Transaction programs: step-decomposed application code, and the one
+//! codec their work areas travel in.
 
 use crate::step::StepCtx;
 use acc_common::{Result, TxnTypeId};
@@ -49,10 +50,34 @@ pub trait TxnProgram {
     }
 
     /// The work area saved with every end-of-step record; recovery hands it
-    /// back so compensation can resume after a crash.
+    /// back so compensation can resume after a crash. Compensable programs
+    /// encode it with [`encode_work_area`].
     fn work_area(&self) -> Vec<u8> {
         Vec::new()
     }
+}
+
+/// Encode a work area: `fields` as consecutive little-endian `i64`s.
+pub fn encode_work_area(fields: &[i64]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(8 * fields.len());
+    for f in fields {
+        bytes.extend_from_slice(&f.to_le_bytes());
+    }
+    bytes
+}
+
+/// Decode a work area written by [`encode_work_area`]. `None` when its
+/// length is not a whole number of fields; the caller checks the count.
+pub fn decode_work_area(bytes: &[u8]) -> Option<Vec<i64>> {
+    if !bytes.len().is_multiple_of(8) {
+        return None;
+    }
+    Some(
+        bytes
+            .chunks_exact(8)
+            .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -75,5 +100,18 @@ mod tests {
         let p = OneShot;
         assert!(p.work_area().is_empty());
         assert_eq!(p.txn_type(), TxnTypeId(0));
+    }
+
+    #[test]
+    fn work_area_codec_round_trips_and_refuses_partial_fields() {
+        let fields = [0, -1, i64::MIN, i64::MAX, 42];
+        let bytes = encode_work_area(&fields);
+        assert_eq!(bytes.len(), 40);
+        assert_eq!(bytes[8..16], [0xff; 8]);
+        assert_eq!(decode_work_area(&bytes), Some(fields.to_vec()));
+        assert_eq!(decode_work_area(&[]), Some(Vec::new()));
+        for len in [1, 7, 9, 39] {
+            assert_eq!(decode_work_area(&bytes[..len]), None, "length {len}");
+        }
     }
 }

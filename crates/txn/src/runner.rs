@@ -270,10 +270,6 @@ pub fn end_step(
         |kind, _| cc.release_at_step_end(&meta, kind),
         &*oracle,
     );
-    // Announce the boundary last: an observer-triggered re-analysis sees the
-    // post-step lock state, and this transaction is still pinned, so a
-    // switchover drains behind it rather than racing it.
-    shared.fire_step_boundary();
 }
 
 /// Finalize a finished transaction's version chains at `end_lsn` (the

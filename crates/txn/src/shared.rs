@@ -36,9 +36,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// A forward-step-boundary observer (see `SharedDb::set_step_boundary_hook`).
-pub type StepBoundaryHook = Box<dyn Fn(u64) + Send + Sync>;
-
 /// How a lock request behaves when it cannot be granted immediately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitMode {
@@ -97,10 +94,6 @@ pub struct SharedDb {
     /// every lookup; unpinned callers (2PL legacy, tests) resolve the
     /// current tables per call.
     registry: Arc<InterferenceRegistry>,
-    /// Global forward-step-boundary counter and observer (torture harnesses
-    /// install re-analyses at exact boundaries through this).
-    boundaries: AtomicU64,
-    boundary_hook: Mutex<Option<StepBoundaryHook>>,
     /// Safety net: a blocked lock wait longer than this is reported as an
     /// internal error instead of hanging the process.
     wait_cap: Duration,
@@ -126,8 +119,6 @@ impl SharedDb {
             next_txn: AtomicU64::new(1),
             shipped: AtomicU64::new(u64::MAX),
             registry: Arc::new(InterferenceRegistry::new(oracle)),
-            boundaries: AtomicU64::new(0),
-            boundary_hook: Mutex::new(None),
             wait_cap: Duration::from_secs(30),
             faults: FaultInjector::disabled(),
         }
@@ -150,8 +141,8 @@ impl SharedDb {
     }
 
     /// Install a fault injector: the WAL reports appends, step boundaries
-    /// and fsync boundaries to it, and lock waits consult it for planned
-    /// spurious wakeups.
+    /// (and so the injector's step observer) and fsync boundaries to it, and
+    /// lock waits consult it for planned spurious wakeups.
     pub fn with_fault_injector(mut self, faults: Arc<FaultInjector>) -> Self {
         self.wal.set_fault_injector(Arc::clone(&faults));
         self.faults = faults;
@@ -234,34 +225,6 @@ impl SharedDb {
     /// The pseudo-resource reported by a `Fail`-mode admission that ran into
     /// a draining switchover.
     pub const ADMISSION_SENTINEL: ResourceId = ResourceId::Named(u32::MAX);
-
-    /// Install a forward-step-boundary observer (torture harnesses trigger
-    /// re-analyses at exact global boundaries through it). The hook receives
-    /// the 1-based global boundary count.
-    pub fn set_step_boundary_hook(&self, hook: Option<StepBoundaryHook>) {
-        *self
-            .boundary_hook
-            .lock()
-            .expect("boundary hook not poisoned") = hook;
-    }
-
-    /// Count one forward-step boundary and notify the observer, if any
-    /// (called by `runner::end_step`).
-    pub fn fire_step_boundary(&self) {
-        let n = self.boundaries.fetch_add(1, Ordering::Relaxed) + 1;
-        let hook = self
-            .boundary_hook
-            .lock()
-            .expect("boundary hook not poisoned");
-        if let Some(hook) = hook.as_ref() {
-            hook(n);
-        }
-    }
-
-    /// Forward-step boundaries observed so far.
-    pub fn step_boundaries(&self) -> u64 {
-        self.boundaries.load(Ordering::Relaxed)
-    }
 
     /// Route the lock manager's observability events into `sink`.
     pub fn set_event_sink(&self, sink: Arc<EventSink>) {

@@ -14,12 +14,11 @@
 //! * [`saga`] — an order-fulfilment saga with up to four reservation legs
 //!   before payment and shipping; crashing late in a long saga exercises
 //!   compensation chains up to six completed steps deep.
-//! * [`kit`] — the [`WorkloadKit`] trait both families implement: what the
-//!   crash-torture harness (`acc-bench`) needs to populate, drive, recover
-//!   and audit a family.
+//!
+//! Each family's kit ([`smallbank::SmallbankKit`], [`saga::SagaKit`]) is its
+//! one [`acc_engine::Workload`]: what the network front-end (`acc-server`)
+//! serves and the crash-torture harness (`acc-bench`) populates, drives,
+//! recovers and audits.
 
-pub mod kit;
 pub mod saga;
 pub mod smallbank;
-
-pub use kit::WorkloadKit;

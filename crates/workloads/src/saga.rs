@@ -32,8 +32,9 @@ use acc_core::{
     Acc, AssertionRegistry, Decision, Inference, InterferenceTables, KeySpace, StepFootprint,
     StepSpec, TableFootprint, TxnSpec, DIRTY,
 };
+use acc_engine::Workload;
 use acc_storage::{Catalog, ColumnType, Database, Key, Row, TableSchema};
-use acc_txn::{StepCtx, StepOutcome, TxnProgram};
+use acc_txn::{decode_work_area, encode_work_area, StepCtx, StepOutcome, TxnProgram};
 use acc_wal::InFlight;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -211,7 +212,8 @@ pub fn populate(skus: i64, customers: i64) -> Database {
     db
 }
 
-/// The complete design-time product for the saga family.
+/// The complete design-time product for the saga family — its one
+/// [`Workload`].
 pub struct SagaKit {
     /// The template registry (DIRTY + `res-mid`).
     pub registry: Arc<AssertionRegistry>,
@@ -382,10 +384,24 @@ impl SagaKit {
             customers,
         }
     }
+}
 
+impl Workload for SagaKit {
+    fn name(&self) -> &'static str {
+        "saga"
+    }
+    fn base(&self) -> Database {
+        populate(self.skus, self.customers)
+    }
+    fn tables(&self) -> Arc<InterferenceTables> {
+        Arc::clone(&self.tables)
+    }
+    fn acc(&self) -> Arc<Acc> {
+        Arc::clone(&self.acc)
+    }
     /// One seeded transaction from the standard mix: 60 % fulfilments
     /// (uniform 1–4 legs), 20 % restocks, 20 % status inquiries.
-    pub fn next_program(&self, rng: &mut SeededRng) -> Box<dyn TxnProgram + Send> {
+    fn next_program(&self, rng: &mut SeededRng) -> Box<dyn TxnProgram + Send> {
         match rng.index(10) {
             0..=5 => {
                 let n_legs = rng.int_range(1, 4);
@@ -404,9 +420,7 @@ impl SagaKit {
             }),
         }
     }
-
-    /// Rebuild the compensable program for a recovered in-flight transaction.
-    pub fn program_for_inflight(&self, inf: &InFlight) -> Result<Box<dyn TxnProgram + Send>> {
+    fn program_for_inflight(&self, inf: &InFlight) -> Result<Box<dyn TxnProgram + Send>> {
         match inf.txn_type {
             t if (ty::FULFIL_1.raw()..=ty::FULFIL_4.raw()).contains(&t.raw()) => {
                 Fulfil::recovered(&inf.work_area)
@@ -421,6 +435,9 @@ impl SagaKit {
                 inf.txn
             ))),
         }
+    }
+    fn audit(&self, db: &Database) -> Vec<String> {
+        audit(db)
     }
 }
 
@@ -537,12 +554,6 @@ fn add_int(ctx: &mut StepCtx<'_>, tbl: TableId, key: &Key, c: usize, d: i64) -> 
     Ok(())
 }
 
-fn read_i64(bytes: &[u8], at: usize) -> Option<i64> {
-    bytes
-        .get(at..at + 8)
-        .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte slice")))
-}
-
 // ---------------------------------------------------------------------------
 // Programs
 // ---------------------------------------------------------------------------
@@ -572,23 +583,19 @@ impl Fulfil {
         }
     }
 
-    /// Rebuild from a recovered work area:
-    /// `[order_id, cust, n_legs, (sku, qty) * n_legs]` as little-endian i64s.
+    /// Rebuild from a recovered work area
+    /// `[order_id, cust, n_legs, (sku, qty) * n_legs]`.
     pub fn recovered(wa: &[u8]) -> Option<Fulfil> {
-        let order_id = read_i64(wa, 0)?;
-        let cust = read_i64(wa, 8)?;
-        let n_legs = read_i64(wa, 16)?;
-        if order_id < 1 || !(1..=4).contains(&n_legs) {
+        let fields = decode_work_area(wa)?;
+        let &[order_id, cust, n_legs, ref legs @ ..] = fields.as_slice() else {
+            return None;
+        };
+        if order_id < 1 || !(1..=4).contains(&n_legs) || legs.len() != 2 * n_legs as usize {
             return None;
         }
-        let mut legs = Vec::new();
-        for leg in 0..n_legs as usize {
-            let sku = read_i64(wa, 24 + leg * 16)?;
-            let qty = read_i64(wa, 32 + leg * 16)?;
-            if qty < 0 {
-                return None;
-            }
-            legs.push((sku, qty));
+        let legs: Vec<(i64, i64)> = legs.chunks_exact(2).map(|l| (l[0], l[1])).collect();
+        if legs.iter().any(|&(_, qty)| qty < 0) {
+            return None;
         }
         Some(Fulfil {
             cust,
@@ -734,19 +741,13 @@ impl TxnProgram for Fulfil {
     }
 
     fn work_area(&self) -> Vec<u8> {
-        let mut wa = Vec::with_capacity(24 + 16 * self.legs.len());
-        for v in [
+        let mut fields = vec![
             self.order_id.unwrap_or(0),
             self.cust,
             self.legs.len() as i64,
-        ] {
-            wa.extend_from_slice(&v.to_le_bytes());
-        }
-        for &(sku, qty) in &self.legs {
-            wa.extend_from_slice(&sku.to_le_bytes());
-            wa.extend_from_slice(&qty.to_le_bytes());
-        }
-        wa
+        ];
+        fields.extend(self.legs.iter().flat_map(|&(sku, qty)| [sku, qty]));
+        encode_work_area(&fields)
     }
 }
 

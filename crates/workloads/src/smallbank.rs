@@ -25,8 +25,9 @@ use acc_core::{
     Acc, AssertionRegistry, Decision, Inference, InterferenceTables, KeySpace, StepFootprint,
     StepSpec, TableFootprint, TxnSpec, DIRTY,
 };
+use acc_engine::Workload;
 use acc_storage::{Catalog, ColumnType, Database, Key, Row, TableSchema};
-use acc_txn::{StepCtx, StepOutcome, TxnProgram};
+use acc_txn::{decode_work_area, encode_work_area, StepCtx, StepOutcome, TxnProgram};
 use acc_wal::InFlight;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -159,7 +160,7 @@ pub fn populate(n: i64) -> Database {
 
 /// The complete design-time product, machine-derived: templates, inferred
 /// interference tables, ACC policy, the seeded mix generator, the recovery
-/// hook, and the consistency auditor.
+/// hook, and the consistency auditor — the family's one [`Workload`].
 pub struct SmallbankKit {
     /// The template registry (DIRTY + `conserve-mid`).
     pub registry: Arc<AssertionRegistry>,
@@ -387,28 +388,46 @@ impl SmallbankKit {
             }),
         }
     }
+}
 
-    /// Rebuild the compensable program for a recovered in-flight transaction.
-    pub fn program_for_inflight(&self, inf: &InFlight) -> Result<Box<dyn TxnProgram + Send>> {
-        match inf.txn_type {
-            t if t == ty::SEND_PAYMENT => SendPayment::recovered(&inf.work_area)
-                .map(|p| Box::new(p) as Box<dyn TxnProgram + Send>)
-                .ok_or_else(|| {
-                    Error::Recovery(format!(
-                        "unparseable send-payment work area for {}",
-                        inf.txn
-                    ))
-                }),
-            t if t == ty::AMALGAMATE => Amalgamate::recovered(&inf.work_area)
-                .map(|p| Box::new(p) as Box<dyn TxnProgram + Send>)
-                .ok_or_else(|| {
-                    Error::Recovery(format!("unparseable amalgamate work area for {}", inf.txn))
-                }),
-            other => Err(Error::Recovery(format!(
-                "in-flight transaction {} has non-compensable smallbank type {other}",
-                inf.txn
-            ))),
+impl Workload for SmallbankKit {
+    fn name(&self) -> &'static str {
+        "smallbank"
+    }
+    fn base(&self) -> Database {
+        populate(self.accounts)
+    }
+    fn tables(&self) -> Arc<InterferenceTables> {
+        Arc::clone(&self.tables)
+    }
+    fn acc(&self) -> Arc<Acc> {
+        Arc::clone(&self.acc)
+    }
+    fn next_program(&self, rng: &mut SeededRng) -> Box<dyn TxnProgram + Send> {
+        SmallbankKit::next_program(self, rng)
+    }
+    fn program_for_inflight(&self, inf: &InFlight) -> Result<Box<dyn TxnProgram + Send>> {
+        fn boxed(
+            p: Option<impl TxnProgram + Send + 'static>,
+        ) -> Option<Box<dyn TxnProgram + Send>> {
+            p.map(|p| Box::new(p) as _)
         }
+        let wa = &inf.work_area;
+        let (what, program) = match inf.txn_type {
+            t if t == ty::SEND_PAYMENT => ("send-payment", boxed(SendPayment::recovered(wa))),
+            t if t == ty::AMALGAMATE => ("amalgamate", boxed(Amalgamate::recovered(wa))),
+            other => {
+                return Err(Error::Recovery(format!(
+                    "in-flight transaction {} has non-compensable smallbank type {other}",
+                    inf.txn
+                )))
+            }
+        };
+        program
+            .ok_or_else(|| Error::Recovery(format!("unparseable {what} work area for {}", inf.txn)))
+    }
+    fn audit(&self, db: &Database) -> Vec<String> {
+        audit(db)
     }
 }
 
@@ -476,12 +495,6 @@ fn add_int(ctx: &mut StepCtx<'_>, tbl: TableId, key: &Key, c: usize, d: i64) -> 
         return Err(Error::NotFound(format!("{tbl:?} row {key:?}")));
     }
     Ok(())
-}
-
-fn read_i64(bytes: &[u8], at: usize) -> Option<i64> {
-    bytes
-        .get(at..at + 8)
-        .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte slice")))
 }
 
 // ---------------------------------------------------------------------------
@@ -614,13 +627,12 @@ pub struct SendPayment {
 }
 
 impl SendPayment {
-    /// Rebuild from a recovered work area.
+    /// Rebuild from a recovered work area `[src, dst, amount]`.
     pub fn recovered(wa: &[u8]) -> Option<SendPayment> {
-        let (src, dst, amount) = (read_i64(wa, 0)?, read_i64(wa, 8)?, read_i64(wa, 16)?);
-        if amount < 0 {
-            return None;
+        match *decode_work_area(wa)?.as_slice() {
+            [src, dst, amount] if amount >= 0 => Some(SendPayment { src, dst, amount }),
+            _ => None,
         }
-        Some(SendPayment { src, dst, amount })
     }
 }
 
@@ -663,11 +675,7 @@ impl TxnProgram for SendPayment {
         Ok(())
     }
     fn work_area(&self) -> Vec<u8> {
-        let mut wa = Vec::with_capacity(24);
-        for v in [self.src, self.dst, self.amount] {
-            wa.extend_from_slice(&v.to_le_bytes());
-        }
-        wa
+        encode_work_area(&[self.src, self.dst, self.amount])
     }
 }
 
@@ -697,13 +705,17 @@ impl Amalgamate {
         }
     }
 
-    /// Rebuild from a recovered work area.
+    /// Rebuild from a recovered work area
+    /// `[src, dst, moved_savings, moved_checking]`.
     pub fn recovered(wa: &[u8]) -> Option<Amalgamate> {
+        let &[src, dst, moved_savings, moved_checking] = decode_work_area(wa)?.as_slice() else {
+            return None;
+        };
         Some(Amalgamate {
-            src: read_i64(wa, 0)?,
-            dst: read_i64(wa, 8)?,
-            moved_savings: read_i64(wa, 16)?,
-            moved_checking: read_i64(wa, 24)?,
+            src,
+            dst,
+            moved_savings,
+            moved_checking,
         })
     }
 }
@@ -766,11 +778,7 @@ impl TxnProgram for Amalgamate {
         Ok(())
     }
     fn work_area(&self) -> Vec<u8> {
-        let mut wa = Vec::with_capacity(32);
-        for v in [self.src, self.dst, self.moved_savings, self.moved_checking] {
-            wa.extend_from_slice(&v.to_le_bytes());
-        }
-        wa
+        encode_work_area(&[self.src, self.dst, self.moved_savings, self.moved_checking])
     }
 }
 

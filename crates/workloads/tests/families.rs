@@ -1,13 +1,18 @@
 //! The two bring-your-own-workload families' matrix shape as the inference
-//! derives it. (Their crash sweeps run in `acc-bench`'s torture tests, their
+//! derives it, and the work areas their recovery rebuilds programs from.
+//! (Their crash sweeps run in `acc-bench`'s torture tests, their
 //! closed-loop burns in `acc-server`'s `closed_loop` tests.)
 //!
 //! Nothing here consults a hand-written interference table — the matrices
 //! under test are exactly what [`acc_core::Inference`] produced from the
 //! declared footprints, installed through the live registry.
 
+use acc_common::{Error, TxnId, TxnTypeId};
 use acc_core::{InterferenceTables, DIRTY};
+use acc_engine::Workload;
 use acc_lockmgr::InterferenceOracle;
+use acc_txn::encode_work_area;
+use acc_wal::InFlight;
 use acc_workloads::{saga, smallbank};
 
 // ---------------------------------------------------------------------------
@@ -100,4 +105,132 @@ fn inference_decisions_cover_every_declared_step() {
     assert!(!sb.decisions.is_empty());
     let sg = saga::SagaKit::build(4, 3);
     assert!(!sg.decisions.is_empty());
+}
+
+// ---------------------------------------------------------------------------
+// Work areas: a logged work area rebuilds the program that wrote it, and
+// anything else is refused with `Error::Recovery`, never a panic.
+// ---------------------------------------------------------------------------
+
+fn inflight(txn_type: TxnTypeId, work_area: Vec<u8>) -> InFlight {
+    InFlight {
+        txn: TxnId(9),
+        txn_type,
+        steps_completed: 1,
+        work_area,
+        compensating: false,
+    }
+}
+
+/// The rebuilt program has the logged type and writes back the same bytes.
+fn assert_round_trip(family: &dyn Workload, txn_type: TxnTypeId, work_area: Vec<u8>) {
+    let p = family
+        .program_for_inflight(&inflight(txn_type, work_area.clone()))
+        .unwrap_or_else(|e| panic!("{} refused {work_area:?}: {e}", family.name()));
+    assert_eq!(p.txn_type(), txn_type);
+    assert_eq!(p.work_area(), work_area);
+}
+
+fn assert_refused(family: &dyn Workload, txn_type: TxnTypeId, work_area: Vec<u8>) {
+    let rebuilt = family.program_for_inflight(&inflight(txn_type, work_area.clone()));
+    assert!(
+        matches!(rebuilt, Err(Error::Recovery(_))),
+        "{} accepted type {txn_type} work area {work_area:?}",
+        family.name()
+    );
+}
+
+/// Every truncated prefix of a valid work area, a trailing partial field,
+/// and trailing whole fields are all refused.
+fn assert_malformed_refused(family: &dyn Workload, txn_type: TxnTypeId, valid: &[u8]) {
+    for len in 0..valid.len() {
+        assert_refused(family, txn_type, valid[..len].to_vec());
+    }
+    for extra in [
+        vec![0; 1],
+        vec![0xff; 7],
+        encode_work_area(&[0]),
+        encode_work_area(&[1, 1]),
+    ] {
+        assert_refused(family, txn_type, [valid, &extra].concat());
+    }
+}
+
+const SEND_PAYMENT_WA: [i64; 3] = [3, 5, 40];
+const AMALGAMATE_WA: [i64; 4] = [2, 7, 100, 35];
+const FULFILS: [TxnTypeId; 4] = [
+    saga::ty::FULFIL_1,
+    saga::ty::FULFIL_2,
+    saga::ty::FULFIL_3,
+    saga::ty::FULFIL_4,
+];
+
+/// A fulfilment work area: order 11 for customer 3, `n_legs` legs.
+fn fulfil(n_legs: i64) -> Vec<u8> {
+    let mut fields = vec![11, 3, n_legs];
+    fields.extend((1..=n_legs).flat_map(|leg| [leg, 2 * leg]));
+    encode_work_area(&fields)
+}
+
+#[test]
+fn smallbank_work_areas_round_trip() {
+    let kit = smallbank::SmallbankKit::build(10);
+    let sp = smallbank::ty::SEND_PAYMENT;
+    assert_round_trip(&kit, sp, encode_work_area(&SEND_PAYMENT_WA));
+    assert_round_trip(&kit, sp, encode_work_area(&[1, 2, 0]));
+    assert_round_trip(
+        &kit,
+        smallbank::ty::AMALGAMATE,
+        encode_work_area(&AMALGAMATE_WA),
+    );
+}
+
+#[test]
+fn saga_work_areas_round_trip() {
+    let kit = saga::SagaKit::build(6, 4);
+    for (n_legs, t) in (1..=4).zip(FULFILS) {
+        assert_round_trip(&kit, t, fulfil(n_legs));
+    }
+}
+
+#[test]
+fn malformed_smallbank_work_areas_are_refused() {
+    use smallbank::ty::*;
+    let kit = smallbank::SmallbankKit::build(10);
+    assert_malformed_refused(&kit, SEND_PAYMENT, &encode_work_area(&SEND_PAYMENT_WA));
+    assert_malformed_refused(&kit, AMALGAMATE, &encode_work_area(&AMALGAMATE_WA));
+    assert_refused(&kit, SEND_PAYMENT, encode_work_area(&[3, 5, -40]));
+    for t in [
+        BALANCE,
+        DEPOSIT,
+        TRANSACT_SAVINGS,
+        WRITE_CHECK,
+        OPEN_ACCOUNT,
+    ] {
+        assert_refused(&kit, t, encode_work_area(&SEND_PAYMENT_WA));
+    }
+}
+
+#[test]
+fn malformed_saga_work_areas_are_refused() {
+    let kit = saga::SagaKit::build(6, 4);
+    for (n_legs, t) in (1..=4).zip(FULFILS) {
+        assert_malformed_refused(&kit, t, &fulfil(n_legs));
+    }
+    // A negative quantity on any leg, and an unallocated order id.
+    assert_refused(&kit, FULFILS[1], encode_work_area(&[11, 3, 2, 1, 2, 2, -4]));
+    assert_refused(&kit, FULFILS[0], encode_work_area(&[0, 3, 1, 1, 2]));
+    // Leg counts outside 1..=4, each with that many legs.
+    for n_legs in [-1, 0, 5] {
+        let mut fields = vec![11, 3, n_legs];
+        fields.extend((1..=n_legs).flat_map(|leg| [leg, 2]));
+        for t in FULFILS {
+            assert_refused(&kit, t, encode_work_area(&fields));
+        }
+    }
+    // A leg count the logged type disagrees with.
+    assert_refused(&kit, FULFILS[2], fulfil(2));
+    for t in [saga::ty::RESTOCK, saga::ty::STATUS] {
+        assert_refused(&kit, t, fulfil(1));
+    }
 }

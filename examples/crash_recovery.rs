@@ -119,7 +119,7 @@ fn main() -> Result<()> {
         &recovered,
         &*sys.acc,
         &report.needs_compensation,
-        tpcc::recovery::program_for_inflight,
+        tpcc::txns::program_for_inflight,
     )?;
     println!("compensated {n} in-flight transaction(s)");
 

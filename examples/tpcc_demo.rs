@@ -11,7 +11,7 @@
 //! (`cargo run -p acc-bench --release --bin figures`). Expect the same
 //! qualitative picture, with wall-clock noise.
 
-use acc_engine::RetryPolicy;
+use acc_engine::{RetryPolicy, Workload};
 use acc_server::{run_closed_loop, ClosedLoopConfig, Frontend, Mix, ServerConfig, WorkloadHost};
 use assertional_acc::prelude::*;
 use assertional_acc::tpcc;
@@ -21,14 +21,14 @@ use std::time::Duration;
 /// TPC-C at benchmark scale under the ACC or strict 2PL, one worker
 /// per terminal.
 fn frontend(use_acc: bool, terminals: usize) -> Frontend {
-    let sys = tpcc::TpccSystem::build();
-    let cc: Arc<dyn ConcurrencyControl> = if use_acc { sys.acc } else { Arc::new(TwoPhase) };
-    let scale = tpcc::Scale::benchmark();
-    let mut db = Database::new(&tpcc::tpcc_catalog());
-    tpcc::populate(&mut db, &scale, 42);
-    let shared = SharedDb::new(db, Arc::clone(&sys.tables) as _);
-    let gen = tpcc::InputGen::new(tpcc::TpccConfig::standard(scale), 7);
-    let host = WorkloadHost::new(Mix::Tpcc, Box::new(gen), cc);
+    let kit = tpcc::TpccKit::new(tpcc::Scale::benchmark(), 42, 7);
+    let cc: Arc<dyn ConcurrencyControl> = if use_acc {
+        kit.acc()
+    } else {
+        Arc::new(TwoPhase)
+    };
+    let shared = SharedDb::new(kit.base(), kit.tables() as _);
+    let host = WorkloadHost::new(Mix::Tpcc, Box::new(kit), cc);
     let config = ServerConfig {
         workers: terminals,
         engine_retry: RetryPolicy::standard(),

@@ -53,6 +53,11 @@ echo "== crash torture (every kit x every cut-point source, plus the network fro
 cargo run -p acc-bench --release --offline --bin figures -- torture --quick > "$t1"
 cmp "$t1" scripts/torture_quick.golden
 
+echo "== full crash torture (adds the benchmark-scale TPC-C row and the full matrix) matches its golden =="
+# Regenerate like the quick golden, without --quick, into scripts/torture_full.golden.
+cargo run -p acc-bench --release --offline --bin figures -- torture > "$t1"
+cmp "$t1" scripts/torture_full.golden
+
 echo "== multi-thread stress smoke (8-terminal closed loop through the front-end, release) =="
 cargo run -p acc-bench --release --offline --bin figures -- stress --quick
 

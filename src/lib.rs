@@ -9,22 +9,25 @@
 //!
 //! This crate is the façade over the workspace:
 //!
-//! * [`common`] — values, ids, seeded RNG, clocks;
+//! * [`common`] — values, ids, seeded RNG, simulated time, fault injection;
 //! * [`storage`] — the in-memory relational engine (tables, indices, pages);
 //! * [`lockmgr`] — conventional + assertional lock modes, deadlock
 //!   detection;
 //! * [`wal`] — write-ahead logging with end-of-step records and recovery;
 //! * [`txn`] — step-decomposed transaction programs, the strict-2PL
-//!   baseline, compensation;
+//!   baseline, compensation, and the work-area codec compensable programs
+//!   save their recovery state in;
 //! * [`acc`] — the paper's contribution: assertion templates, the
 //!   design-time interference analysis, and the one-level ACC policy;
 //! * [`engine`] — a deterministic interleaving explorer, plus the
-//!   `Workload` and `RetryPolicy` types the network front-end (`acc-server`)
-//!   serves and retries with;
+//!   `Workload` trait (one whole workload family, implemented once per
+//!   family: `tpcc::TpccKit` here, smallbank and the saga in
+//!   `acc-workloads`), which the network front-end (`acc-server`) serves and
+//!   the crash-torture harness sweeps, and the `RetryPolicy` it retries with;
 //! * [`sim`] — the discrete-event simulator behind the figure
 //!   reproductions;
 //! * [`tpcc`] — the TPC-C workload, decomposed as in the paper's
-//!   evaluation.
+//!   evaluation, and its `Workload` (`tpcc::TpccKit`).
 //!
 //! ## Quick start
 //!

@@ -132,7 +132,7 @@ fn recovery_is_sound_at_every_crash_point() {
             &shared,
             &*sys.acc,
             &report.needs_compensation,
-            tpcc::recovery::program_for_inflight,
+            tpcc::txns::program_for_inflight,
         )
         .unwrap_or_else(|e| panic!("compensation failed at cut {cut}: {e}"));
         assert_eq!(n, report.needs_compensation.len());
