@@ -11,8 +11,13 @@
 //! ([`BTree::remove_if`]) and the chain is gone.
 //!
 //! Internal nodes hold up to 64 children, so a table of 100 000 rows is
-//! four or five levels deep. Leaf capacity follows the schema's
-//! `rows_per_page`.
+//! four or five levels deep. Each separator carries its key's 8-byte
+//! order-preserving prefix ([`Key::prefix`]), so routing decides with one
+//! integer compare and compares whole keys only where prefixes tie. Leaf
+//! capacity follows the schema's `rows_per_page`. A full leaf splits at its
+//! midpoint, except that an insert sorting after every entry of the leaf
+//! splits it at the end: the leaf stays full and the key starts its right
+//! sibling, so keys inserted in ascending order fill their leaves.
 //!
 //! ## Optimistic descent (reads, and writes that stay in one leaf)
 //!
@@ -33,6 +38,24 @@
 //! free, another write) moved it further, and the writer restarts. So these
 //! writers write-latch their leaf and nothing above it, and still hold one
 //! latch at a time.
+//!
+//! ## Hinted revisits (one descent per keyed access)
+//!
+//! A descent returns a [`LeafHint`]: the leaf it ended at and the even
+//! version it read there under the read latch. A caller that must wait
+//! between finding a key and using it (a transaction takes its logical
+//! locks in between) hands the hint back, and the revisit
+//! ([`BTree::read_entry_at`], [`BTree::with_entry_at`],
+//! [`BTree::upsert_at`]) latches that one leaf and nothing else: a reader
+//! goes on if the version under its read latch is still the hint's, a
+//! writer if the version under its write latch is the hint's plus its own
+//! bump — the check `relatch_for_write` makes. A leaf's key range changes
+//! only under its write latch and a freed or reused frame's version has
+//! moved, so an unchanged version means the same leaf, still covering the
+//! key. Any other version falls back to a full descent (counted in
+//! [`crate::pager::PagerCounters::hint_misses`]). Frames never move (see
+//! [`crate::pager`]), so latching a stale hint's frame is safe; a revisit
+//! holds one latch, like every optimistic descent.
 //!
 //! ## Structure changes — latch crabbing
 //!
@@ -64,7 +87,6 @@ use crate::pager::{Page, PageId, Pager, PagerCounters, ReadLatch, WriteLatch};
 use crate::row::{Key, Row};
 use crate::version::ChainEntry;
 use acc_common::Slot;
-use std::sync::Arc;
 
 /// The root lives at page 0 forever.
 const ROOT: PageId = 0;
@@ -84,6 +106,22 @@ pub(crate) struct LeafEntry {
     pub chain: Vec<ChainEntry>,
 }
 
+/// An internal node's separator: a routing key and its [`Key::prefix`].
+#[derive(Debug, Clone)]
+pub(crate) struct Sep {
+    prefix: u64,
+    key: Key,
+}
+
+impl Sep {
+    fn new(key: Key) -> Sep {
+        Sep {
+            prefix: key.prefix(),
+            key,
+        }
+    }
+}
+
 /// A tree node — the payload of one page.
 #[derive(Debug, Clone)]
 pub(crate) enum Node {
@@ -91,7 +129,7 @@ pub(crate) enum Node {
     /// `>= keys[i]`. Separators are copies (routing only) and need not
     /// exist as live leaf keys.
     Internal {
-        keys: Vec<Key>,
+        keys: Vec<Sep>,
         children: Vec<PageId>,
     },
     /// Sorted entries plus the right-sibling link for range scans.
@@ -99,6 +137,25 @@ pub(crate) enum Node {
         entries: Vec<LeafEntry>,
         next: Option<PageId>,
     },
+}
+
+/// Where a descent ended: a leaf page and the version it had under the
+/// descent's read latch. Hand it back to a revisit (`Table::get_at`,
+/// `Table::update_versioned`, …) to reach the same leaf with one latch if
+/// no writer has latched it since.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LeafHint {
+    page: PageId,
+    version: u64,
+}
+
+impl LeafHint {
+    fn of<N>(leaf: &Page<N>) -> LeafHint {
+        LeafHint {
+            page: leaf.id(),
+            version: leaf.version(),
+        }
+    }
 }
 
 /// The paged B-tree. Leaf capacity tracks the schema's `rows_per_page`
@@ -146,15 +203,35 @@ impl BTree {
         self.pager.counters()
     }
 
-    /// Route: index of the child covering `key`.
-    fn route(keys: &[Key], key: &Key) -> usize {
-        keys.partition_point(|k| k <= key)
+    /// Route: index of the child covering `key`, whose prefix is `kp`. A
+    /// separator whose prefix differs from `kp` compares like its prefix.
+    fn route(keys: &[Sep], key: &Key, kp: u64) -> usize {
+        keys.partition_point(|s| s.prefix < kp || (s.prefix == kp && s.key <= *key))
     }
 
     /// Position of `key` in a leaf's sorted entries: where it lives, or
     /// where it belongs.
     fn position(entries: &[LeafEntry], key: &Key) -> usize {
         entries.partition_point(|e| e.key < *key)
+    }
+
+    /// The entry for `key` in the leaf `node`, if any.
+    fn find<'n>(node: &'n Node, key: &Key) -> Option<&'n LeafEntry> {
+        let Node::Leaf { entries, .. } = node else {
+            unreachable!("descent ends at a leaf")
+        };
+        entries
+            .get(Self::position(entries, key))
+            .filter(|e| e.key == *key)
+    }
+
+    /// The entry for `key` in the leaf `node`, if any, for writing.
+    fn find_mut<'n>(node: &'n mut Node, key: &Key) -> Option<&'n mut LeafEntry> {
+        let Node::Leaf { entries, .. } = node else {
+            unreachable!("descent ends at a leaf")
+        };
+        let idx = Self::position(entries, key);
+        entries.get_mut(idx).filter(|e| e.key == *key)
     }
 
     fn is_full(&self, node: &Node) -> bool {
@@ -179,18 +256,19 @@ impl BTree {
     /// run `at_leaf` on the leaf's page under its read latch. `at_leaf`
     /// returns `None` to restart the descent from the root (counted as a
     /// restart), so it may run more than once.
-    fn descend<R>(
-        &self,
+    fn descend<'p, R>(
+        &'p self,
         key: &Key,
-        mut at_leaf: impl FnMut(&Arc<Page<Node>>, ReadLatch<'_, Node>) -> Option<R>,
+        mut at_leaf: impl FnMut(&'p Page<Node>, ReadLatch<'p, Node>) -> Option<R>,
     ) -> R {
+        let kp = key.prefix();
         'restart: loop {
             let mut cur = self.pager.page(ROOT);
-            let mut parent: Option<(Arc<Page<Node>>, u64)> = None;
+            let mut parent: Option<(&Page<Node>, u64)> = None;
             loop {
-                let g = self.pager.read_latch(&cur);
-                if let Some((p, v)) = &parent {
-                    if p.version() != *v {
+                let g = self.pager.read_latch(cur);
+                if let Some((p, v)) = parent {
+                    if p.version() != v {
                         drop(g);
                         self.pager.count_restart();
                         continue 'restart;
@@ -198,11 +276,11 @@ impl BTree {
                 }
                 let ver = cur.version();
                 let child = match &*g {
-                    Node::Internal { keys, children } => Some(children[Self::route(keys, key)]),
+                    Node::Internal { keys, children } => Some(children[Self::route(keys, key, kp)]),
                     Node::Leaf { .. } => None,
                 };
                 let Some(cid) = child else {
-                    match at_leaf(&cur, g) {
+                    match at_leaf(cur, g) {
                         Some(r) => return r,
                         None => {
                             self.pager.count_restart();
@@ -223,7 +301,7 @@ impl BTree {
     /// plus this latch's own bump, and the caller restarts.
     fn relatch_for_write<'a>(
         &self,
-        leaf: &'a Arc<Page<Node>>,
+        leaf: &'a Page<Node>,
         g: ReadLatch<'_, Node>,
     ) -> Option<WriteLatch<'a, Node>> {
         let v = leaf.version();
@@ -238,14 +316,53 @@ impl BTree {
     /// latch. `f` may run more than once if the descent restarts — it must
     /// be effect-free apart from its return value.
     pub(crate) fn read_entry<R>(&self, key: &Key, f: impl Fn(Option<&LeafEntry>) -> R) -> R {
-        self.descend(key, |_, g| {
-            let Node::Leaf { entries, .. } = &*g else {
-                unreachable!("descent ends at a leaf")
-            };
-            Some(f(entries
-                .get(Self::position(entries, key))
-                .filter(|e| e.key == *key)))
+        self.read_entry_hinted(key, f).0
+    }
+
+    /// [`BTree::read_entry`], plus a hint to the leaf it read.
+    pub(crate) fn read_entry_hinted<R>(
+        &self,
+        key: &Key,
+        f: impl Fn(Option<&LeafEntry>) -> R,
+    ) -> (R, LeafHint) {
+        self.descend(key, |leaf, g| {
+            Some((f(Self::find(&g, key)), LeafHint::of(leaf)))
         })
+    }
+
+    /// The hinted leaf's page, if its version is still the hint's. A stale
+    /// hint is counted as a miss here; the caller falls back to a descent.
+    /// The unlatched version load only spares a latch on a leaf already
+    /// known to have changed: callers re-check under the latch they take.
+    fn hinted(&self, hint: LeafHint) -> Option<&Page<Node>> {
+        #[cfg(test)]
+        tests::hint_gap();
+        let leaf = self.pager.page(hint.page);
+        if leaf.version() == hint.version {
+            Some(leaf)
+        } else {
+            self.pager.count_hint_miss();
+            None
+        }
+    }
+
+    /// [`BTree::read_entry`] through a hint: one read latch on the hinted
+    /// leaf if no writer has latched it since, else a descent.
+    pub(crate) fn read_entry_at<R>(
+        &self,
+        hint: LeafHint,
+        key: &Key,
+        f: impl Fn(Option<&LeafEntry>) -> R,
+    ) -> R {
+        if let Some(leaf) = self.hinted(hint) {
+            let g = self.pager.read_latch(leaf);
+            if leaf.version() == hint.version {
+                return f(Self::find(&g, key));
+            }
+            drop(g);
+            self.pager.count_hint_miss();
+        }
+        self.read_entry(key, f)
     }
 
     /// Range scan from `lo`: visit entries with key `>= lo` in order while
@@ -260,15 +377,16 @@ impl BTree {
         mut emit: impl FnMut(&LeafEntry) -> Option<T>,
         limit: usize,
     ) -> Vec<T> {
+        let lo_prefix = lo.prefix();
         'restart: loop {
             let mut out: Vec<T> = Vec::new();
             let mut cur = self.pager.page(ROOT);
-            let mut parent: Option<(Arc<Page<Node>>, u64)> = None;
+            let mut parent: Option<(&Page<Node>, u64)> = None;
             let mut first_leaf = true;
             loop {
-                let g = self.pager.read_latch(&cur);
-                if let Some((p, v)) = &parent {
-                    if p.version() != *v {
+                let g = self.pager.read_latch(cur);
+                if let Some((p, v)) = parent {
+                    if p.version() != v {
                         drop(g);
                         self.pager.count_restart();
                         continue 'restart;
@@ -276,7 +394,7 @@ impl BTree {
                 }
                 let ver = cur.version();
                 let next_page = match &*g {
-                    Node::Internal { keys, children } => children[Self::route(keys, lo)],
+                    Node::Internal { keys, children } => children[Self::route(keys, lo, lo_prefix)],
                     Node::Leaf { entries, next } => {
                         let from = if first_leaf {
                             entries.partition_point(|e| e.key < *lo)
@@ -326,13 +444,38 @@ impl BTree {
         let mut f = Some(f);
         self.descend(key, |leaf, g| {
             let mut wg = self.relatch_for_write(leaf, g)?;
-            let Node::Leaf { entries, .. } = &mut *wg else {
-                unreachable!("descent ends at a leaf")
-            };
-            let idx = Self::position(entries, key);
             let f = f.take().expect("f runs once");
-            Some(f(entries.get_mut(idx).filter(|e| e.key == *key)))
+            Some(f(Self::find_mut(&mut wg, key)))
         })
+    }
+
+    /// The hinted leaf under its write latch, if no other writer has
+    /// latched it since the hint: its version is then the hint's plus this
+    /// latch's own bump. On `None` the caller falls back to a descent.
+    fn hinted_for_write(&self, hint: LeafHint) -> Option<WriteLatch<'_, Node>> {
+        let leaf = self.hinted(hint)?;
+        let wg = self.pager.write_latch(leaf);
+        if leaf.version() == hint.version + 1 {
+            Some(wg)
+        } else {
+            drop(wg);
+            self.pager.count_hint_miss();
+            None
+        }
+    }
+
+    /// [`BTree::with_entry`] through a hint: one write latch on the hinted
+    /// leaf if no writer has latched it since, else a descent.
+    pub(crate) fn with_entry_at<R>(
+        &self,
+        hint: LeafHint,
+        key: &Key,
+        f: impl FnOnce(Option<&mut LeafEntry>) -> R,
+    ) -> R {
+        match self.hinted_for_write(hint) {
+            Some(mut wg) => f(Self::find_mut(&mut wg, key)),
+            None => self.with_entry(key, f),
+        }
     }
 
     /// Insert-or-mutate: run `f(entries, idx, exists)` under the write
@@ -359,16 +502,44 @@ impl BTree {
                 f.take().expect("f runs once"),
             )))
         });
-        if let Some(r) = in_leaf {
-            return r;
+        match in_leaf {
+            Some(r) => r,
+            None => self.upsert_from_root(key, f.take().expect("a full leaf left f unused")),
         }
-        let f = f.take().expect("a full leaf left f unused");
+    }
+
+    /// [`BTree::upsert`] through a hint: one write latch on the hinted leaf
+    /// if no writer has latched it since and it has room, the crabbing
+    /// descent if it is full, else the optimistic descent.
+    pub(crate) fn upsert_at<R>(
+        &self,
+        hint: LeafHint,
+        key: &Key,
+        f: impl FnOnce(&mut Vec<LeafEntry>, usize, bool) -> R,
+    ) -> R {
+        let Some(mut wg) = self.hinted_for_write(hint) else {
+            return self.upsert(key, f);
+        };
+        if self.is_full(&wg) {
+            drop(wg);
+            return self.upsert_from_root(key, f);
+        }
+        Self::upsert_leaf(&mut wg, key, f)
+    }
+
+    /// The crabbing half of an upsert: write-latch down from the root,
+    /// splitting every full node on the way.
+    fn upsert_from_root<R>(
+        &self,
+        key: &Key,
+        f: impl FnOnce(&mut Vec<LeafEntry>, usize, bool) -> R,
+    ) -> R {
         let root = self.pager.page(ROOT);
-        let mut g = self.pager.write_latch(&root);
+        let mut g = self.pager.write_latch(root);
         if self.is_full(&g) {
-            self.split_root(&mut g);
+            self.split_root(&mut g, key);
         }
-        self.upsert_rec(&root, g, key, f)
+        self.upsert_rec(g, key, f)
     }
 
     /// Run an upsert's `f` on the leaf `node`, which has room for `key`.
@@ -385,24 +556,23 @@ impl BTree {
         f(entries, idx, exists)
     }
 
-    fn upsert_rec<'a, R>(
+    fn upsert_rec<R>(
         &self,
-        _page: &'a Arc<Page<Node>>,
-        mut g: WriteLatch<'a, Node>,
+        mut g: WriteLatch<'_, Node>,
         key: &Key,
         f: impl FnOnce(&mut Vec<LeafEntry>, usize, bool) -> R,
     ) -> R {
         let (cid, child_idx) = match &*g {
             Node::Leaf { .. } => return Self::upsert_leaf(&mut g, key, f),
             Node::Internal { keys, children } => {
-                let i = Self::route(keys, key);
+                let i = Self::route(keys, key, key.prefix());
                 (children[i], i)
             }
         };
         let child = self.pager.page(cid);
-        let mut cg = self.pager.write_latch(&child);
+        let mut cg = self.pager.write_latch(child);
         if self.is_full(&cg) {
-            let (sep, right_id) = self.split_child(&mut g, child_idx, &mut cg);
+            let (sep, right_id) = self.split_child(&mut g, child_idx, &mut cg, key);
             if *key >= sep {
                 // The key now belongs in the fresh right sibling. No one
                 // can route to it until we release the parent (at worst a
@@ -412,14 +582,13 @@ impl BTree {
                 // until g drops, so readers routed to the truncated child
                 // fail validation.
                 drop(cg);
-                let right = self.pager.page(right_id);
-                let rg = self.pager.write_latch(&right);
+                let rg = self.pager.write_latch(self.pager.page(right_id));
                 drop(g);
-                return self.upsert_rec(&right, rg, key, f);
+                return self.upsert_rec(rg, key, f);
             }
         }
         drop(g);
-        self.upsert_rec(&child, cg, key, f)
+        self.upsert_rec(cg, key, f)
     }
 
     /// Remove-or-mutate: descend with preemptive rebalancing (borrow or
@@ -433,15 +602,14 @@ impl BTree {
     ) -> R {
         loop {
             let root = self.pager.page(ROOT);
-            let mut g = self.pager.write_latch(&root);
+            let mut g = self.pager.write_latch(root);
             // Collapse a trivial root (internal, one child) before
             // descending: copy the child up into page 0 so the root's page
             // id never changes.
             if let Node::Internal { children, .. } = &*g {
                 if children.len() == 1 {
                     let cid = children[0];
-                    let child = self.pager.page(cid);
-                    let mut cg = self.pager.write_latch(&child);
+                    let mut cg = self.pager.write_latch(self.pager.page(cid));
                     *g = std::mem::replace(
                         &mut *cg,
                         Node::Leaf {
@@ -455,14 +623,13 @@ impl BTree {
                     continue;
                 }
             }
-            return self.remove_rec(&root, g, key, f);
+            return self.remove_rec(g, key, f);
         }
     }
 
-    fn remove_rec<'a, R>(
+    fn remove_rec<R>(
         &self,
-        _page: &'a Arc<Page<Node>>,
-        mut g: WriteLatch<'a, Node>,
+        mut g: WriteLatch<'_, Node>,
         key: &Key,
         f: impl FnOnce(Option<&mut LeafEntry>) -> (R, bool),
     ) -> R {
@@ -481,12 +648,11 @@ impl BTree {
                 return r;
             }
             Node::Internal { keys, children } => {
-                let i = Self::route(keys, key);
+                let i = Self::route(keys, key, key.prefix());
                 (children[i], i, children.len())
             }
         };
-        let child = self.pager.page(cid);
-        let mut cg = self.pager.write_latch(&child);
+        let mut cg = self.pager.write_latch(self.pager.page(cid));
         if self.at_min(&cg) {
             if ci + 1 < n_children {
                 // Prefer the right sibling: borrow its first, else merge it
@@ -497,8 +663,7 @@ impl BTree {
                     Node::Internal { children, .. } => children[ci + 1],
                     _ => unreachable!("parent is internal"),
                 };
-                let sib = self.pager.page(sid);
-                let mut sg = self.pager.write_latch(&sib);
+                let mut sg = self.pager.write_latch(self.pager.page(sid));
                 if !self.at_min(&sg) {
                     Self::borrow_from_right(&mut g, ci, &mut cg, &mut sg);
                 } else {
@@ -513,8 +678,7 @@ impl BTree {
                     Node::Internal { children, .. } => children[ci - 1],
                     _ => unreachable!("parent is internal"),
                 };
-                let sib = self.pager.page(sid);
-                let mut sg = self.pager.write_latch(&sib);
+                let mut sg = self.pager.write_latch(self.pager.page(sid));
                 if !self.at_min(&sg) {
                     Self::borrow_from_left(&mut g, ci, &mut sg, &mut cg);
                 } else {
@@ -525,104 +689,115 @@ impl BTree {
                     drop(g);
                     // Descend into the left sibling, which now covers the
                     // merged range.
-                    return self.remove_rec(&sib, sg, key, f);
+                    return self.remove_rec(sg, key, f);
                 }
             }
         }
         drop(g);
-        self.remove_rec(&child, cg, key, f)
+        self.remove_rec(cg, key, f)
     }
 
     // ------------------------------------------------------------------
     // Structure changes (always under the parent's write latch)
     // ------------------------------------------------------------------
 
-    /// Split page 0 in place: its halves move to two fresh pages and the
-    /// root becomes an internal node over them.
-    fn split_root(&self, g: &mut WriteLatch<'_, Node>) {
+    /// Split a full leaf's entries for an insert of `key`: at the end if
+    /// `key` sorts after every entry (the right half starts empty, and
+    /// `key` is its separator), else at the midpoint. Returns the
+    /// separator and the right half.
+    fn split_leaf(entries: &mut Vec<LeafEntry>, key: &Key) -> (Key, Vec<LeafEntry>) {
+        if entries.last().is_some_and(|e| e.key < *key) {
+            return (key.clone(), Vec::new());
+        }
+        let right = entries.split_off(entries.len() / 2);
+        (right[0].key.clone(), right)
+    }
+
+    /// Split a full internal node at its midpoint: the middle separator
+    /// moves up. Returns it and the right half.
+    fn split_internal(keys: &mut Vec<Sep>, children: &mut Vec<PageId>) -> (Sep, Node) {
+        let mid = keys.len() / 2;
+        let right_keys = keys.split_off(mid + 1);
+        let sep = keys.pop().expect("internal node has keys");
+        let right_children = children.split_off(mid + 1);
+        (
+            sep,
+            Node::Internal {
+                keys: right_keys,
+                children: right_children,
+            },
+        )
+    }
+
+    /// Split page 0 in place for an insert of `key`: its halves move to two
+    /// fresh pages and the root becomes an internal node over them.
+    fn split_root(&self, g: &mut WriteLatch<'_, Node>, key: &Key) {
         self.pager.count_split();
-        match &mut **g {
+        let (sep, left_id, right_id) = match &mut **g {
             Node::Leaf { entries, next } => {
-                let mid = entries.len() / 2;
-                let right_entries = entries.split_off(mid);
-                let sep = right_entries[0].key.clone();
-                let left_entries = std::mem::take(entries);
+                let (sep, right_entries) = Self::split_leaf(entries, key);
                 let right_id = self.pager.alloc(Node::Leaf {
                     entries: right_entries,
                     next: *next,
                 });
                 let left_id = self.pager.alloc(Node::Leaf {
-                    entries: left_entries,
+                    entries: std::mem::take(entries),
                     next: Some(right_id),
                 });
-                **g = Node::Internal {
-                    keys: vec![sep],
-                    children: vec![left_id, right_id],
-                };
+                (Sep::new(sep), left_id, right_id)
             }
             Node::Internal { keys, children } => {
-                let mid = keys.len() / 2;
-                let right_keys = keys.split_off(mid + 1);
-                let sep = keys.pop().expect("internal root has keys");
-                let right_children = children.split_off(mid + 1);
-                let right_id = self.pager.alloc(Node::Internal {
-                    keys: right_keys,
-                    children: right_children,
-                });
+                let (sep, right) = Self::split_internal(keys, children);
+                let right_id = self.pager.alloc(right);
                 let left_id = self.pager.alloc(Node::Internal {
                     keys: std::mem::take(keys),
                     children: std::mem::take(children),
                 });
-                **g = Node::Internal {
-                    keys: vec![sep],
-                    children: vec![left_id, right_id],
-                };
+                (sep, left_id, right_id)
             }
-        }
+        };
+        **g = Node::Internal {
+            keys: vec![sep],
+            children: vec![left_id, right_id],
+        };
     }
 
     /// Split the full child at `child_idx` (held in `cg`) under its parent
-    /// (`g`): upper half moves to a fresh right sibling, the separator goes
-    /// into the parent. Returns `(separator, right_page)`.
+    /// (`g`) for an insert of `key`: the upper half moves to a fresh right
+    /// sibling, the separator goes into the parent. Returns `(separator,
+    /// right_page)`.
     fn split_child(
         &self,
         g: &mut WriteLatch<'_, Node>,
         child_idx: usize,
         cg: &mut WriteLatch<'_, Node>,
+        key: &Key,
     ) -> (Key, PageId) {
         self.pager.count_split();
         let (sep, right_id) = match &mut **cg {
             Node::Leaf { entries, next } => {
-                let mid = entries.len() / 2;
-                let right_entries = entries.split_off(mid);
-                let sep = right_entries[0].key.clone();
+                let (sep, right_entries) = Self::split_leaf(entries, key);
                 let right_id = self.pager.alloc(Node::Leaf {
                     entries: right_entries,
                     next: *next,
                 });
                 *next = Some(right_id);
-                (sep, right_id)
+                (Sep::new(sep), right_id)
             }
             Node::Internal { keys, children } => {
-                let mid = keys.len() / 2;
-                let right_keys = keys.split_off(mid + 1);
-                let sep = keys.pop().expect("internal node has keys");
-                let right_children = children.split_off(mid + 1);
-                let right_id = self.pager.alloc(Node::Internal {
-                    keys: right_keys,
-                    children: right_children,
-                });
-                (sep, right_id)
+                let (sep, right) = Self::split_internal(keys, children);
+                (sep, self.pager.alloc(right))
             }
         };
+        let sep_key = sep.key.clone();
         match &mut **g {
             Node::Internal { keys, children } => {
-                keys.insert(child_idx, sep.clone());
+                keys.insert(child_idx, sep);
                 children.insert(child_idx + 1, right_id);
             }
             _ => unreachable!("split parent is internal"),
         }
-        (sep, right_id)
+        (sep_key, right_id)
     }
 
     /// Rotate the right sibling's first entry/child into the child.
@@ -635,7 +810,7 @@ impl BTree {
         let new_sep = match (&mut **cg, &mut **sg) {
             (Node::Leaf { entries: ce, .. }, Node::Leaf { entries: se, .. }) => {
                 ce.push(se.remove(0));
-                se[0].key.clone()
+                Sep::new(se[0].key.clone())
             }
             (
                 Node::Internal {
@@ -672,7 +847,7 @@ impl BTree {
         let new_sep = match (&mut **sg, &mut **cg) {
             (Node::Leaf { entries: se, .. }, Node::Leaf { entries: ce, .. }) => {
                 let moved = se.pop().expect("left sibling has spare");
-                let sep = moved.key.clone();
+                let sep = Sep::new(moved.key.clone());
                 ce.insert(0, moved);
                 sep
             }
@@ -755,21 +930,30 @@ impl BTree {
     // Introspection (tests, cloning)
     // ------------------------------------------------------------------
 
-    /// Tree depth (root = 1). Takes read latches one level at a time.
+    /// Tree depth (root = 1) along the leftmost path. Takes read latches
+    /// one level at a time and validates each parent like a descent, so a
+    /// concurrent merge cannot hand it a freed node.
     #[cfg(test)]
     pub(crate) fn depth(&self) -> usize {
-        let mut d = 1;
-        let mut cur = self.pager.page(ROOT);
-        loop {
-            let g = self.pager.read_latch(&cur);
-            match &*g {
-                Node::Leaf { .. } => return d,
-                Node::Internal { children, .. } => {
-                    let cid = children[0];
-                    drop(g);
-                    cur = self.pager.page(cid);
-                    d += 1;
+        'restart: loop {
+            let mut d = 1;
+            let mut cur = self.pager.page(ROOT);
+            let mut parent: Option<(&Page<Node>, u64)> = None;
+            loop {
+                let g = self.pager.read_latch(cur);
+                if let Some((p, v)) = parent {
+                    if p.version() != v {
+                        continue 'restart;
+                    }
                 }
+                let Node::Internal { children, .. } = &*g else {
+                    return d;
+                };
+                let cid = children[0];
+                parent = Some((cur, cur.version()));
+                drop(g);
+                cur = self.pager.page(cid);
+                d += 1;
             }
         }
     }
@@ -789,25 +973,50 @@ mod tests {
         /// tests put a structure change into it, or a pause in which
         /// another thread can make one.
         static RELATCH_GAP: RefCell<Option<Hook>> = const { RefCell::new(None) };
+        /// Runs on a thread at the start of each hinted revisit, between
+        /// the descent that produced the hint and the revisit's latch —
+        /// where a transaction waits for its logical locks.
+        static HINT_GAP: RefCell<Option<Hook>> = const { RefCell::new(None) };
     }
 
-    pub(super) fn relatch_gap() {
-        // Out of its slot while it runs, so a tree write inside it does
-        // not re-enter it.
-        if let Some(mut hook) = RELATCH_GAP.take() {
+    /// Run the hook in `slot`, if any. It is out of its slot while it
+    /// runs, so a tree operation inside it does not re-enter it.
+    fn run_hook(slot: &'static std::thread::LocalKey<RefCell<Option<Hook>>>) {
+        if let Some(mut hook) = slot.take() {
             hook();
-            RELATCH_GAP.set(Some(hook));
+            slot.set(Some(hook));
         }
     }
 
-    /// Run `hook` once, in the next relatch gap on this thread.
-    fn in_next_gap(hook: impl FnOnce() + 'static) {
+    pub(super) fn relatch_gap() {
+        run_hook(&RELATCH_GAP);
+    }
+
+    pub(super) fn hint_gap() {
+        run_hook(&HINT_GAP);
+    }
+
+    /// Run `hook` once, in the next gap of `slot` on this thread.
+    fn once_in(
+        slot: &'static std::thread::LocalKey<RefCell<Option<Hook>>>,
+        hook: impl FnOnce() + 'static,
+    ) {
         let mut hook = Some(hook);
-        RELATCH_GAP.set(Some(Box::new(move || {
+        slot.set(Some(Box::new(move || {
             if let Some(h) = hook.take() {
                 h();
             }
         })));
+    }
+
+    /// Run `hook` once, in the next relatch gap on this thread.
+    fn in_next_gap(hook: impl FnOnce() + 'static) {
+        once_in(&RELATCH_GAP, hook);
+    }
+
+    /// Run `hook` once, in the next hint gap on this thread.
+    fn in_next_hint_gap(hook: impl FnOnce() + 'static) {
+        once_in(&HINT_GAP, hook);
     }
 
     fn entry(k: i64) -> LeafEntry {
@@ -993,9 +1202,11 @@ mod tests {
     #[test]
     fn in_leaf_writes_take_no_root_write_latch() {
         let t = BTree::new(2);
-        // Keys 0, 3, 6, …: sequential inserts leave one entry in every leaf
-        // but the last, so a key 3k + 1 lands in a leaf with room.
-        for k in 0..400 {
+        // Keys …, 6, 3, 0 in descending order: each insert sorts before the
+        // entries of its full leaf, which splits at its midpoint, so every
+        // leaf but the first ([0, 3]) keeps one entry and a key 3k + 1,
+        // k >= 2, lands in a leaf with room.
+        for k in (0..400).rev() {
             insert(&t, 3 * k);
         }
         assert!(t.depth() >= 3, "depth {}", t.depth());
@@ -1005,16 +1216,16 @@ mod tests {
                 e.expect("present").slot += 1;
             });
         }
-        for k in 0..200 {
+        for k in 2..202 {
             insert(&t, 3 * k + 1);
         }
         let d = t.counters() - before;
         assert_eq!(d.root_write_latches, 0, "an in-leaf write latched the root");
         assert_eq!(d.page_writes, 1200, "one write latch per write: its leaf");
         assert_eq!(d.splits, 0);
-        // Key 2 belongs in the now-full leaf [0, 1]: the insert splits it,
+        // Key 8 belongs in the now-full leaf [6, 7]: the insert splits it,
         // crabbing down from the root.
-        insert(&t, 2);
+        insert(&t, 8);
         let d = t.counters() - before;
         assert!(d.root_write_latches >= 1, "a split descends from the root");
         assert!(d.splits >= 1);
@@ -1033,14 +1244,15 @@ mod tests {
     #[test]
     fn in_leaf_writers_restart_when_their_leaf_splits_in_the_gap() {
         let t = std::rc::Rc::new(BTree::new(2));
-        // Leaves [0], [10], [20, 30].
+        // Leaves [0, 10], [20, 30]: the insert of 20 split the full [0, 10]
+        // at its end.
         for k in [0, 10, 20, 30] {
             insert(&t, k);
         }
-        // A rewrite of 30: the gap's insert of 35 splits [20, 30] and
-        // moves 30 to a fresh leaf.
+        // A rewrite of 30: the gap's insert of 25 splits [20, 30] at its
+        // midpoint and moves 30 to a fresh leaf.
         let t2 = std::rc::Rc::clone(&t);
-        in_next_gap(move || insert(&t2, 35));
+        in_next_gap(move || insert(&t2, 25));
         let before = t.counters();
         t.with_entry(&Key::ints(&[30]), |e| {
             e.expect("the rewrite finds its key").slot = 99;
@@ -1048,23 +1260,218 @@ mod tests {
         assert_eq!((t.counters() - before).read_restarts, 1);
         let slot = t.read_entry(&Key::ints(&[30]), |e| e.map(|e| e.slot));
         assert_eq!(slot, Some(99));
-        // An insert of 5 into [0], which has room: the gap's inserts of 3
-        // and 4 split it, and 5 now belongs in [3, 4].
+        // An insert of 33 into [30], which has room: the gap's inserts of
+        // 31 and 32 fill it and split it at its end, and 33 now belongs in
+        // [32].
         let t2 = std::rc::Rc::clone(&t);
         in_next_gap(move || {
-            insert(&t2, 3);
-            insert(&t2, 4);
+            insert(&t2, 31);
+            insert(&t2, 32);
         });
         let before = t.counters();
-        insert(&t, 5);
+        insert(&t, 33);
         assert_eq!((t.counters() - before).read_restarts, 1);
         assert!(
-            t.read_entry(&Key::ints(&[5]), |e| e.is_some()),
-            "5 is reachable"
+            t.read_entry(&Key::ints(&[33]), |e| e.is_some()),
+            "33 is reachable"
         );
-        assert_eq!(keys_in_order(&t), vec![0, 3, 4, 5, 10, 20, 30, 35]);
+        assert_eq!(keys_in_order(&t), vec![0, 10, 20, 25, 30, 31, 32, 33]);
         RELATCH_GAP.take();
         latch_debug_assert_none_held("btree unit test");
+    }
+
+    fn slot_of(t: &BTree, k: i64) -> Option<Slot> {
+        t.read_entry(&Key::ints(&[k]), |e| e.map(|e| e.slot))
+    }
+
+    fn hint_for(t: &BTree, k: i64) -> LeafHint {
+        t.read_entry_hinted(&Key::ints(&[k]), |_| ()).1
+    }
+
+    #[test]
+    fn hinted_revisits_of_an_unchanged_leaf_take_one_latch() {
+        // Descending inserts leave one entry in every leaf but the first.
+        let t = BTree::with_fanout(2, 4);
+        for k in (0..64).rev() {
+            insert(&t, 2 * k);
+        }
+        assert!(t.depth() >= 3, "depth {}", t.depth());
+        let key = Key::ints(&[74]);
+        let h = hint_for(&t, 74);
+        let before = t.counters();
+        assert_eq!(t.read_entry_at(h, &key, |e| e.map(|e| e.slot)), Some(74));
+        let d = t.counters() - before;
+        assert_eq!((d.page_reads, d.page_writes, d.hint_misses), (1, 0, 0));
+        t.with_entry_at(h, &key, |e| e.expect("present").slot = 99);
+        let d = t.counters() - before;
+        assert_eq!((d.page_reads, d.page_writes, d.hint_misses), (1, 1, 0));
+        assert_eq!(d.root_write_latches, 0);
+        // That write moved the leaf's version: the same hint now misses,
+        // and the fallback descent still finds the key.
+        assert_eq!(t.read_entry_at(h, &key, |e| e.map(|e| e.slot)), Some(99));
+        assert_eq!((t.counters() - before).hint_misses, 1);
+        // An insert revisits the leaf its duplicate check read: 75 goes
+        // into [74], which has room.
+        let fresh = Key::ints(&[75]);
+        let (absent, h) = t.read_entry_hinted(&fresh, |e| e.is_none());
+        assert!(absent);
+        let before = t.counters();
+        t.upsert_at(h, &fresh, |entries, idx, exists| {
+            assert!(!exists);
+            entries.insert(idx, entry(75));
+        });
+        let d = t.counters() - before;
+        assert_eq!((d.page_reads, d.page_writes, d.hint_misses), (0, 1, 0));
+        assert_eq!(slot_of(&t, 75), Some(75));
+        latch_debug_assert_none_held("btree unit test");
+    }
+
+    /// Leaves [0, 10], [20, 30].
+    fn two_full_leaves() -> BTree {
+        let t = BTree::new(2);
+        for k in [0, 10, 20, 30] {
+            insert(&t, k);
+        }
+        t
+    }
+
+    /// Leaves [0, 1], [2, 3], [4], [7] under one root.
+    fn two_minimal_leaves() -> BTree {
+        let t = BTree::with_fanout(2, 8);
+        for k in 0..8 {
+            insert(&t, k);
+        }
+        assert!(remove(&t, 6) && remove(&t, 5));
+        t
+    }
+
+    /// One root leaf [0, 10] with room.
+    fn leaf_with_room() -> BTree {
+        let t = BTree::new(4);
+        for k in [0, 10] {
+            insert(&t, k);
+        }
+        t
+    }
+
+    /// Take a hint for `key` on a fresh `build()`, run `gap` in the hint
+    /// gap, then `revisit`: the revisit must miss exactly once.
+    fn revisit_after_gap<R>(
+        build: fn() -> BTree,
+        key: i64,
+        gap: fn(&BTree),
+        revisit: impl FnOnce(&BTree, LeafHint, &Key) -> R,
+    ) -> (std::rc::Rc<BTree>, LeafHint, R) {
+        let t = std::rc::Rc::new(build());
+        let k = Key::ints(&[key]);
+        let h = hint_for(&t, key);
+        let t2 = std::rc::Rc::clone(&t);
+        in_next_hint_gap(move || gap(&t2));
+        let before = t.counters();
+        let r = revisit(&t, h, &k);
+        assert_eq!((t.counters() - before).hint_misses, 1, "key {key}");
+        HINT_GAP.take();
+        latch_debug_assert_none_held("btree unit test");
+        (t, h, r)
+    }
+
+    /// The interleavings a hinted revisit must survive, forced on one
+    /// thread: between the descent that produced the hint and the revisit,
+    /// the hinted leaf splits, merges into its sibling, is freed and
+    /// reused, or takes a write to another key. Each revisit, read or
+    /// write, must fall back to a descent and touch the key where it lives
+    /// now. `check` states what the gap did to the hinted leaf.
+    #[test]
+    fn hinted_revisits_fall_back_when_their_leaf_changed_in_the_gap() {
+        struct Case {
+            what: &'static str,
+            build: fn() -> BTree,
+            key: i64,
+            gap: fn(&BTree),
+            check: fn(&BTree, LeafHint),
+        }
+        let cases = [
+            Case {
+                what: "split moves the key out",
+                build: two_full_leaves,
+                key: 30,
+                gap: |t| insert(t, 25),
+                check: |t, h| assert_ne!(hint_for(t, 30).page, h.page),
+            },
+            Case {
+                what: "merged into its left sibling",
+                build: two_minimal_leaves,
+                key: 7,
+                gap: |t| assert!(remove(t, 4)),
+                check: |t, h| {
+                    assert_eq!(t.counters().merges, 1);
+                    assert_eq!(t.pager.n_free(), 1, "the hinted leaf was freed");
+                    assert_ne!(hint_for(t, 7).page, h.page);
+                },
+            },
+            Case {
+                what: "freed and reused",
+                build: two_minimal_leaves,
+                key: 7,
+                gap: |t| {
+                    assert!(remove(t, 4));
+                    insert(t, 8);
+                    insert(t, 9);
+                },
+                check: |t, h| {
+                    assert_eq!(t.pager.n_free(), 0);
+                    assert_eq!(hint_for(t, 9).page, h.page, "the frame took key 9");
+                },
+            },
+            Case {
+                what: "another key written into it",
+                build: leaf_with_room,
+                key: 10,
+                gap: |t| insert(t, 5),
+                check: |t, h| assert_eq!(hint_for(t, 10).page, h.page),
+            },
+        ];
+        for Case {
+            what,
+            build,
+            key,
+            gap,
+            check,
+        } in cases
+        {
+            let (t, h, found) = revisit_after_gap(build, key, gap, |t, h, k| {
+                t.read_entry_at(h, k, |e| e.map(|e| e.slot))
+            });
+            assert_eq!(found, Some(key as Slot), "{what}: read");
+            check(&t, h);
+            let (t, h, ()) = revisit_after_gap(build, key, gap, |t, h, k| {
+                t.with_entry_at(h, k, |e| e.expect("the write finds its key").slot = 99)
+            });
+            assert_eq!(slot_of(&t, key), Some(99), "{what}: write");
+            check(&t, h);
+        }
+        // An insert whose leaf fills and splits at its end in the gap goes
+        // into the fresh right leaf.
+        let (t, h, ()) = revisit_after_gap(
+            || {
+                let t = two_full_leaves();
+                insert(&t, 40);
+                t
+            },
+            35,
+            |t| {
+                insert(t, 36);
+                insert(t, 37);
+            },
+            |t, h, k| {
+                t.upsert_at(h, k, |entries, idx, exists| {
+                    assert!(!exists);
+                    entries.insert(idx, entry(35));
+                })
+            },
+        );
+        assert_ne!(hint_for(&t, 35).page, h.page);
+        assert_eq!(keys_in_order(&t), vec![0, 10, 20, 30, 35, 36, 37, 40]);
     }
 
     /// Optimistic writers against optimistic readers. Two writers rewrite

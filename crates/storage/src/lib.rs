@@ -18,6 +18,7 @@ pub mod table;
 pub mod undo;
 pub mod version;
 
+pub use btree::LeafHint;
 pub use pager::{latch_debug_assert_none_held, PagerCounters};
 pub use predicate::{CmpOp, Predicate};
 pub use row::{Key, Row};

@@ -16,6 +16,13 @@
 //! through the pre-change parent must fail its parent validation *during*
 //! that window, not only after the parent's latch is released.
 //!
+//! A node visit writes only the latch it takes. Frames live in doubling
+//! segments that are allocated once and never move, so `Pager::page`
+//! hands out a plain reference with no directory lock and no reference
+//! count; only growing the directory and the free list take a mutex. The
+//! live counters are striped per thread (each thread bumps a cache line of
+//! its own), and `Pager::counters` sums the stripes.
+//!
 //! Page latches are *physical* and short: they are held only across a single
 //! node visit (plus the parent during crabbing) and never across a logical
 //! lock wait, a WAL append, or a step boundary. Logical ACC locks order
@@ -29,8 +36,10 @@
 //! [`latch_debug_assert_none_held`], called at step boundaries by the
 //! transaction layer and by the stress gate — no latch leaks across a step.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::{
+    Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
+};
 
 /// Index into the pager's page directory. Stable for the life of the page;
 /// reuse after [`Pager::free_page`] is detected by readers via the version
@@ -54,6 +63,11 @@ pub(crate) struct Page<N> {
 }
 
 impl<N> Page<N> {
+    /// This frame's id in its pager's directory.
+    pub(crate) fn id(&self) -> PageId {
+        self.id
+    }
+
     /// Current version (valid to sample any time; only stable while this
     /// thread holds the page's latch).
     pub(crate) fn version(&self) -> u64 {
@@ -111,19 +125,35 @@ impl<N> Drop for WriteLatch<'_, N> {
     }
 }
 
-/// Live counters, all relaxed atomics — cheap enough to leave on in release
-/// builds. Snapshot with [`Pager::counters`].
+/// Counter stripes per pager. A thread bumps only its own stripe, so
+/// threads working on disjoint pages write no common cache line.
+const STRIPES: usize = 8;
+
+/// One thread stripe of a pager's live counters: relaxed atomics, cheap
+/// enough to leave on in release builds, on a cache line of their own.
+/// Snapshot with [`Pager::counters`].
 #[derive(Default)]
-pub(crate) struct PagerStats {
+#[repr(align(128))]
+struct Stripe {
     reads: AtomicU64,
     writes: AtomicU64,
     root_writes: AtomicU64,
     latch_waits: AtomicU64,
     restarts: AtomicU64,
+    hint_misses: AtomicU64,
     splits: AtomicU64,
     merges: AtomicU64,
     allocs: AtomicU64,
     frees: AtomicU64,
+}
+
+/// The calling thread's stripe index, handed out round-robin on first use.
+fn stripe_index() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Relaxed) % STRIPES;
+    }
+    STRIPE.with(|s| *s)
 }
 
 /// A point-in-time snapshot of one pager's counters (or a sum over many —
@@ -144,6 +174,9 @@ pub struct PagerCounters {
     /// Optimistic descents (reads, and writes that stay in one leaf) that
     /// failed version validation and restarted from the root.
     pub read_restarts: u64,
+    /// Hinted leaf revisits that found the leaf changed since the hint was
+    /// taken and fell back to a descent from the root.
+    pub hint_misses: u64,
     /// Leaf/internal node splits.
     pub splits: u64,
     /// Leaf/internal node merges (borrows are not counted).
@@ -165,6 +198,7 @@ impl std::ops::Add for PagerCounters {
             root_write_latches: self.root_write_latches + o.root_write_latches,
             latch_waits: self.latch_waits + o.latch_waits,
             read_restarts: self.read_restarts + o.read_restarts,
+            hint_misses: self.hint_misses + o.hint_misses,
             splits: self.splits + o.splits,
             merges: self.merges + o.merges,
             page_allocs: self.page_allocs + o.page_allocs,
@@ -186,6 +220,7 @@ impl std::ops::Sub for PagerCounters {
             root_write_latches: self.root_write_latches.saturating_sub(o.root_write_latches),
             latch_waits: self.latch_waits.saturating_sub(o.latch_waits),
             read_restarts: self.read_restarts.saturating_sub(o.read_restarts),
+            hint_misses: self.hint_misses.saturating_sub(o.hint_misses),
             splits: self.splits.saturating_sub(o.splits),
             merges: self.merges.saturating_sub(o.merges),
             page_allocs: self.page_allocs.saturating_sub(o.page_allocs),
@@ -195,54 +230,81 @@ impl std::ops::Sub for PagerCounters {
     }
 }
 
-/// The page directory: `Arc`ed page frames plus a LIFO free list. Growing
-/// the directory takes the directory write lock; every other access is a
-/// shared read of the `Arc` slot.
+/// Pages in the directory's first segment; segment `s` holds
+/// `FIRST_SEGMENT << s` pages.
+const FIRST_SEGMENT_LOG2: u32 = 6;
+const FIRST_SEGMENT: usize = 1 << FIRST_SEGMENT_LOG2;
+/// Enough doubling segments to address every [`PageId`].
+const SEGMENTS: usize = 27;
+
+/// The segment and offset of page `id`.
+fn segment_of(id: PageId) -> (usize, usize) {
+    let x = id as usize + FIRST_SEGMENT;
+    let s = (usize::BITS - 1 - x.leading_zeros() - FIRST_SEGMENT_LOG2) as usize;
+    (s, x - (FIRST_SEGMENT << s))
+}
+
+/// A segment of page frames, each set once when its page is first
+/// allocated.
+type Segment<N> = Box<[OnceLock<Page<N>>]>;
+
+/// The grow side of the directory: its length and the LIFO free list.
+#[derive(Default)]
+struct Frames {
+    len: PageId,
+    free: Vec<PageId>,
+}
+
+/// The page directory: page frames in doubling segments that are allocated
+/// once and never move, so a frame's address is fixed from its first
+/// allocation until the pager drops, plus a LIFO free list. Looking a page
+/// up reads two set-once cells and writes nothing; only allocation and
+/// free take the `frames` mutex.
 pub(crate) struct Pager<N> {
-    pages: RwLock<Vec<Arc<Page<N>>>>,
-    free: Mutex<Vec<PageId>>,
-    stats: PagerStats,
-}
-
-fn lock_read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn lock_write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
+    segments: [OnceLock<Segment<N>>; SEGMENTS],
+    frames: Mutex<Frames>,
+    stats: Box<[Stripe]>,
 }
 
 impl<N> Pager<N> {
     /// A pager whose page 0 (the tree root — its id never changes) holds
     /// `root`.
     pub(crate) fn new(root: N) -> Pager<N> {
-        Pager {
-            pages: RwLock::new(vec![Arc::new(Page {
-                id: 0,
-                version: AtomicU64::new(0),
-                node: RwLock::new(root),
-            })]),
-            free: Mutex::new(Vec::new()),
-            stats: PagerStats::default(),
-        }
+        let p = Pager {
+            segments: std::array::from_fn(|_| OnceLock::new()),
+            frames: Mutex::new(Frames::default()),
+            stats: (0..STRIPES).map(|_| Stripe::default()).collect(),
+        };
+        p.grow(root);
+        p
     }
 
-    /// The `Arc` handle for a page. Callers keep the handle alive across the
-    /// latch they take on it.
-    pub(crate) fn page(&self, id: PageId) -> Arc<Page<N>> {
-        Arc::clone(&lock_read(&self.pages)[id as usize])
+    /// The calling thread's counter stripe.
+    fn stripe(&self) -> &Stripe {
+        &self.stats[stripe_index()]
+    }
+
+    /// The frame of page `id`. Frames never move, so callers keep the
+    /// reference across the latch they take on it.
+    pub(crate) fn page(&self, id: PageId) -> &Page<N> {
+        let (s, off) = segment_of(id);
+        self.segments[s]
+            .get()
+            .and_then(|seg| seg[off].get())
+            .expect("page id was allocated")
     }
 
     /// Acquire the read latch on `page`, counting a latch wait if it blocks.
-    pub(crate) fn read_latch<'a>(&self, page: &'a Arc<Page<N>>) -> ReadLatch<'a, N> {
-        self.stats.reads.fetch_add(1, Relaxed);
+    pub(crate) fn read_latch<'a>(&self, page: &'a Page<N>) -> ReadLatch<'a, N> {
+        let stripe = self.stripe();
+        stripe.reads.fetch_add(1, Relaxed);
         #[cfg(debug_assertions)]
-        let _held = debug::acquire(Arc::as_ptr(page) as usize, false);
+        let _held = debug::acquire(page as *const Page<N> as usize, false);
         let guard = match page.node.try_read() {
             Ok(g) => g,
             Err(TryLockError::Poisoned(p)) => p.into_inner(),
             Err(TryLockError::WouldBlock) => {
-                self.stats.latch_waits.fetch_add(1, Relaxed);
+                stripe.latch_waits.fetch_add(1, Relaxed);
                 page.node.read().unwrap_or_else(PoisonError::into_inner)
             }
         };
@@ -257,18 +319,19 @@ impl<N> Pager<N> {
     /// blocks. The returned latch bumps the page version to odd now (after
     /// the lock is held, so no concurrent reader can capture the odd value
     /// under its read latch) and back to even when dropped.
-    pub(crate) fn write_latch<'a>(&self, page: &'a Arc<Page<N>>) -> WriteLatch<'a, N> {
-        self.stats.writes.fetch_add(1, Relaxed);
+    pub(crate) fn write_latch<'a>(&self, page: &'a Page<N>) -> WriteLatch<'a, N> {
+        let stripe = self.stripe();
+        stripe.writes.fetch_add(1, Relaxed);
         if page.id == 0 {
-            self.stats.root_writes.fetch_add(1, Relaxed);
+            stripe.root_writes.fetch_add(1, Relaxed);
         }
         #[cfg(debug_assertions)]
-        let _held = debug::acquire(Arc::as_ptr(page) as usize, true);
+        let _held = debug::acquire(page as *const Page<N> as usize, true);
         let guard = match page.node.try_write() {
             Ok(g) => g,
             Err(TryLockError::Poisoned(p)) => p.into_inner(),
             Err(TryLockError::WouldBlock) => {
-                self.stats.latch_waits.fetch_add(1, Relaxed);
+                stripe.latch_waits.fetch_add(1, Relaxed);
                 page.node.write().unwrap_or_else(PoisonError::into_inner)
             }
         };
@@ -285,31 +348,42 @@ impl<N> Pager<N> {
     /// or grow the directory. Reuse bumps the frame's version so readers
     /// holding a stale pointer to the old tenant restart.
     pub(crate) fn alloc(&self, node: N) -> PageId {
-        self.stats.allocs.fetch_add(1, Relaxed);
+        self.stripe().allocs.fetch_add(1, Relaxed);
         let reused = self
-            .free
+            .frames
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+            .free
             .pop();
-        if let Some(id) = reused {
-            let page = self.page(id);
-            // A straggling reader may still hold the old tenant's latch;
-            // waiting here is fine (it validates and restarts on release).
-            let mut guard = page.node.write().unwrap_or_else(PoisonError::into_inner);
-            *guard = node;
-            // Back to even (free left it odd) *before* the lock release
-            // publishes the new tenant.
-            page.version.fetch_add(1, Relaxed);
-            drop(guard);
-            return id;
-        }
-        let mut pages = lock_write(&self.pages);
-        let id = pages.len() as PageId;
-        pages.push(Arc::new(Page {
+        let Some(id) = reused else {
+            return self.grow(node);
+        };
+        let page = self.page(id);
+        // A straggling reader may still hold the old tenant's latch;
+        // waiting here is fine (it validates and restarts on release).
+        let mut guard = page.node.write().unwrap_or_else(PoisonError::into_inner);
+        *guard = node;
+        // Back to even (free left it odd) *before* the lock release
+        // publishes the new tenant.
+        page.version.fetch_add(1, Relaxed);
+        drop(guard);
+        id
+    }
+
+    /// Append a fresh frame holding `node` to the directory.
+    fn grow(&self, node: N) -> PageId {
+        let mut frames = self.frames.lock().unwrap_or_else(PoisonError::into_inner);
+        let id = frames.len;
+        let (s, off) = segment_of(id);
+        let seg = self.segments[s]
+            .get_or_init(|| (0..FIRST_SEGMENT << s).map(|_| OnceLock::new()).collect());
+        let fresh = Page {
             id,
             version: AtomicU64::new(0),
             node: RwLock::new(node),
-        }));
+        };
+        assert!(seg[off].set(fresh).is_ok(), "page {id} installed twice");
+        frames.len += 1;
         id
     }
 
@@ -318,51 +392,74 @@ impl<N> Pager<N> {
     /// on it first. The version bump leaves the page *odd* — "in progress"
     /// until `alloc` reuses it and restores even.
     pub(crate) fn free_page(&self, id: PageId) {
-        self.stats.frees.fetch_add(1, Relaxed);
+        self.stripe().frees.fetch_add(1, Relaxed);
         self.page(id).version.fetch_add(1, Relaxed);
-        self.free
+        self.frames
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+            .free
             .push(id);
     }
 
     /// Count an optimistic-read restart (bumped by the tree layer).
     pub(crate) fn count_restart(&self) {
-        self.stats.restarts.fetch_add(1, Relaxed);
+        self.stripe().restarts.fetch_add(1, Relaxed);
+    }
+
+    /// Count a hinted revisit that fell back to a descent (bumped by the
+    /// tree layer).
+    pub(crate) fn count_hint_miss(&self) {
+        self.stripe().hint_misses.fetch_add(1, Relaxed);
     }
 
     /// Count a split (bumped by the tree layer).
     pub(crate) fn count_split(&self) {
-        self.stats.splits.fetch_add(1, Relaxed);
+        self.stripe().splits.fetch_add(1, Relaxed);
     }
 
     /// Count a merge (bumped by the tree layer).
     pub(crate) fn count_merge(&self) {
-        self.stats.merges.fetch_add(1, Relaxed);
+        self.stripe().merges.fetch_add(1, Relaxed);
     }
 
-    /// Snapshot the counters.
+    /// Snapshot the counters: the sum over every thread stripe.
     pub(crate) fn counters(&self) -> PagerCounters {
-        PagerCounters {
-            page_reads: self.stats.reads.load(Relaxed),
-            page_writes: self.stats.writes.load(Relaxed),
-            root_write_latches: self.stats.root_writes.load(Relaxed),
-            latch_waits: self.stats.latch_waits.load(Relaxed),
-            read_restarts: self.stats.restarts.load(Relaxed),
-            splits: self.stats.splits.load(Relaxed),
-            merges: self.stats.merges.load(Relaxed),
-            page_allocs: self.stats.allocs.load(Relaxed),
-            page_frees: self.stats.frees.load(Relaxed),
-            pages: lock_read(&self.pages).len() as u64,
-        }
+        let pages = self
+            .frames
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len as u64;
+        self.stats
+            .iter()
+            .map(|s| PagerCounters {
+                page_reads: s.reads.load(Relaxed),
+                page_writes: s.writes.load(Relaxed),
+                root_write_latches: s.root_writes.load(Relaxed),
+                latch_waits: s.latch_waits.load(Relaxed),
+                read_restarts: s.restarts.load(Relaxed),
+                hint_misses: s.hint_misses.load(Relaxed),
+                splits: s.splits.load(Relaxed),
+                merges: s.merges.load(Relaxed),
+                page_allocs: s.allocs.load(Relaxed),
+                page_frees: s.frees.load(Relaxed),
+                pages: 0,
+            })
+            .fold(
+                PagerCounters {
+                    pages,
+                    ..PagerCounters::default()
+                },
+                |a, b| a + b,
+            )
     }
 
     /// Pages currently on the free list (tests).
     #[cfg(test)]
     pub(crate) fn n_free(&self) -> usize {
-        self.free
+        self.frames
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+            .free
             .len()
     }
 }
@@ -462,13 +559,55 @@ mod tests {
     }
 
     #[test]
+    fn page_frames_never_move() {
+        let p: Pager<u32> = Pager::new(0);
+        let frames = |p: &Pager<u32>, n: u32| -> Vec<usize> {
+            (0..n)
+                .map(|id| p.page(id) as *const Page<u32> as usize)
+                .collect()
+        };
+        for id in 1..100 {
+            assert_eq!(p.alloc(id), id);
+        }
+        let early = frames(&p, 100);
+        // Grow across several doubling segments.
+        for id in 100..5000 {
+            assert_eq!(p.alloc(id), id);
+        }
+        assert_eq!(frames(&p, 100), early, "growth moved no frame");
+        for id in [0, 63, 64, 191, 192, 4999] {
+            assert_eq!(p.page(id).id(), id);
+            assert_eq!(*p.read_latch(p.page(id)), id);
+        }
+        assert_eq!(p.counters().pages, 5000);
+    }
+
+    #[test]
+    fn counters_sum_every_thread_stripe() {
+        let p: Pager<i32> = Pager::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..2 * STRIPES {
+                s.spawn(|| {
+                    for _ in 0..100 {
+                        drop(p.read_latch(p.page(0)));
+                    }
+                    p.count_hint_miss();
+                });
+            }
+        });
+        let c = p.counters();
+        assert_eq!(c.page_reads, 200 * STRIPES as u64);
+        assert_eq!(c.hint_misses, 2 * STRIPES as u64);
+    }
+
+    #[test]
     fn write_latch_version_is_odd_while_held() {
         let p: Pager<i32> = Pager::new(7);
         let page = p.page(0);
         let v0 = page.version();
         assert_eq!(v0 % 2, 0, "a page at rest is even");
         {
-            let mut w = p.write_latch(&page);
+            let mut w = p.write_latch(page);
             *w = 8;
             assert_eq!(
                 page.version(),
@@ -478,7 +617,7 @@ mod tests {
             );
         }
         assert_eq!(page.version(), v0 + 2, "back to even at release");
-        assert_eq!(*p.read_latch(&page), 8);
+        assert_eq!(*p.read_latch(page), 8);
         p.free_page(0);
         assert_eq!(page.version(), v0 + 3, "free leaves the page odd");
     }
@@ -493,7 +632,7 @@ mod tests {
         assert_eq!(page.version() % 2, 1, "freed page reads as in-progress");
         assert_eq!(p.alloc(2), a, "LIFO reuse of the freed frame");
         assert_eq!(page.version(), v0 + 2, "reuse restores an even version");
-        assert_eq!(*p.read_latch(&page), 2);
+        assert_eq!(*p.read_latch(page), 2);
     }
 
     #[test]
@@ -501,7 +640,7 @@ mod tests {
         let p: Pager<i32> = Pager::new(0);
         let page = p.page(0);
         {
-            let _r = p.read_latch(&page);
+            let _r = p.read_latch(page);
         }
         latch_debug_assert_none_held("pager unit test");
     }
@@ -512,19 +651,19 @@ mod tests {
     fn latch_checker_catches_self_relatch() {
         let p: Pager<i32> = Pager::new(0);
         let page = p.page(0);
-        let _a = p.read_latch(&page);
-        let _b = p.read_latch(&page); // would self-deadlock on a write latch
+        let _a = p.read_latch(page);
+        let _b = p.read_latch(page); // would self-deadlock on a write latch
     }
 
     #[test]
     fn latch_wait_is_counted() {
         let p: std::sync::Arc<Pager<i32>> = std::sync::Arc::new(Pager::new(0));
         let page = p.page(0);
-        let w = p.write_latch(&page);
+        let w = p.write_latch(page);
         let p2 = std::sync::Arc::clone(&p);
         let t = std::thread::spawn(move || {
             let page = p2.page(0);
-            let _r = p2.read_latch(&page); // blocks until the writer drops
+            let _r = p2.read_latch(page); // blocks until the writer drops
         });
         while p.counters().latch_waits == 0 {
             std::thread::yield_now();

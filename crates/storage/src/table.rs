@@ -24,7 +24,7 @@
 //! caller keeps the keys it wrote and hands them to
 //! [`Table::finalize_versions`].
 
-use crate::btree::{BTree, LeafEntry};
+use crate::btree::{BTree, LeafEntry, LeafHint};
 use crate::pager::PagerCounters;
 use crate::predicate::Predicate;
 use crate::row::{Key, Row};
@@ -221,10 +221,11 @@ impl Table {
         Ok(())
     }
 
-    /// True if `key` currently has a live row.
-    fn key_live(&self, key: &Key) -> bool {
+    /// True if `key` currently has a live row, plus a hint to its leaf
+    /// for the insert that follows.
+    fn key_live(&self, key: &Key) -> (bool, LeafHint) {
         self.tree
-            .read_entry(key, |e| e.is_some_and(|e| e.row.is_some()))
+            .read_entry_hinted(key, |e| e.is_some_and(|e| e.row.is_some()))
     }
 
     /// Insert a row. Returns the slot it went into and the undo record.
@@ -236,11 +237,12 @@ impl Table {
         // free list untouched (allocation order is durability-visible).
         // Single-writer-per-key comes from the logical lock protocol; the
         // upsert below re-checks under the leaf latch as the authority.
-        if self.key_live(&key) {
+        let (live, hint) = self.key_live(&key);
+        if live {
             return Err(self.dup_err(&key));
         }
         let slot = mlock(&self.alloc).take(&key);
-        self.insert_entry(slot, key, row, None)?;
+        self.insert_entry(slot, key, row, None, hint)?;
         Ok((
             slot,
             UndoRecord::Insert {
@@ -253,16 +255,18 @@ impl Table {
     /// Plant `row` at `slot` in the tree (reviving a tombstone's chain if
     /// the key died before), pushing `pending` onto the entry's chain under
     /// the same leaf latch, then maintain the secondary indices and the
-    /// live count. The allocator must already map `slot` to the row's key.
+    /// live count. The allocator must already map `slot` to the row's key;
+    /// `hint` is the leaf the caller's duplicate check read.
     fn insert_entry(
         &self,
         slot: Slot,
         key: Key,
         row: Row,
         pending: Option<ChainEntry>,
+        hint: LeafHint,
     ) -> Result<()> {
         let projs = self.projections(&row);
-        let planted = self.tree.upsert(&key, |entries, idx, exists| {
+        let planted = self.tree.upsert_at(hint, &key, |entries, idx, exists| {
             if exists {
                 let e = &mut entries[idx];
                 if e.row.is_some() {
@@ -297,10 +301,20 @@ impl Table {
         Ok(())
     }
 
+    /// The slot holding `key`, if present, and a hint to the leaf it was
+    /// found in: [`Table::get_at`], [`Table::update_versioned`] and
+    /// [`Table::delete_versioned`] revisit that leaf with one latch if no
+    /// writer has latched it since.
+    pub fn locate(&self, key: &Key) -> Option<(Slot, LeafHint)> {
+        let (slot, hint) = self
+            .tree
+            .read_entry_hinted(key, |e| e.filter(|e| e.row.is_some()).map(|e| e.slot));
+        Some((slot?, hint))
+    }
+
     /// The slot holding `key`, if present.
     pub fn slot_of(&self, key: &Key) -> Option<Slot> {
-        self.tree
-            .read_entry(key, |e| e.filter(|e| e.row.is_some()).map(|e| e.slot))
+        self.locate(key).map(|(slot, _)| slot)
     }
 
     /// The row in `slot`, if live.
@@ -312,8 +326,12 @@ impl Table {
 
     /// The row with the given primary key.
     pub fn get(&self, key: &Key) -> Option<(Slot, Row)> {
-        self.tree
-            .read_entry(key, |e| e.and_then(|e| Some((e.slot, e.row.clone()?))))
+        self.tree.read_entry(key, live_row)
+    }
+
+    /// [`Table::get`] through a hint from [`Table::locate`].
+    pub fn get_at(&self, key: &Key, hint: LeafHint) -> Option<(Slot, Row)> {
+        self.tree.read_entry_at(hint, key, live_row)
     }
 
     /// Replace the row in `slot` wholesale. The new row must keep the
@@ -514,7 +532,8 @@ impl Table {
         self.schema.check(&row)?;
         let key = self.schema.key_of(&row);
         let _gate = self.writer_gate();
-        if self.key_live(&key) {
+        let (live, hint) = self.key_live(&key);
+        if live {
             return Err(self.dup_err(&key));
         }
         let slot = {
@@ -525,7 +544,7 @@ impl Table {
             a.take(&key)
         };
         let pending = ChainEntry::Pending { txn, before: None };
-        self.insert_entry(slot, key.clone(), row, Some(pending))?;
+        self.insert_entry(slot, key.clone(), row, Some(pending), hint)?;
         self.note_chained(key.clone());
         Ok(Some((
             slot,
@@ -538,20 +557,21 @@ impl Table {
     }
 
     /// Versioned in-place update of `key` (which the caller resolved to
-    /// `expected_slot` before locking): apply `f` to the row and push the
-    /// pending version under one leaf latch. Returns
-    /// [`VersionedUpdate::Retry`] if the slot no longer holds that key. An
-    /// `f` that changes the primary key is refused with
+    /// `expected_slot` and `hint` with [`Table::locate`] before locking):
+    /// apply `f` to the row and push the pending version under one leaf
+    /// latch. Returns [`VersionedUpdate::Retry`] if the slot no longer
+    /// holds that key. An `f` that changes the primary key is refused with
     /// [`Error::SchemaMismatch`] and changes nothing.
     pub fn update_versioned(
         &self,
         key: &Key,
         expected_slot: Slot,
+        hint: LeafHint,
         txn: TxnId,
         f: impl FnOnce(&mut Row),
     ) -> Result<VersionedUpdate> {
         let _gate = self.writer_gate();
-        let applied = self.tree.with_entry(key, |e| match e {
+        let applied = self.tree.with_entry_at(hint, key, |e| match e {
             Some(e) if e.slot == expected_slot && e.row.is_some() => {
                 let before = e.row.clone().expect("checked live");
                 let mut after = before.clone();
@@ -582,18 +602,20 @@ impl Table {
         })
     }
 
-    /// Versioned delete of `key` at `expected_slot`: take the row and push
-    /// the pending delete version under one leaf latch (the entry stays as
-    /// a tombstone). `Ok(None)` means the slot no longer holds that key —
-    /// re-resolve and retry.
+    /// Versioned delete of `key` at `expected_slot` (resolved with `hint`
+    /// by [`Table::locate`]): take the row and push the pending delete
+    /// version under one leaf latch (the entry stays as a tombstone).
+    /// `Ok(None)` means the slot no longer holds that key — re-resolve and
+    /// retry.
     pub fn delete_versioned(
         &self,
         key: &Key,
         expected_slot: Slot,
+        hint: LeafHint,
         txn: TxnId,
     ) -> Result<Option<(UndoRecord, Row)>> {
         let _gate = self.writer_gate();
-        let taken = self.tree.with_entry(key, |e| match e {
+        let taken = self.tree.with_entry_at(hint, key, |e| match e {
             Some(e) if e.slot == expected_slot && e.row.is_some() => {
                 let before = e.row.take().expect("checked live");
                 e.chain.push(ChainEntry::Pending {
@@ -879,7 +901,8 @@ impl Table {
         self.schema.check(&row)?;
         let key = self.schema.key_of(&row);
         let _gate = self.writer_gate();
-        if self.key_live(&key) {
+        let (live, hint) = self.key_live(&key);
+        if live {
             return Err(self.dup_err(&key));
         }
         {
@@ -902,7 +925,7 @@ impl Table {
             a.free.retain(|&s| s != slot);
             a.slot_key[idx] = Some(key.clone());
         }
-        self.insert_entry(slot, key, row, None)
+        self.insert_entry(slot, key, row, None, hint)
     }
 
     fn projections(&self, row: &Row) -> Vec<Key> {
@@ -937,6 +960,11 @@ impl Table {
             }
         }
     }
+}
+
+/// A leaf entry's slot and row, if the row is live.
+fn live_row(e: Option<&LeafEntry>) -> Option<(Slot, Row)> {
+    e.and_then(|e| Some((e.slot, e.row.clone()?)))
 }
 
 /// The images visible at `view` of scanned `(current, chain)` entries, in
@@ -1091,7 +1119,8 @@ mod tests {
         for new in [row(3, 30, 5), row(2, 20, 9)] {
             assert!(matches!(t.update(s0, new), Err(Error::SchemaMismatch(_))));
         }
-        let moved = t.update_versioned(&key, s0, TxnId(1), |r| {
+        let (_, hint) = t.locate(&key).unwrap();
+        let moved = t.update_versioned(&key, s0, hint, TxnId(1), |r| {
             r.set(0, Value::Int(3));
         });
         assert!(matches!(moved, Err(Error::SchemaMismatch(_))));
@@ -1340,13 +1369,14 @@ mod tests {
         let t = table();
         let (slot, _) = t.insert(row(1, 10, 5)).unwrap();
         let key = Key::ints(&[1, 10]);
+        let (_, hint) = t.locate(&key).unwrap();
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            t.update_versioned(&key, slot, TxnId(1), |_| panic!("boom"))
+            t.update_versioned(&key, slot, hint, TxnId(1), |_| panic!("boom"))
         }));
         assert!(panicked.is_err());
         t.insert(row(2, 20, 6)).unwrap();
         assert!(matches!(
-            t.update_versioned(&key, slot, TxnId(1), |r| {
+            t.update_versioned(&key, slot, hint, TxnId(1), |r| {
                 r.set(2, Value::Int(7));
             })
             .unwrap(),

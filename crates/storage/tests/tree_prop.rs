@@ -137,8 +137,8 @@ fn version_chains_survive_page_relocation() {
             let k = rng.int_range(0, 23);
             let txn = TxnId(next_txn);
             lsn += 1;
-            let slot = t.slot_of(&Key::ints(&[k]));
-            let applied = match slot {
+            let found = t.locate(&Key::ints(&[k]));
+            let applied = match found {
                 None => {
                     let (a, b) = (rng.int_range(0, 9), rng.int_range(0, 99));
                     t.insert_versioned(row(k, a, b), txn, t.peek_next_slot())
@@ -146,18 +146,18 @@ fn version_chains_survive_page_relocation() {
                         .expect("predicted slot is current");
                     Some(Some((a, b)))
                 }
-                Some(slot) if rng.chance(0.4) => {
+                Some((slot, hint)) if rng.chance(0.4) => {
                     let (_, before) = t
-                        .delete_versioned(&Key::ints(&[k]), slot, txn)
+                        .delete_versioned(&Key::ints(&[k]), slot, hint, txn)
                         .expect("delete")
                         .expect("slot is current");
                     assert_eq!(before.int(0), k);
                     Some(None)
                 }
-                Some(slot) => {
+                Some((slot, hint)) => {
                     let b = rng.int_range(0, 99);
                     match t
-                        .update_versioned(&Key::ints(&[k]), slot, txn, |r| {
+                        .update_versioned(&Key::ints(&[k]), slot, hint, txn, |r| {
                             r.set(2, Value::Int(b));
                         })
                         .expect("update")

@@ -133,9 +133,9 @@ impl Active {
             1 => {
                 // Update b in place.
                 let Some((a, _)) = current else { return };
-                let slot = t.slot_of(&key).expect("model row is live");
+                let (slot, hint) = t.locate(&key).expect("model row is live");
                 let b = rng.int_range(0, 99);
-                let updated = t.update_versioned(&key, slot, self.id, |r| {
+                let updated = t.update_versioned(&key, slot, hint, self.id, |r| {
                     r.set(2, Value::Int(b));
                 });
                 let Ok(VersionedUpdate::Applied { undo, .. }) = updated else {
@@ -153,9 +153,9 @@ impl Active {
                 if current.is_none() || self.will_abort {
                     return;
                 }
-                let slot = t.slot_of(&key).expect("model row is live");
+                let (slot, hint) = t.locate(&key).expect("model row is live");
                 let (undo, _) = t
-                    .delete_versioned(&key, slot, self.id)
+                    .delete_versioned(&key, slot, hint, self.id)
                     .expect("delete of live key")
                     .expect("slot is current");
                 self.undos.push(undo);
@@ -371,7 +371,8 @@ fn reinsert_revives_tombstone_history() {
     let (slot, _) = insert(&t, row(7, 1, 10), TxnId(1));
     t.finalize_versions(TxnId(1), 5, None, [&key]);
 
-    t.delete_versioned(&key, slot, TxnId(2))
+    let (_, hint) = t.locate(&key).expect("live");
+    t.delete_versioned(&key, slot, hint, TxnId(2))
         .expect("delete")
         .expect("slot is current");
     t.finalize_versions(TxnId(2), 10, None, [&key]);

@@ -5,10 +5,11 @@
 //! taken with the conventional ones, §3.3). Three private helpers hold the
 //! rules every operation shares:
 //!
-//! * the keyed-access loop (`keyed`) resolves a key to its slot, takes the
-//!   active [`ConcurrencyControl`]'s table locks and then its page locks,
-//!   runs the operation under them, and re-resolves the key if it moved
-//!   while the thread waited;
+//! * the keyed-access loop (`keyed`) resolves a key to its slot and leaf
+//!   with one descent, takes the active [`ConcurrencyControl`]'s table
+//!   locks and then its page locks, runs the operation under them on that
+//!   leaf (one latch if no writer touched it meanwhile), and re-resolves
+//!   the key if it moved while the thread waited;
 //! * the version-read helper (`version_read`) serves a read from committed
 //!   row versions, with no lock traffic, when both halves of the gate agree;
 //! * the logged-write helper (`log_write`) adds the written key to the
@@ -25,7 +26,7 @@ use acc_common::events::Event;
 use acc_common::{Error, ResourceId, Result, Slot, TableId, TxnId};
 use acc_lockmgr::{LockKind, RequestCtx, SharedOracle};
 use acc_storage::{
-    CommitResolver, Key, Predicate, Row, Table, UndoRecord, VersionedUpdate, Visibility,
+    CommitResolver, Key, LeafHint, Predicate, Row, Table, UndoRecord, VersionedUpdate, Visibility,
 };
 
 /// The slot reported for rows produced by a coordination-free version read:
@@ -122,25 +123,27 @@ impl<'a> StepCtx<'a> {
         self.acquire(ResourceId::Table(table), kinds)
     }
 
-    /// The keyed-access loop: resolve `key` to its slot, take the table
-    /// locks and then the page locks, and run `op` on the slot under them.
-    /// `op` answers `None` when the key moved while this thread waited for
-    /// a lock; the loop then re-resolves it. An absent key takes no lock —
-    /// a write to it pins no guard on the table — and yields `None`.
+    /// The keyed-access loop: resolve `key` to its slot and leaf, take the
+    /// table locks and then the page locks, and run `op` on the slot under
+    /// them, handing it the leaf hint so it revisits that leaf rather than
+    /// descending again. `op` answers `None` when the key moved while this
+    /// thread waited for a lock; the loop then re-resolves it. An absent
+    /// key takes no lock — a write to it pins no guard on the table — and
+    /// yields `None`.
     fn keyed<R>(
         &self,
         t: &Table,
         key: &Key,
         write: bool,
-        mut op: impl FnMut(Slot) -> Result<Option<R>>,
+        mut op: impl FnMut(Slot, LeafHint) -> Result<Option<R>>,
     ) -> Result<Option<R>> {
         loop {
-            let Some(slot) = t.slot_of(key) else {
+            let Some((slot, hint)) = t.locate(key) else {
                 return Ok(None);
             };
             self.lock_table(t.schema().id, write)?;
             self.lock_page(t, slot, write)?;
-            if let Some(answer) = op(slot)? {
+            if let Some(answer) = op(slot, hint)? {
                 return Ok(Some(answer));
             }
         }
@@ -212,12 +215,14 @@ impl<'a> StepCtx<'a> {
     }
 
     /// A locked point read of `key` under the policy's read or write locks.
+    /// The slot check and the row come from one visit to the leaf `keyed`
+    /// found.
     fn read_locked(&self, t: &Table, key: &Key, write: bool) -> Result<Option<Row>> {
-        let row = self.keyed(t, key, write, |slot| {
+        let row = self.keyed(t, key, write, |slot, hint| {
             // The row may have moved/vanished while we waited for the lock:
             // `None` = retry, the inner `Option` is the final answer.
-            Ok(match t.slot_of(key) {
-                Some(s) if s == slot => Some(t.row(slot)),
+            Ok(match t.get_at(key, hint) {
+                Some((s, row)) if s == slot => Some(Some(row)),
                 Some(_) => None,
                 None => Some(None),
             })
@@ -281,8 +286,8 @@ impl<'a> StepCtx<'a> {
         // Mutation + pending-version push run atomically under the leaf's
         // write latch; `Retry` means the key moved or died while we waited
         // for the lock.
-        let applied = self.keyed(t, key, true, |slot| {
-            Ok(match t.update_versioned(key, slot, txn, &f)? {
+        let applied = self.keyed(t, key, true, |slot, hint| {
+            Ok(match t.update_versioned(key, slot, hint, txn, &f)? {
                 VersionedUpdate::Applied { undo, after } => Some((undo, after)),
                 VersionedUpdate::Retry => None,
             })
@@ -302,8 +307,9 @@ impl<'a> StepCtx<'a> {
         // leaf latch; the entry survives as a tombstone so the slot can be
         // reused by an unrelated key while version readers still find the
         // deleted row's history under its primary key.
-        let deleted = self.keyed(t, key, true, |slot| {
-            Ok(t.delete_versioned(key, slot, txn)?.map(|(undo, _)| undo))
+        let deleted = self.keyed(t, key, true, |slot, hint| {
+            Ok(t.delete_versioned(key, slot, hint, txn)?
+                .map(|(undo, _)| undo))
         })?;
         let Some(undo) = deleted else {
             return Ok(false);

@@ -475,3 +475,110 @@ fn version_read_gate_emits_one_event_per_reader() {
         assert_eq!(fallback, locked_after, "{name}: the locked path's rows");
     }
 }
+
+/// `n` people with ids 10, 20, …, 10·n, loaded in id order onto pages of
+/// two rows (and leaves of two entries).
+fn numbered(n: i64) -> Arc<SharedDb> {
+    let mut c = Catalog::new();
+    c.add_table(
+        TableSchema::builder("numbered")
+            .column("id", ColumnType::Int)
+            .column("team", ColumnType::Int)
+            .column("name", ColumnType::Str)
+            .key(&["id"])
+            .rows_per_page(2)
+            .build(),
+    );
+    let mut db = Database::new(&c);
+    for i in 1..=n {
+        db.table_mut(T)
+            .unwrap()
+            .insert(Row(vec![
+                Value::Int(10 * i),
+                Value::Int(i % 3),
+                Value::str(format!("p{i}")),
+            ]))
+            .unwrap();
+    }
+    Arc::new(SharedDb::new(db, Arc::new(NoInterference)))
+}
+
+/// With no concurrent writer, a keyed access descends once: the locks are
+/// taken between the descent and one latch on the leaf it found.
+#[test]
+fn keyed_accesses_descend_once() {
+    let s = numbered(2000);
+    let key = Key::ints(&[7770]);
+    let before = s.pager_counters();
+    assert!(s.table(T).unwrap().get(&key).is_some());
+    let depth = (s.pager_counters() - before).page_reads;
+    assert!(depth >= 3, "a tree of depth {depth}");
+    with_ctx(&s, &TwoPhase, |ctx| {
+        let before = s.pager_counters();
+        assert_eq!(ctx.read(T, &key).unwrap().unwrap().str(2), "p777");
+        let d = s.pager_counters() - before;
+        assert_eq!((d.page_reads, d.page_writes), (depth + 1, 0), "read");
+        let before = s.pager_counters();
+        assert!(ctx
+            .update_key(T, &key, |r| {
+                r.set(2, Value::str("renamed"));
+            })
+            .unwrap());
+        let d = s.pager_counters() - before;
+        assert_eq!((d.page_reads, d.page_writes), (depth, 1), "update");
+        assert_eq!(d.root_write_latches + d.hint_misses, 0);
+    });
+}
+
+/// A `read_for_update` finds its key's leaf, then parks on the page lock
+/// the holder took with its update. While it waits, the holder's inserts
+/// split that leaf. Once the holder commits, the reader's revisit finds the
+/// leaf changed, falls back to a descent, and returns the committed image.
+#[test]
+fn parked_reader_returns_the_committed_image_after_its_leaf_split() {
+    let s = numbered(100);
+    let key = Key::ints(&[500]);
+    let two = TwoPhase;
+    let holder = s.begin_txn(TxnTypeId(0));
+    let mut t1 = Transaction::new(holder, TxnTypeId(0));
+    assert!(StepCtx::new(&s, &two, &mut t1, WaitMode::Block)
+        .update_key(T, &key, |r| {
+            r.set(2, Value::str("updated"));
+        })
+        .unwrap());
+    let before = s.pager_counters();
+    let reader = s.begin_txn(TxnTypeId(0));
+    let mut t2 = Transaction::new(reader, TxnTypeId(0));
+    let handle = std::thread::spawn({
+        let (s, key) = (Arc::clone(&s), key.clone());
+        move || {
+            let row = StepCtx::new(&s, &TwoPhase, &mut t2, WaitMode::Block)
+                .read_for_update(T, &key)
+                .unwrap();
+            commit(&s, &mut t2).unwrap();
+            row
+        }
+    });
+    let start = std::time::Instant::now();
+    while !s.lm().is_waiting(reader) {
+        assert!(start.elapsed().as_secs() < 30, "the reader never parked");
+        std::thread::yield_now();
+    }
+    // 500 shares the leaf [490, 500]; each insert below lands in it or in
+    // a half it split into.
+    {
+        let mut ctx = StepCtx::new(&s, &two, &mut t1, WaitMode::Block);
+        for id in 491..500 {
+            ctx.insert(
+                T,
+                Row(vec![Value::Int(id), Value::Int(0), Value::str("new")]),
+            )
+            .unwrap();
+        }
+    }
+    assert!((s.pager_counters() - before).splits >= 1);
+    commit(&s, &mut t1).unwrap();
+    let row = handle.join().expect("reader thread").expect("500 is live");
+    assert_eq!(row.str(2), "updated", "the holder's committed image");
+    assert_eq!((s.pager_counters() - before).hint_misses, 1);
+}
