@@ -57,6 +57,13 @@
 //! [`crate::pager`]), so latching a stale hint's frame is safe; a revisit
 //! holds one latch, like every optimistic descent.
 //!
+//! A hinted write returns the hint it leaves behind: its leaf and the
+//! version its latch's release sets there. The version collector revisits a
+//! written key through that hint ([`BTree::settle_at`]), with one latch if
+//! no other writer has touched the leaf since, and removes a settled
+//! tombstone in the same visit unless that would take the leaf below its
+//! minimum.
+//!
 //! ## Structure changes — latch crabbing
 //!
 //! An insert into a full leaf, and every [`BTree::remove_if`], descends
@@ -154,6 +161,15 @@ impl LeafHint {
         LeafHint {
             page: leaf.id(),
             version: leaf.version(),
+        }
+    }
+
+    /// The hint a write leaves: its leaf and the version the release of
+    /// `wg`, still held, will leave there.
+    fn after_write<N>(wg: &WriteLatch<'_, N>) -> LeafHint {
+        LeafHint {
+            page: wg.page().id(),
+            version: wg.page().version() + 1,
         }
     }
 }
@@ -441,11 +457,16 @@ impl BTree {
         key: &Key,
         f: impl FnOnce(Option<&mut LeafEntry>) -> R,
     ) -> R {
+        self.write_leaf(key, |wg| f(Self::find_mut(wg, key)))
+    }
+
+    /// Run `f` once on the leaf covering `key` under its write latch,
+    /// reached by an optimistic descent.
+    fn write_leaf<R>(&self, key: &Key, f: impl FnOnce(&mut WriteLatch<'_, Node>) -> R) -> R {
         let mut f = Some(f);
         self.descend(key, |leaf, g| {
             let mut wg = self.relatch_for_write(leaf, g)?;
-            let f = f.take().expect("f runs once");
-            Some(f(Self::find_mut(&mut wg, key)))
+            Some(f.take().expect("f runs once")(&mut wg))
         })
     }
 
@@ -464,18 +485,62 @@ impl BTree {
         }
     }
 
+    /// [`BTree::write_leaf`] through a hint: the hinted leaf if no writer
+    /// has latched it since, else a descent.
+    fn write_leaf_at<R>(
+        &self,
+        hint: LeafHint,
+        key: &Key,
+        f: impl FnOnce(&mut WriteLatch<'_, Node>) -> R,
+    ) -> R {
+        match self.hinted_for_write(hint) {
+            Some(mut wg) => f(&mut wg),
+            None => self.write_leaf(key, f),
+        }
+    }
+
     /// [`BTree::with_entry`] through a hint: one write latch on the hinted
-    /// leaf if no writer has latched it since, else a descent.
+    /// leaf if no writer has latched it since, else a descent. Also returns
+    /// the hint this write leaves behind.
     pub(crate) fn with_entry_at<R>(
         &self,
         hint: LeafHint,
         key: &Key,
         f: impl FnOnce(Option<&mut LeafEntry>) -> R,
-    ) -> R {
-        match self.hinted_for_write(hint) {
-            Some(mut wg) => f(Self::find_mut(&mut wg, key)),
-            None => self.with_entry(key, f),
-        }
+    ) -> (R, LeafHint) {
+        self.write_leaf_at(hint, key, |wg| {
+            (f(Self::find_mut(wg, key)), LeafHint::after_write(wg))
+        })
+    }
+
+    /// Settle the entry for `key` through a hint, under one write latch on
+    /// its leaf: `f` runs once on the entry (`None` if the key has none)
+    /// and answers whether the entry should go. The leaf drops it in the
+    /// same visit if it keeps more than its minimum without it; otherwise
+    /// the second value is true and the caller removes it with
+    /// [`BTree::remove_if`], whose descent rebalances.
+    pub(crate) fn settle_at<R>(
+        &self,
+        hint: LeafHint,
+        key: &Key,
+        f: impl FnOnce(Option<&mut LeafEntry>) -> (R, bool),
+    ) -> (R, bool) {
+        self.write_leaf_at(hint, key, |wg| {
+            let Node::Leaf { entries, .. } = &mut **wg else {
+                unreachable!("a write visit ends at a leaf")
+            };
+            let idx = Self::position(entries, key);
+            let exists = entries.get(idx).is_some_and(|e| e.key == *key);
+            let (r, remove) = f(exists.then(|| &mut entries[idx]));
+            if !(remove && exists) {
+                return (r, false);
+            }
+            if entries.len() > self.min_leaf {
+                entries.remove(idx);
+                return (r, false);
+            }
+            (r, true)
+        })
     }
 
     /// Insert-or-mutate: run `f(entries, idx, exists)` under the write
@@ -483,12 +548,13 @@ impl BTree {
     /// (`exists`) or belongs, and `f` may `entries.insert(idx, ..)` exactly
     /// one entry. A leaf with room is reached by the optimistic descent and
     /// is the only page written; a full leaf falls back to the crabbing
-    /// descent from the root, whose preemptive splits make room.
+    /// descent from the root, whose preemptive splits make room. Also
+    /// returns the hint the write leaves behind.
     pub(crate) fn upsert<R>(
         &self,
         key: &Key,
         f: impl FnOnce(&mut Vec<LeafEntry>, usize, bool) -> R,
-    ) -> R {
+    ) -> (R, LeafHint) {
         let mut f = Some(f);
         // `Some(None)`: the leaf is full, take the crabbing path.
         let in_leaf = self.descend(key, |leaf, g| {
@@ -516,7 +582,7 @@ impl BTree {
         hint: LeafHint,
         key: &Key,
         f: impl FnOnce(&mut Vec<LeafEntry>, usize, bool) -> R,
-    ) -> R {
+    ) -> (R, LeafHint) {
         let Some(mut wg) = self.hinted_for_write(hint) else {
             return self.upsert(key, f);
         };
@@ -533,7 +599,7 @@ impl BTree {
         &self,
         key: &Key,
         f: impl FnOnce(&mut Vec<LeafEntry>, usize, bool) -> R,
-    ) -> R {
+    ) -> (R, LeafHint) {
         let root = self.pager.page(ROOT);
         let mut g = self.pager.write_latch(root);
         if self.is_full(&g) {
@@ -542,18 +608,18 @@ impl BTree {
         self.upsert_rec(g, key, f)
     }
 
-    /// Run an upsert's `f` on the leaf `node`, which has room for `key`.
+    /// Run an upsert's `f` on the latched leaf, which has room for `key`.
     fn upsert_leaf<R>(
-        node: &mut Node,
+        wg: &mut WriteLatch<'_, Node>,
         key: &Key,
         f: impl FnOnce(&mut Vec<LeafEntry>, usize, bool) -> R,
-    ) -> R {
-        let Node::Leaf { entries, .. } = node else {
+    ) -> (R, LeafHint) {
+        let Node::Leaf { entries, .. } = &mut **wg else {
             unreachable!("upsert ends at a leaf")
         };
         let idx = Self::position(entries, key);
         let exists = entries.get(idx).is_some_and(|e| e.key == *key);
-        f(entries, idx, exists)
+        (f(entries, idx, exists), LeafHint::after_write(wg))
     }
 
     fn upsert_rec<R>(
@@ -561,7 +627,7 @@ impl BTree {
         mut g: WriteLatch<'_, Node>,
         key: &Key,
         f: impl FnOnce(&mut Vec<LeafEntry>, usize, bool) -> R,
-    ) -> R {
+    ) -> (R, LeafHint) {
         let (cid, child_idx) = match &*g {
             Node::Leaf { .. } => return Self::upsert_leaf(&mut g, key, f),
             Node::Internal { keys, children } => {
@@ -1302,7 +1368,7 @@ mod tests {
         assert_eq!(t.read_entry_at(h, &key, |e| e.map(|e| e.slot)), Some(74));
         let d = t.counters() - before;
         assert_eq!((d.page_reads, d.page_writes, d.hint_misses), (1, 0, 0));
-        t.with_entry_at(h, &key, |e| e.expect("present").slot = 99);
+        let ((), after) = t.with_entry_at(h, &key, |e| e.expect("present").slot = 99);
         let d = t.counters() - before;
         assert_eq!((d.page_reads, d.page_writes, d.hint_misses), (1, 1, 0));
         assert_eq!(d.root_write_latches, 0);
@@ -1310,6 +1376,14 @@ mod tests {
         // and the fallback descent still finds the key.
         assert_eq!(t.read_entry_at(h, &key, |e| e.map(|e| e.slot)), Some(99));
         assert_eq!((t.counters() - before).hint_misses, 1);
+        // The hint the write left revisits the leaf with one latch.
+        let before = t.counters();
+        assert_eq!(
+            t.read_entry_at(after, &key, |e| e.map(|e| e.slot)),
+            Some(99)
+        );
+        let d = t.counters() - before;
+        assert_eq!((d.page_reads, d.hint_misses), (1, 0));
         // An insert revisits the leaf its duplicate check read: 75 goes
         // into [74], which has room.
         let fresh = Key::ints(&[75]);
@@ -1323,6 +1397,50 @@ mod tests {
         let d = t.counters() - before;
         assert_eq!((d.page_reads, d.page_writes, d.hint_misses), (0, 1, 0));
         assert_eq!(slot_of(&t, 75), Some(75));
+        latch_debug_assert_none_held("btree unit test");
+    }
+
+    /// A settling visit drops an entry in place from a leaf that keeps
+    /// more than its minimum, and leaves the removal to `remove_if` where
+    /// the leaf is at its minimum.
+    #[test]
+    fn settling_visits_remove_in_place_above_the_leaf_minimum() {
+        let t = BTree::with_fanout(4, 4);
+        for k in 0..40 {
+            insert(&t, k);
+        }
+        assert!(t.depth() >= 3, "depth {}", t.depth());
+        // Ascending inserts fill their leaves: [36, 37, 38, 39] has room
+        // to lose one.
+        let h = hint_for(&t, 38);
+        let before = t.counters();
+        let (slot, removal_left) = t.settle_at(h, &Key::ints(&[38]), |e| (e.map(|e| e.slot), true));
+        assert_eq!((slot, removal_left), (Some(38), false));
+        let d = t.counters() - before;
+        assert_eq!((d.page_reads, d.page_writes, d.hint_misses), (0, 1, 0));
+        assert_eq!(slot_of(&t, 38), None);
+        // [36, 37, 39] now keeps two after one more removal, its minimum.
+        let h = hint_for(&t, 37);
+        assert_eq!(
+            t.settle_at(h, &Key::ints(&[37]), |_| ((), true)),
+            ((), false)
+        );
+        let h = hint_for(&t, 36);
+        assert_eq!(
+            t.settle_at(h, &Key::ints(&[36]), |_| ((), true)),
+            ((), true)
+        );
+        assert_eq!(slot_of(&t, 36), Some(36), "left for remove_if");
+        assert!(remove(&t, 36));
+        // An absent key is never removed, whatever the visit answers.
+        let h = hint_for(&t, 38);
+        assert_eq!(
+            t.settle_at(h, &Key::ints(&[38]), |e| (e.is_none(), true)),
+            (true, false)
+        );
+        let mut want: Vec<i64> = (0..36).collect();
+        want.push(39);
+        assert_eq!(keys_in_order(&t), want);
         latch_debug_assert_none_held("btree unit test");
     }
 
@@ -1446,6 +1564,7 @@ mod tests {
             check(&t, h);
             let (t, h, ()) = revisit_after_gap(build, key, gap, |t, h, k| {
                 t.with_entry_at(h, k, |e| e.expect("the write finds its key").slot = 99)
+                    .0
             });
             assert_eq!(slot_of(&t, key), Some(99), "{what}: write");
             check(&t, h);
@@ -1468,6 +1587,7 @@ mod tests {
                     assert!(!exists);
                     entries.insert(idx, entry(35));
                 })
+                .0
             },
         );
         assert_ne!(hint_for(&t, 35).page, h.page);

@@ -96,7 +96,7 @@ impl<N> std::ops::Deref for ReadLatch<'_, N> {
 /// restarts whether it validates mid-hold or after release.
 pub(crate) struct WriteLatch<'a, N> {
     guard: Option<RwLockWriteGuard<'a, N>>,
-    version: &'a AtomicU64,
+    page: &'a Page<N>,
     #[cfg(debug_assertions)]
     _held: Option<debug::Held>,
 }
@@ -114,11 +114,18 @@ impl<N> std::ops::DerefMut for WriteLatch<'_, N> {
     }
 }
 
+impl<'a, N> WriteLatch<'a, N> {
+    /// The latched page.
+    pub(crate) fn page(&self) -> &'a Page<N> {
+        self.page
+    }
+}
+
 impl<N> Drop for WriteLatch<'_, N> {
     fn drop(&mut self) {
         // Back to even while still holding the latch: the RwLock release
         // that follows publishes the new version to the next latcher.
-        self.version.fetch_add(1, Relaxed);
+        self.page.version.fetch_add(1, Relaxed);
         drop(self.guard.take());
         #[cfg(debug_assertions)]
         drop(self._held.take());
@@ -338,7 +345,7 @@ impl<N> Pager<N> {
         page.version.fetch_add(1, Relaxed);
         WriteLatch {
             guard: Some(guard),
-            version: &page.version,
+            page,
             #[cfg(debug_assertions)]
             _held: Some(_held),
         }

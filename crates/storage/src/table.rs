@@ -18,11 +18,14 @@
 //!
 //! Primary keys are immutable: an update whose new image carries another
 //! primary key is refused, so a row's leaf entry — and the version chain on
-//! it — belongs to one key for the table's whole life. Version chains are
-//! written only by the combined mutators (`insert_versioned`,
-//! `update_versioned`, `delete_versioned`), each under one leaf latch; the
-//! caller keeps the keys it wrote and hands them to
-//! [`Table::finalize_versions`].
+//! it — belongs to one key for the table's whole life. Version chains grow
+//! only through the combined mutators (`insert_versioned`,
+//! `update_versioned`, `delete_versioned`), each under one leaf latch, and
+//! each returns the [`LeafHint`] its write left. The caller keeps the keys
+//! it wrote with their latest hints, and the transaction layer's version
+//! collector hands them to [`Table::collect_versions`] once the low
+//! watermark has passed the writer's end: the only code that rewrites,
+//! trims or removes chain entries.
 
 use crate::btree::{BTree, LeafEntry, LeafHint};
 use crate::pager::PagerCounters;
@@ -86,6 +89,8 @@ pub enum VersionedUpdate {
         undo: UndoRecord,
         /// The row image after the update (for the WAL record).
         after: Row,
+        /// The leaf as the write left it (for the version collector).
+        hint: LeafHint,
     },
     /// The slot no longer holds that key (the row was deleted, or
     /// re-inserted at another slot, while the caller waited for its lock) —
@@ -112,16 +117,14 @@ pub struct Table {
     /// *write* side, freezing mutators for the duration of the fast-path
     /// read so the index range + chain precheck see one consistent state.
     sec_gate: RwLock<()>,
-    /// Keys with (possibly) live version chains: the worklist for the
-    /// sweep and the precheck set for the secondary fast path. Keys join
-    /// only *after* the corresponding tree write (never while a leaf latch
-    /// is held) and leave only in the sweep, which holds this mutex across
-    /// its per-key tree ops so emptiness checks and set removal stay
-    /// atomic.
+    /// Keys with (possibly) live version chains, kept only on tables with
+    /// secondary indices: the precheck set and tombstone list of the
+    /// secondary fast path ([`Table::lookup_secondary_at`]). Keys join only
+    /// *after* the corresponding tree write (never while a leaf latch is
+    /// held) and leave only in [`Table::collect_versions`], which holds
+    /// this mutex across its visits so emptiness checks and set removal
+    /// stay atomic.
     chained: Mutex<BTreeSet<Key>>,
-    /// Size of `chained` when the last sweep finished. Finalize sweeps
-    /// again once the set has doubled past it.
-    swept_left: AtomicUsize,
     live: AtomicUsize,
 }
 
@@ -141,7 +144,6 @@ impl Table {
             secondary,
             sec_gate: RwLock::new(()),
             chained: Mutex::new(BTreeSet::new()),
-            swept_left: AtomicUsize::new(0),
             live: AtomicUsize::new(0),
         }
     }
@@ -256,7 +258,8 @@ impl Table {
     /// the key died before), pushing `pending` onto the entry's chain under
     /// the same leaf latch, then maintain the secondary indices and the
     /// live count. The allocator must already map `slot` to the row's key;
-    /// `hint` is the leaf the caller's duplicate check read.
+    /// `hint` is the leaf the caller's duplicate check read. Returns the
+    /// hint the write left.
     fn insert_entry(
         &self,
         slot: Slot,
@@ -264,9 +267,9 @@ impl Table {
         row: Row,
         pending: Option<ChainEntry>,
         hint: LeafHint,
-    ) -> Result<()> {
+    ) -> Result<LeafHint> {
         let projs = self.projections(&row);
-        let planted = self.tree.upsert_at(hint, &key, |entries, idx, exists| {
+        let (planted, hint) = self.tree.upsert_at(hint, &key, |entries, idx, exists| {
             if exists {
                 let e = &mut entries[idx];
                 if e.row.is_some() {
@@ -298,7 +301,7 @@ impl Table {
         }
         self.secondary_insert(slot, &projs);
         self.live.fetch_add(1, Relaxed);
-        Ok(())
+        Ok(hint)
     }
 
     /// The slot holding `key`, if present, and a hint to the leaf it was
@@ -512,23 +515,27 @@ impl Table {
     // under a single leaf write latch. These three mutators are the only
     // writers of chain entries.
 
-    /// Record `key` as (possibly) carrying a live chain. Called after the
-    /// tree write completes — never while a leaf latch is held.
-    fn note_chained(&self, key: Key) {
-        mlock(&self.chained).insert(key);
+    /// Record `key` as (possibly) carrying a live chain, on a table with
+    /// secondary indices. Called after the tree write completes — never
+    /// while a leaf latch is held.
+    fn note_chained(&self, key: &Key) {
+        if !self.secondary.is_empty() {
+            mlock(&self.chained).insert(key.clone());
+        }
     }
 
     /// Versioned insert: verify the allocator still predicts
     /// `expected_slot` (the peek/lock/re-peek protocol), allocate it, plant
     /// the row, and push the pending insert version — the plant and the
     /// push under one leaf latch. `Ok(None)` means the predicted slot moved
-    /// while the caller waited for its lock: re-peek and retry.
+    /// while the caller waited for its lock: re-peek and retry. Returns the
+    /// slot, the key, the undo record and the hint the write left.
     pub fn insert_versioned(
         &self,
         row: Row,
         txn: TxnId,
         expected_slot: Slot,
-    ) -> Result<Option<(Slot, Key, UndoRecord)>> {
+    ) -> Result<Option<(Slot, Key, UndoRecord, LeafHint)>> {
         self.schema.check(&row)?;
         let key = self.schema.key_of(&row);
         let _gate = self.writer_gate();
@@ -544,8 +551,8 @@ impl Table {
             a.take(&key)
         };
         let pending = ChainEntry::Pending { txn, before: None };
-        self.insert_entry(slot, key.clone(), row, Some(pending), hint)?;
-        self.note_chained(key.clone());
+        let hint = self.insert_entry(slot, key.clone(), row, Some(pending), hint)?;
+        self.note_chained(&key);
         Ok(Some((
             slot,
             key,
@@ -553,6 +560,7 @@ impl Table {
                 table: self.schema.id,
                 slot,
             },
+            hint,
         )))
     }
 
@@ -571,7 +579,7 @@ impl Table {
         f: impl FnOnce(&mut Row),
     ) -> Result<VersionedUpdate> {
         let _gate = self.writer_gate();
-        let applied = self.tree.with_entry_at(hint, key, |e| match e {
+        let (applied, hint) = self.tree.with_entry_at(hint, key, |e| match e {
             Some(e) if e.slot == expected_slot && e.row.is_some() => {
                 let before = e.row.clone().expect("checked live");
                 let mut after = before.clone();
@@ -585,13 +593,13 @@ impl Table {
                 Ok(Some((before, after)))
             }
             _ => Ok(None),
-        })?;
-        let Some((before, after)) = applied else {
+        });
+        let Some((before, after)) = applied? else {
             return Ok(VersionedUpdate::Retry);
         };
         self.secondary_remove(expected_slot, &self.projections(&before));
         self.secondary_insert(expected_slot, &self.projections(&after));
-        self.note_chained(key.clone());
+        self.note_chained(key);
         Ok(VersionedUpdate::Applied {
             undo: UndoRecord::Update {
                 table: self.schema.id,
@@ -599,6 +607,7 @@ impl Table {
                 before,
             },
             after,
+            hint,
         })
     }
 
@@ -606,16 +615,17 @@ impl Table {
     /// by [`Table::locate`]): take the row and push the pending delete
     /// version under one leaf latch (the entry stays as a tombstone).
     /// `Ok(None)` means the slot no longer holds that key — re-resolve and
-    /// retry.
+    /// retry. Returns the undo record, the deleted row and the hint the
+    /// write left.
     pub fn delete_versioned(
         &self,
         key: &Key,
         expected_slot: Slot,
         hint: LeafHint,
         txn: TxnId,
-    ) -> Result<Option<(UndoRecord, Row)>> {
+    ) -> Result<Option<(UndoRecord, Row, LeafHint)>> {
         let _gate = self.writer_gate();
-        let taken = self.tree.with_entry_at(hint, key, |e| match e {
+        let (taken, hint) = self.tree.with_entry_at(hint, key, |e| match e {
             Some(e) if e.slot == expected_slot && e.row.is_some() => {
                 let before = e.row.take().expect("checked live");
                 e.chain.push(ChainEntry::Pending {
@@ -632,7 +642,7 @@ impl Table {
         mlock(&self.alloc).release(expected_slot);
         self.secondary_remove(expected_slot, &self.projections(&before));
         self.live.fetch_sub(1, Relaxed);
-        self.note_chained(key.clone());
+        self.note_chained(key);
         Ok(Some((
             UndoRecord::Delete {
                 table: self.schema.id,
@@ -640,105 +650,98 @@ impl Table {
                 before: before.clone(),
             },
             before,
+            hint,
         )))
     }
 
-    /// Finalize every pending entry of `txn` under `keys` at `commit_lsn`
-    /// (the `Commit` record's LSN, or the `Abort` record's on rollback).
-    /// `keys` is the transaction's write set in this table — every key it
-    /// wrote through a versioned mutator. Only those keys can hold its
-    /// `Pending` entries, so commit cost scales with the write set rather
-    /// than with every in-flight chain in the table; a key left out keeps
-    /// its entry `Pending`, which readers unwind past and pruning never
-    /// drops. Returns the number of entries finalized.
+    /// The version collector's visit to the keys `txn` wrote, each with
+    /// the hint its latest write left, once the low watermark has passed
+    /// `end_lsn` (the LSN of `txn`'s `Commit` record, or of its `Abort`
+    /// record on rollback). In one leaf visit per key it rewrites `txn`'s
+    /// `Pending` entries to `Committed { end_lsn }`, trims the chain's
+    /// prefix that every view at or after `watermark` sees through (see
+    /// [`crate::version`]), and removes the entry if it is a tombstone
+    /// whose chain emptied. A stale hint costs a descent, and a tombstone
+    /// in a leaf at its minimum a rebalancing one. Returns the number of
+    /// entries rewritten.
     ///
-    /// With a `watermark`, the same leaf visit also trims each chain's
-    /// prefix that every view at or after the watermark sees through (see
-    /// [`crate::version`]); a tombstone whose chain empties stays in the
-    /// tree, read as absent, until the sweep removes it. Then, if the
-    /// chained set is non-empty and at least twice the size the last sweep
-    /// left, this runs the sweep ([`Table::prune_versions`]), so each
-    /// written key costs at most two sweep visits, amortized.
-    pub fn finalize_versions<'k>(
+    /// `watermark` must bound every live and future view from below. A
+    /// watermark below every entry's LSN trims nothing.
+    ///
+    /// On a table with secondary indices the visits hold the writer gate's
+    /// shared side and the chained-key set's mutex, and a key whose chain
+    /// emptied leaves the set.
+    pub fn collect_versions<'k>(
         &self,
         txn: TxnId,
-        commit_lsn: u64,
-        watermark: Option<u64>,
-        keys: impl IntoIterator<Item = &'k Key>,
+        end_lsn: u64,
+        watermark: u64,
+        keys: impl IntoIterator<Item = (&'k Key, &'k LeafHint)>,
     ) -> usize {
+        let _gate = self.writer_gate();
+        let mut chained = (!self.secondary.is_empty()).then(|| mlock(&self.chained));
         let mut n = 0;
-        for key in keys {
-            n += self.tree.with_entry(key, |e| {
-                let Some(e) = e else { return 0 };
+        for (key, &hint) in keys {
+            let ((rewritten, emptied), unsettled) = self.tree.settle_at(hint, key, |e| {
+                let Some(e) = e else {
+                    return ((0, true), false);
+                };
                 let mut k = 0;
                 for entry in e.chain.iter_mut() {
-                    if matches!(entry, ChainEntry::Pending { txn: t, .. } if *t == txn) {
-                        let before = entry.before().cloned();
-                        *entry = ChainEntry::Committed { commit_lsn, before };
-                        k += 1;
+                    if let ChainEntry::Pending { txn: t, before } = entry {
+                        if *t == txn {
+                            let before = before.take();
+                            *entry = ChainEntry::Committed {
+                                commit_lsn: end_lsn,
+                                before,
+                            };
+                            k += 1;
+                        }
                     }
                 }
-                if let Some(w) = watermark {
-                    prune_chain(&mut e.chain, w);
-                }
-                k
+                let emptied = prune_chain(&mut e.chain, watermark);
+                ((k, emptied), emptied && e.row.is_none())
             });
-        }
-        if let Some(w) = watermark {
-            let chained = mlock(&self.chained).len();
-            if chained > 0 && chained >= 2 * self.swept_left.load(Relaxed) {
-                self.prune_versions(w);
-            }
-        }
-        n
-    }
-
-    /// Sweep the chained set against the low-watermark (see
-    /// [`crate::version`]): trim every chain's all-visible prefix, drop
-    /// keys whose chain emptied from the set, and remove tombstone entries
-    /// whose whole history fell below the watermark. Holds the chained-set
-    /// mutex across each per-key tree op so emptiness and set membership
-    /// stay in step with concurrent pushes.
-    pub fn prune_versions(&self, watermark: u64) {
-        let _gate = self.writer_gate();
-        let mut chained = mlock(&self.chained);
-        chained.retain(|key| {
-            let (keep, settled) = self.tree.with_entry(key, |e| match e {
-                None => (false, false),
-                Some(e) => {
-                    let emptied = prune_chain(&mut e.chain, watermark);
-                    (!emptied, emptied && e.row.is_none())
-                }
-            });
-            if settled {
-                // Settled tombstone: nothing left to reconstruct. Re-check
-                // under the removing latch — an insert may have revived
-                // the key since.
+            if unsettled {
+                // A settled tombstone in a leaf at its minimum. Re-check
+                // under the removing latch: an insert may have revived the
+                // key since.
                 self.tree.remove_if(key, |e| {
                     ((), e.is_some_and(|e| e.row.is_none() && e.chain.is_empty()))
                 });
             }
-            keep
-        });
-        self.swept_left.store(chained.len(), Relaxed);
+            if emptied {
+                if let Some(set) = chained.as_mut() {
+                    set.remove(key);
+                }
+            }
+            n += rewritten;
+        }
+        n
     }
 
-    /// Number of live version chains; test/diagnostic helper.
+    /// Number of keys whose version chain is not empty, counted by a scan
+    /// of the whole tree; test/diagnostic helper.
     pub fn n_version_chains(&self) -> usize {
-        mlock(&self.chained)
-            .iter()
-            .filter(|k| {
-                self.tree
-                    .read_entry(k, |e| e.is_some_and(|e| !e.chain.is_empty()))
-            })
-            .count()
+        self.tree
+            .scan_collect(
+                &Key(Vec::new()),
+                |_| true,
+                |e| (!e.chain.is_empty()).then_some(()),
+                usize::MAX,
+            )
+            .len()
     }
 
     /// The row image with primary key `key` as visible at `view`
-    /// (coordination-free point read: one optimistic descent, entry state
-    /// cloned under the leaf's read latch). `commits` resolves Pending
-    /// entries of transactions whose commit record is already appended (see
-    /// [`CommitResolver`]).
+    /// (coordination-free point read: one optimistic descent). `commits`
+    /// resolves Pending entries of transactions whose commit record is
+    /// already appended (see [`CommitResolver`]).
+    ///
+    /// The image is reconstructed under the leaf's read latch. The
+    /// collector rewrites an entry under that leaf's write latch and
+    /// retires the writer's publication only afterwards, so a `Pending`
+    /// entry seen here is still resolvable when `commits` is asked.
     pub fn read_at(
         &self,
         key: &Key,
@@ -746,19 +749,18 @@ impl Table {
         reader: TxnId,
         commits: &dyn CommitResolver,
     ) -> Visibility {
-        let found = self
-            .tree
-            .read_entry(key, |e| e.map(|e| (e.row.clone(), e.chain.clone())));
-        match found {
+        self.tree.read_entry(key, |e| match e {
             None => Visibility::Visible(None),
-            Some((current, chain)) => reconstruct(current.as_ref(), &chain, view, reader, commits),
-        }
+            Some(e) => reconstruct(e.row.as_ref(), &e.chain, view, reader, commits),
+        })
     }
 
     /// All row images whose primary key begins with `prefix`, as visible at
     /// `view`, in key order. `None` means some row could not be soundly
     /// reconstructed — fall back to a locked scan. Tombstone entries sit
     /// inline in the tree, so one range scan covers live and deleted keys.
+    /// Each image is reconstructed under its leaf's read latch, as in
+    /// [`Table::read_at`].
     pub fn scan_prefix_at(
         &self,
         prefix: &Key,
@@ -766,17 +768,12 @@ impl Table {
         reader: TxnId,
         commits: &dyn CommitResolver,
     ) -> Option<Vec<Row>> {
-        reconstruct_collected(
-            self.tree.scan_collect(
-                prefix,
-                |k| k.starts_with(prefix),
-                |e| Some((e.row.clone(), e.chain.clone())),
-                usize::MAX,
-            ),
-            view,
-            reader,
-            commits,
-        )
+        visible_rows(self.tree.scan_collect(
+            prefix,
+            |k| k.starts_with(prefix),
+            |e| Some(reconstruct(e.row.as_ref(), &e.chain, view, reader, commits)),
+            usize::MAX,
+        ))
     }
 
     /// All row images with primary key in `[lo, hi)`, as visible at `view`,
@@ -789,17 +786,12 @@ impl Table {
         reader: TxnId,
         commits: &dyn CommitResolver,
     ) -> Option<Vec<Row>> {
-        reconstruct_collected(
-            self.tree.scan_collect(
-                lo,
-                |k| k < hi,
-                |e| Some((e.row.clone(), e.chain.clone())),
-                usize::MAX,
-            ),
-            view,
-            reader,
-            commits,
-        )
+        visible_rows(self.tree.scan_collect(
+            lo,
+            |k| k < hi,
+            |e| Some(reconstruct(e.row.as_ref(), &e.chain, view, reader, commits)),
+            usize::MAX,
+        ))
     }
 
     /// All row images whose secondary index `idx` key begins with `prefix`,
@@ -808,10 +800,11 @@ impl Table {
     ///
     /// The secondary index describes *current* rows only, so this is sound
     /// only while no live chain changes a row's secondary projection — we
-    /// verify that over the (small, pruned) chained-key set and fall back
-    /// if any projection moved. The exclusive side of the writer gate
-    /// freezes mutators and prune for the duration, so the precheck, the
-    /// index range, and the chain walks see one consistent state.
+    /// verify that over the (small, collected) chained-key set and fall
+    /// back if any projection moved. The exclusive side of the writer gate
+    /// freezes mutators and the collector for the duration, so the
+    /// precheck, the index range, and the chain walks see one consistent
+    /// state.
     pub fn lookup_secondary_at(
         &self,
         idx: usize,
@@ -925,7 +918,8 @@ impl Table {
             a.free.retain(|&s| s != slot);
             a.slot_key[idx] = Some(key.clone());
         }
-        self.insert_entry(slot, key, row, None, hint)
+        self.insert_entry(slot, key, row, None, hint)?;
+        Ok(())
     }
 
     fn projections(&self, row: &Row) -> Vec<Key> {
@@ -967,17 +961,12 @@ fn live_row(e: Option<&LeafEntry>) -> Option<(Slot, Row)> {
     e.and_then(|e| Some((e.slot, e.row.clone()?)))
 }
 
-/// The images visible at `view` of scanned `(current, chain)` entries, in
-/// scan order; `None` if any of them cannot be soundly reconstructed.
-fn reconstruct_collected(
-    entries: Vec<(Option<Row>, Vec<ChainEntry>)>,
-    view: u64,
-    reader: TxnId,
-    commits: &dyn CommitResolver,
-) -> Option<Vec<Row>> {
+/// The rows of scanned reconstructions, in scan order; `None` if any of
+/// them could not be soundly reconstructed.
+fn visible_rows(found: Vec<Visibility>) -> Option<Vec<Row>> {
     let mut out = Vec::new();
-    for (current, chain) in &entries {
-        match reconstruct(current.as_ref(), chain, view, reader, commits) {
+    for v in found {
+        match v {
             Visibility::Tainted => return None,
             Visibility::Visible(Some(r)) => out.push(r),
             Visibility::Visible(None) => {}
@@ -1325,16 +1314,80 @@ mod tests {
             .unwrap()
             .is_none());
         assert_eq!(t.len(), 0);
-        let (slot, key, _) = t
+        let (slot, key, _, hint) = t
             .insert_versioned(row(1, 1, 1), TxnId(7), 0)
             .unwrap()
             .expect("correct prediction");
         assert_eq!(slot, 0);
         assert_eq!(key, Key::ints(&[1, 1]));
         assert_eq!(t.n_version_chains(), 1);
-        t.finalize_versions(TxnId(7), 5, None, [&key]);
-        t.prune_versions(10);
+        assert_eq!(t.collect_versions(TxnId(7), 5, 10, [(&key, &hint)]), 1);
         assert_eq!(t.n_version_chains(), 0);
+    }
+
+    /// A table without secondary indices keeps no chained-key set, so its
+    /// chain count comes from the tree.
+    #[test]
+    fn chains_are_counted_in_the_tree() {
+        use acc_common::TxnId;
+        let mut schema = TableSchema::builder("counters")
+            .column("id", ColumnType::Int)
+            .column("n", ColumnType::Int)
+            .key(&["id"])
+            .rows_per_page(4)
+            .build();
+        schema.id = TableId(0);
+        let t = Table::new(schema);
+        for id in 0..20 {
+            t.insert(Row::from(vec![Value::Int(id), Value::Int(0)]))
+                .unwrap();
+        }
+        let key = Key::ints(&[7]);
+        let (slot, hint) = t.locate(&key).unwrap();
+        let VersionedUpdate::Applied { hint, .. } = t
+            .update_versioned(&key, slot, hint, TxnId(3), |r| {
+                r.set(1, Value::Int(1));
+            })
+            .unwrap()
+        else {
+            panic!("the slot holds the key");
+        };
+        assert_eq!(t.n_version_chains(), 1, "before collection");
+        let before = t.pager_counters();
+        assert_eq!(t.collect_versions(TxnId(3), 4, 4, [(&key, &hint)]), 1);
+        let d = t.pager_counters() - before;
+        assert_eq!((d.page_reads, d.page_writes, d.hint_misses), (0, 1, 0));
+        assert_eq!(t.n_version_chains(), 0, "after collection");
+    }
+
+    /// A deleted key's tombstone goes in the visit that empties its chain.
+    #[test]
+    fn collection_removes_settled_tombstones() {
+        use acc_common::TxnId;
+        let t = table();
+        for i in 0..12 {
+            t.insert(row(1, i, 0)).unwrap();
+        }
+        for i in [2, 9] {
+            let key = Key::ints(&[1, i]);
+            let (slot, hint) = t.locate(&key).unwrap();
+            let (_, _, hint) = t
+                .delete_versioned(&key, slot, hint, TxnId(5))
+                .unwrap()
+                .unwrap();
+            assert_eq!(t.n_version_chains(), 1, "the tombstone keeps the chain");
+            // A watermark short of the delete keeps the tombstone.
+            assert_eq!(t.collect_versions(TxnId(5), 8, 7, [(&key, &hint)]), 1);
+            assert_eq!(t.n_version_chains(), 1);
+            assert_eq!(t.collect_versions(TxnId(5), 8, 8, [(&key, &hint)]), 0);
+            assert_eq!(t.n_version_chains(), 0);
+            assert_eq!(t.scan_prefix(&Key::ints(&[1])).count(), 11);
+            t.insert(row(1, i, 0)).unwrap();
+        }
+        assert_eq!(
+            t.iter().map(|(_, r)| r.int(1)).collect::<Vec<_>>(),
+            (0..12).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! MVCC-lite version chains: per-key undo chains, finalized at commit LSNs.
+//! MVCC-lite version chains: per-key undo chains, settled at end-record
+//! LSNs.
 //!
 //! A chain lives in its row's leaf entry, keyed by primary key; a delete
 //! leaves the entry in place as a tombstone that keeps the chain. Each
@@ -30,15 +31,19 @@
 //!
 //! # Commit publication
 //!
-//! The transaction layer publishes a committing transaction's commit LSN
-//! (atomically with the `Commit` record's append — see `runner::commit`)
-//! and only later rewrites its `Pending` entries to `Committed`, table by
-//! table, after the group-commit fsync. Resolving `Pending` entries through
-//! the publication makes that rewrite invisible: at every instant the
-//! entry's visibility is the pure predicate `effective_lsn <= B`, so a
+//! The transaction layer publishes a finishing transaction's end LSN — its
+//! `Commit` record's, or its `Abort` record's on rollback — atomically with
+//! the record's append (see `runner::commit` and `runner::rollback`), and
+//! only later rewrites its `Pending` entries to `Committed`: the version
+//! collector does so once the low watermark has passed that LSN, and
+//! retires the publication after the rewrite. Resolving `Pending` entries
+//! through the publication makes that rewrite invisible: at every instant
+//! the entry's visibility is the pure predicate `effective_lsn <= B`, so a
 //! reader can never observe the writer's effects at one moment and not the
 //! next within a single view — the fractured-snapshot window between the
-//! fsync wait and per-table finalization is closed by construction.
+//! end record and the rewrite is closed by construction. Readers resolve
+//! under the leaf's read latch (see `Table::read_at`), so an entry they
+//! find `Pending` is still published when they ask.
 //!
 //! # Pruning
 //!
@@ -50,30 +55,30 @@
 //! — and an exhausted chain returns the same image the dropped stop-entry
 //! would have. Pruning therefore never changes a read result, only memory.
 //! `Pending` entries are never pruned — deliberately including published
-//! ones, whose imminent physical finalization makes them prunable the
-//! ordinary way (and can in fact never sit below a prunable commit: the
-//! overwriting commit's LSN necessarily exceeds the durable frontier at the
-//! pending owner's begin, which bounds `W` from above).
+//! ones, which the collector rewrites before it trims past them.
 //!
-//! Two callers prune. Finalize trims each chain it finalizes, in the same
-//! leaf visit, against the watermark taken after the finishing transaction
-//! left the active map; a chain that a lagging view still keeps stays on the
-//! table's chained-key set. The table sweep walks that set and trims every
-//! chain on it, and it runs from finalize only once the set has doubled
-//! since the last sweep, so sweeping costs each written key at most two
-//! visits, amortized (see `Table::finalize_versions`).
+//! Pruning has one caller, the collector (`Table::collect_versions`). It
+//! visits each key a finished transaction wrote once the watermark `W` has
+//! passed that transaction's end LSN, rewrites the transaction's entries,
+//! and trims the chain against `W` in the same leaf visit. The collector
+//! visits every writer that appended its end record, and `W` never falls,
+//! so the last visit among a chain's writers finds every entry at or below
+//! `W` and empties the chain: no sweep over idle chains is needed. Only the
+//! entries of a writer whose commit fsync failed, or whose compensation
+//! wedged, stay `Pending` for good, and readers unwind past them.
 
 use crate::row::Row;
 use acc_common::TxnId;
 use std::collections::HashMap;
 
-/// Resolves `Pending` chain entries of committed-but-unfinalized
-/// transactions to their published commit LSN (see the module docs on
-/// commit publication). `None` means the writer is genuinely still in
-/// flight (or aborted / failed its commit fsync): unwind past its entries.
+/// Resolves `Pending` chain entries of finished transactions that the
+/// collector has not yet rewritten to their published end LSN (see the
+/// module docs on commit publication). `None` means the writer is still in
+/// flight (or failed its commit fsync, or wedged in compensation): unwind
+/// past its entries.
 pub trait CommitResolver {
-    /// The published commit LSN of `txn`, if its commit record has been
-    /// appended and its chains may not be physically finalized yet.
+    /// The published end LSN of `txn`, if its `Commit` or `Abort` record
+    /// has been appended and its chains may not be rewritten yet.
     fn commit_lsn(&self, txn: TxnId) -> Option<u64>;
 }
 

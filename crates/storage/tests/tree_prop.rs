@@ -6,9 +6,9 @@
 
 use acc_common::{SeededRng, TableId, TxnId, Value};
 use acc_storage::{
-    ColumnType, Key, NoCommits, Row, Table, TableSchema, VersionedUpdate, Visibility,
+    ColumnType, Key, LeafHint, NoCommits, Row, Table, TableSchema, VersionedUpdate, Visibility,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 fn schema() -> TableSchema {
     let mut s = TableSchema::builder("t")
@@ -112,7 +112,9 @@ fn paged_table_matches_btreemap_oracle() {
 /// churning *other* keys hard enough to split and merge the leaves the
 /// chains live on. Chains are keyed by primary key, so every relocation
 /// must carry them along: `read_at` at historical views must keep
-/// reproducing the exact committed history recorded by the oracle.
+/// reproducing the exact committed history recorded by the oracle. Each
+/// commit stays `Pending` behind its published LSN, as in the transaction
+/// layer, until the collector's visits at the end of the case.
 #[test]
 fn version_chains_survive_page_relocation() {
     let mut rng = SeededRng::new(0xc4a1);
@@ -121,6 +123,9 @@ fn version_chains_survive_page_relocation() {
         // Committed history per key: (commit_lsn, state after the commit).
         type History = BTreeMap<i64, Vec<(u64, Option<(i64, i64)>)>>;
         let mut history: History = BTreeMap::new();
+        let mut published: HashMap<TxnId, u64> = HashMap::new();
+        // Each commit's write, with the hint it left, in commit order.
+        let mut written: Vec<(TxnId, u64, Key, LeafHint)> = Vec::new();
         let mut lsn = 0u64;
         for next_txn in 1u64..=240 {
             // Physical churn in a disjoint key range (no chains): these
@@ -138,21 +143,22 @@ fn version_chains_survive_page_relocation() {
             let txn = TxnId(next_txn);
             lsn += 1;
             let found = t.locate(&Key::ints(&[k]));
-            let applied = match found {
+            let (state, hint) = match found {
                 None => {
                     let (a, b) = (rng.int_range(0, 9), rng.int_range(0, 99));
-                    t.insert_versioned(row(k, a, b), txn, t.peek_next_slot())
+                    let (_, _, _, hint) = t
+                        .insert_versioned(row(k, a, b), txn, t.peek_next_slot())
                         .expect("insert")
                         .expect("predicted slot is current");
-                    Some(Some((a, b)))
+                    (Some((a, b)), hint)
                 }
                 Some((slot, hint)) if rng.chance(0.4) => {
-                    let (_, before) = t
+                    let (_, before, hint) = t
                         .delete_versioned(&Key::ints(&[k]), slot, hint, txn)
                         .expect("delete")
                         .expect("slot is current");
                     assert_eq!(before.int(0), k);
-                    Some(None)
+                    (None, hint)
                 }
                 Some((slot, hint)) => {
                     let b = rng.int_range(0, 99);
@@ -162,17 +168,16 @@ fn version_chains_survive_page_relocation() {
                         })
                         .expect("update")
                     {
-                        VersionedUpdate::Applied { after, .. } => {
-                            Some(Some((after.int(1), after.int(2))))
+                        VersionedUpdate::Applied { after, hint, .. } => {
+                            (Some((after.int(1), after.int(2))), hint)
                         }
                         VersionedUpdate::Retry => panic!("single-threaded retry"),
                     }
                 }
             };
-            if let Some(state) = applied {
-                assert_eq!(t.finalize_versions(txn, lsn, None, [&Key::ints(&[k])]), 1);
-                history.entry(k).or_default().push((lsn, state));
-            }
+            published.insert(txn, lsn);
+            written.push((txn, lsn, Key::ints(&[k]), hint));
+            history.entry(k).or_default().push((lsn, state));
         }
         assert!(
             t.pager_counters().splits > 0 && t.pager_counters().merges > 0,
@@ -193,15 +198,18 @@ fn version_chains_survive_page_relocation() {
                     .and_then(|(_, s)| *s)
                     .map(|(a, b)| row(k, a, b));
                 assert_eq!(
-                    t.read_at(&key, view, reader, &NoCommits),
+                    t.read_at(&key, view, reader, &published),
                     Visibility::Visible(expect),
                     "key {k} view {view} diverged from history"
                 );
             }
         }
-        // Pruning at the frontier retires every chain and settled
-        // tombstone, and the current state still reads back.
-        t.prune_versions(lsn);
+        // Collecting every commit at the frontier rewrites each one's
+        // entry, then retires every chain and settled tombstone, and the
+        // current state still reads back.
+        for (txn, end, key, hint) in &written {
+            assert_eq!(t.collect_versions(*txn, *end, lsn, [(key, hint)]), 1);
+        }
         assert_eq!(t.n_version_chains(), 0);
         for (&k, commits) in &history {
             let expect = commits

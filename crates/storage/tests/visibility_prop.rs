@@ -8,19 +8,23 @@
 //! `runner.rs`): write through the versioned mutators `StepCtx` runs
 //! (`insert_versioned`, `update_versioned`, `delete_versioned`), each of
 //! which pushes its pending version under the write's leaf latch, then
-//! finalize the keys the transaction wrote at the commit (or abort) LSN.
-//! Aborts apply physical undo first, exactly like the live rollback path. A
-//! key-level lock map stands in for the lock manager so two live
-//! transactions never write the same row.
+//! rewrite the keys the transaction wrote at the commit (or abort) LSN with
+//! the collector's visit (`Table::collect_versions`), through the hints the
+//! writes left. Aborts apply physical undo first, exactly like the live
+//! rollback path. A key-level lock map stands in for the lock manager so two
+//! live transactions never write the same row.
 //!
-//! Commits randomly defer their physical finalization behind a published
-//! commit LSN (the runner's commit-publication window between the `Commit`
-//! append and `finalize_versions`): reads through the publication resolver
-//! must be indistinguishable from reads over finalized chains.
+//! Commits randomly defer their rewrite behind a published commit LSN (the
+//! state a commit is in from its `Commit` append until the collector visits
+//! it): reads through the publication resolver must be indistinguishable
+//! from reads over rewritten chains. The rewrites use watermark 0, which
+//! trims nothing (every LSN here is positive), so every view stays
+//! readable; trimming is exercised by revisiting every collected write at a
+//! random watermark at the end of each case.
 
 use acc_common::{SeededRng, Slot, TableId, TxnId, Value};
 use acc_storage::{
-    ColumnType, CommitResolver, Key, NoCommits, Row, Table, TableSchema, UndoRecord,
+    ColumnType, CommitResolver, Key, LeafHint, NoCommits, Row, Table, TableSchema, UndoRecord,
     VersionedUpdate, Visibility,
 };
 use std::collections::HashMap;
@@ -43,12 +47,22 @@ fn row(k: i64, a: i64, b: i64) -> Row {
 }
 
 /// `StepCtx::insert`'s single-threaded case: the predicted slot is current.
-fn insert(t: &Table, row: Row, txn: TxnId) -> (Slot, UndoRecord) {
-    let (slot, _, undo) = t
+fn insert(t: &Table, row: Row, txn: TxnId) -> (Slot, UndoRecord, LeafHint) {
+    let (slot, _, undo, hint) = t
         .insert_versioned(row, txn, t.peek_next_slot())
         .expect("insert of absent key")
         .expect("single-threaded prediction holds");
-    (slot, undo)
+    (slot, undo, hint)
+}
+
+/// A transaction's write set: each key it wrote, with the hint of its
+/// latest write there.
+type Written = Vec<(Key, LeafHint)>;
+
+/// The collector's visit to `txn`'s writes at `end_lsn`, trimming against
+/// `watermark`; returns the number of entries rewritten.
+fn collect(t: &Table, txn: TxnId, end_lsn: u64, watermark: u64, written: &Written) -> usize {
+    t.collect_versions(txn, end_lsn, watermark, written.iter().map(|(k, h)| (k, h)))
 }
 
 const KEYS: i64 = 10;
@@ -74,30 +88,53 @@ struct Active {
     will_abort: bool,
     /// Own writes: key -> Some(new value) or None (deleted).
     overlay: HashMap<i64, Option<(i64, i64)>>,
+    /// The hint each own write left, latest per key.
+    hints: HashMap<i64, LeafHint>,
     undos: Vec<UndoRecord>,
+    /// A commit leaves its rewrite to `Deferred::retire`.
+    defer: bool,
 }
 
-/// Commits whose chains are still Pending behind a published LSN (the
-/// runner's window between the `Commit` append and `finalize_versions`),
-/// with the keys each one wrote.
+/// Finished transactions: commits whose chains are still Pending behind a
+/// published LSN (the state before the collector visits them), with the
+/// keys each one wrote, and every transaction the collector has visited.
 #[derive(Default)]
 struct Deferred {
     published: HashMap<TxnId, u64>,
-    written: HashMap<TxnId, Vec<Key>>,
+    written: HashMap<TxnId, Written>,
+    collected: Vec<(TxnId, u64, Written)>,
 }
 
 impl Deferred {
-    /// Finalize `id`'s chains at its published LSN and retire it.
+    /// Rewrite `txn`'s chains at `lsn`, trimming nothing, and log it.
+    fn collect(&mut self, t: &Table, txn: TxnId, lsn: u64, written: Written) {
+        collect(t, txn, lsn, 0, &written);
+        self.collected.push((txn, lsn, written));
+    }
+
+    /// Rewrite `id`'s chains at its published LSN and retire it.
     fn retire(&mut self, t: &Table, id: TxnId) {
         let lsn = self.published.remove(&id).expect("published commit");
-        t.finalize_versions(id, lsn, None, &self.written.remove(&id).expect("write set"));
+        let written = self.written.remove(&id).expect("write set");
+        self.collect(t, id, lsn, written);
+    }
+
+    /// Revisit every collected write with watermark `w`: the trim the
+    /// collector makes once the watermark has passed them all.
+    fn trim(&self, t: &Table, w: u64) {
+        for (txn, lsn, written) in &self.collected {
+            assert_eq!(collect(t, *txn, *lsn, w, written), 0, "already rewritten");
+        }
     }
 }
 
 impl Active {
-    /// The transaction's write set: every key it wrote.
-    fn written(&self) -> Vec<Key> {
-        self.overlay.keys().map(|&k| Key::ints(&[k])).collect()
+    /// The transaction's write set: every key it wrote, with its hint.
+    fn written(&self) -> Written {
+        self.hints
+            .iter()
+            .map(|(&k, &h)| (Key::ints(&[k]), h))
+            .collect()
     }
 
     /// Apply one random op through the versioned mutators. Keys locked by
@@ -125,7 +162,8 @@ impl Active {
                     return;
                 }
                 let (a, b) = (rng.int_range(0, 2), rng.int_range(0, 99));
-                let (_, undo) = insert(t, row(k, a, b), self.id);
+                let (_, undo, hint) = insert(t, row(k, a, b), self.id);
+                self.hints.insert(k, hint);
                 self.undos.push(undo);
                 self.overlay.insert(k, Some((a, b)));
                 locks.insert(k, self.id);
@@ -138,9 +176,10 @@ impl Active {
                 let updated = t.update_versioned(&key, slot, hint, self.id, |r| {
                     r.set(2, Value::Int(b));
                 });
-                let Ok(VersionedUpdate::Applied { undo, .. }) = updated else {
+                let Ok(VersionedUpdate::Applied { undo, hint, .. }) = updated else {
                     panic!("update of a live slot");
                 };
+                self.hints.insert(k, hint);
                 self.undos.push(undo);
                 self.overlay.insert(k, Some((a, b)));
                 locks.insert(k, self.id);
@@ -154,10 +193,11 @@ impl Active {
                     return;
                 }
                 let (slot, hint) = t.locate(&key).expect("model row is live");
-                let (undo, _) = t
+                let (undo, _, hint) = t
                     .delete_versioned(&key, slot, hint, self.id)
                     .expect("delete of live key")
                     .expect("slot is current");
+                self.hints.insert(k, hint);
                 self.undos.push(undo);
                 self.overlay.insert(k, None);
                 locks.insert(k, self.id);
@@ -167,11 +207,10 @@ impl Active {
 
     /// Commit or abort at the next LSN, exactly as `runner.rs` does:
     /// physical undo (abort only) leaves the chain alone, then every written
-    /// key's pending entries finalize at the end record's LSN. When
-    /// `defer_into` is `Some`, a committing transaction instead *defers* the
-    /// physical finalization, leaving its entries Pending behind a commit LSN
-    /// published there — the runner's state between the `Commit` append and
-    /// `finalize_versions`.
+    /// key's pending entries are rewritten at the end record's LSN. A
+    /// committing transaction with `defer` set leaves the rewrite instead,
+    /// its entries Pending behind a commit LSN published in `deferred` —
+    /// the runner's state until the collector visits it.
     fn finish(
         self,
         t: &Table,
@@ -179,7 +218,7 @@ impl Active {
         snapshots: &mut Vec<(u64, Model)>,
         locks: &mut HashMap<i64, TxnId>,
         next_lsn: &mut u64,
-        defer_into: Option<&mut Deferred>,
+        deferred: &mut Deferred,
     ) {
         let lsn = *next_lsn;
         *next_lsn += 1;
@@ -195,14 +234,11 @@ impl Active {
                 };
             }
         }
-        match defer_into {
-            Some(deferred) if !self.will_abort => {
-                deferred.published.insert(self.id, lsn);
-                deferred.written.insert(self.id, self.written());
-            }
-            _ => {
-                t.finalize_versions(self.id, lsn, None, &self.written());
-            }
+        if self.defer && !self.will_abort {
+            deferred.published.insert(self.id, lsn);
+            deferred.written.insert(self.id, self.written());
+        } else {
+            deferred.collect(t, self.id, lsn, self.written());
         }
         snapshots.push((lsn, committed.clone()));
         locks.retain(|_, owner| *owner != self.id);
@@ -280,7 +316,9 @@ fn read_at_lsn_equals_replayed_prefix() {
                     id: TxnId(next_txn),
                     will_abort: rng.chance(0.25),
                     overlay: HashMap::new(),
+                    hints: HashMap::new(),
                     undos: Vec::new(),
+                    defer: false,
                 });
                 next_txn += 1;
             } else if roll < 8 {
@@ -288,15 +326,15 @@ fn read_at_lsn_equals_replayed_prefix() {
                 active[i].apply_random_op(&t, &committed, &mut locks, &mut rng);
             } else {
                 let i = rng.index(active.len());
-                let a = active.swap_remove(i);
-                let defer = rng.chance(0.5);
+                let mut a = active.swap_remove(i);
+                a.defer = rng.chance(0.5);
                 a.finish(
                     &t,
                     &mut committed,
                     &mut snapshots,
                     &mut locks,
                     &mut next_lsn,
-                    defer.then_some(&mut deferred),
+                    &mut deferred,
                 );
                 // Reads stay exact even while other transactions are still
                 // pending: unpublished entries unwind to before-images, and
@@ -331,7 +369,7 @@ fn read_at_lsn_equals_replayed_prefix() {
                 &mut snapshots,
                 &mut locks,
                 &mut next_lsn,
-                None,
+                &mut deferred,
             );
         }
         total_secondary_hits += assert_all_views(&t, &snapshots, 0, &deferred.published);
@@ -342,15 +380,15 @@ fn read_at_lsn_equals_replayed_prefix() {
         }
         total_secondary_hits += assert_all_views(&t, &snapshots, 0, &NoCommits);
 
-        // Pruning at a random watermark is invisible to every view >= it...
+        // Trimming at a random watermark is invisible to every view >= it...
         let max_lsn = next_lsn - 1;
         let w = rng.int_range(0, max_lsn as i64) as u64;
         let before_chains = t.n_version_chains();
-        t.prune_versions(w);
+        deferred.trim(&t, w);
         assert!(t.n_version_chains() <= before_chains);
         assert_all_views(&t, &snapshots, w, &NoCommits);
-        // ...and a full prune still answers the newest view exactly.
-        t.prune_versions(max_lsn);
+        // ...and a full trim still answers the newest view exactly.
+        deferred.trim(&t, max_lsn);
         assert_all_views(&t, &snapshots, max_lsn, &NoCommits);
     }
     assert!(
@@ -368,17 +406,20 @@ fn reinsert_revives_tombstone_history() {
     let t = Table::new(schema());
     let key = Key::ints(&[7]);
 
-    let (slot, _) = insert(&t, row(7, 1, 10), TxnId(1));
-    t.finalize_versions(TxnId(1), 5, None, [&key]);
+    // Each write is rewritten at its commit with watermark 0, which trims
+    // nothing.
+    let (slot, _, hint) = insert(&t, row(7, 1, 10), TxnId(1));
+    t.collect_versions(TxnId(1), 5, 0, [(&key, &hint)]);
 
     let (_, hint) = t.locate(&key).expect("live");
-    t.delete_versioned(&key, slot, hint, TxnId(2))
+    let (_, _, deleted) = t
+        .delete_versioned(&key, slot, hint, TxnId(2))
         .expect("delete")
         .expect("slot is current");
-    t.finalize_versions(TxnId(2), 10, None, [&key]);
+    t.collect_versions(TxnId(2), 10, 0, [(&key, &deleted)]);
 
-    insert(&t, row(7, 2, 20), TxnId(3));
-    t.finalize_versions(TxnId(3), 15, None, [&key]);
+    let (_, _, hint) = insert(&t, row(7, 2, 20), TxnId(3));
+    t.collect_versions(TxnId(3), 15, 0, [(&key, &hint)]);
 
     fn img(t: &Table, key: &Key, view: u64) -> Option<(i64, i64)> {
         match t.read_at(key, view, READER, &NoCommits) {
@@ -402,10 +443,11 @@ fn reinsert_revives_tombstone_history() {
         None
     );
 
-    // Pruning below the delete keeps history; pruning past it drops it.
-    t.prune_versions(9);
+    // Trimming below the delete keeps history; trimming past it drops it.
+    // (The collector revisits the key for the commits it has passed.)
+    t.collect_versions(TxnId(2), 10, 9, [(&key, &hint)]);
     assert_eq!(img(&t, &key, 9), Some((1, 10)));
-    t.prune_versions(15);
+    t.collect_versions(TxnId(3), 15, 15, [(&key, &hint)]);
     assert_eq!(img(&t, &key, 15), Some((2, 20)));
     assert_eq!(t.n_version_chains(), 0, "fully pruned");
 }

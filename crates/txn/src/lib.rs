@@ -42,4 +42,4 @@ pub use program::{decode_work_area, encode_work_area, StepOutcome, TxnProgram};
 pub use runner::{run, AbortReason, RunOutcome};
 pub use shared::{PublishedCommits, SharedDb, WaitMode};
 pub use step::StepCtx;
-pub use transaction::{Transaction, TxnState};
+pub use transaction::{Transaction, TxnState, WriteSet};

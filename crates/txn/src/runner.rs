@@ -1,5 +1,12 @@
 //! Driving a [`TxnProgram`] through its lifecycle: steps, commit, deadlock
 //! retry, and compensation-based rollback.
+//!
+//! Commit and rollback publish their end record's LSN for version readers
+//! atomically with its append, release everything, and only then hand the
+//! transaction's write set to the version collector
+//! ([`SharedDb::queue_versions`]), which rewrites, trims and settles its
+//! chains once the low watermark has passed that LSN. No lock is held
+//! while chains are collected.
 
 use crate::cc::ConcurrencyControl;
 use crate::program::{StepOutcome, TxnProgram};
@@ -66,7 +73,7 @@ pub fn run(
 /// network front-end) can correlate a client request with the transaction's
 /// fate on the log. A transaction past its deadline rolls back through the
 /// ordinary compensation path — every lock released, every version chain
-/// finalized — and reports [`AbortReason::Deadline`].
+/// handed to the collector — and reports [`AbortReason::Deadline`].
 pub fn run_with_deadline(
     shared: &SharedDb,
     cc: &dyn ConcurrencyControl,
@@ -272,51 +279,43 @@ pub fn end_step(
     );
 }
 
-/// Finalize a finished transaction's version chains at `end_lsn` (the
-/// `Commit` record's LSN, or the `Abort` record's on rollback) — the chains
-/// of exactly the keys in its write set — after deregistering it from the
-/// active map. Each table trims those chains against the fresh watermark in
-/// the same leaf visit, and sweeps its whole chained set only when that set
-/// has doubled since its last sweep (see `Table::finalize_versions`), so a
-/// commit pays for its own keys, not for every chain in the tables it
-/// touched.
-///
-/// On the commit path the transaction's commit LSN is already published
-/// (see [`SharedDb::publish_commit`]), so `reconstruct` resolves its
-/// `Pending` entries as committed and this physical rewrite changes nothing
-/// any reader can observe — visibility flipped atomically at publication,
-/// not here.
-///
-/// Deregistration happens first so this transaction's own read view stops
-/// clamping the watermark; its *pending* entries are still unprunable
-/// (pruning only drops all-committed prefixes), so the order is safe even
-/// against a concurrent pruner. A failed table lookup leaves that table's
-/// entries pending forever — readers unwind past them (or resolve them
-/// through the publication while it lasts), which is merely conservative.
-fn finalize_versions(shared: &SharedDb, txn: &Transaction, end_lsn: u64) {
-    shared.deregister_active(txn.id);
-    if txn.write_set.is_empty() {
-        return;
-    }
-    let watermark = shared.version_watermark();
-    for (&table, keys) in &txn.write_set {
-        if let Ok(t) = shared.table(table) {
-            t.finalize_versions(txn.id, end_lsn, watermark, keys);
+/// Append `txn`'s end record (`Commit` or `Abort`) and, if it wrote
+/// anything, publish the record's LSN for version readers inside the same
+/// WAL append mutex (see [`SharedDb::publish_commit`]). From then on its
+/// `Pending` entries read as committed at that LSN, whenever the collector
+/// gets to them.
+fn append_end(shared: &SharedDb, txn: &Transaction, end: LogRecord) -> acc_wal::Lsn {
+    shared.with_wal(|w| {
+        let lsn = w.append(end);
+        if !txn.write_set.is_empty() {
+            shared.publish_commit(txn.id, lsn.0);
         }
-    }
+        lsn
+    })
 }
 
-/// The tail every transaction exit shares, after the caller's own prefix
-/// (finalize, retire or deregister): release everything under the pinned
-/// tables, clear the doom flag, then unpin the epoch — only after every
-/// lock is gone, so a switchover the unpin completes never sees a live
-/// old-epoch grant — and settle the final state.
+/// The tail every transaction exit shares, after the caller's own prefix:
+/// leave the active map, release everything under the pinned tables, clear
+/// the doom flag, then unpin the epoch — only after every lock is gone, so
+/// a switchover the unpin completes never sees a live old-epoch grant — and
+/// settle the final state.
 fn finish(shared: &SharedDb, txn: &mut Transaction, state: TxnState) {
+    shared.deregister_active(txn.id);
     let oracle = shared.oracle_for(txn.epoch_pin.as_ref());
     shared.release_all(txn.id, &*oracle);
     shared.clear_doom(txn.id);
     shared.unpin_epoch(txn.epoch_pin.take());
     txn.state = state;
+}
+
+/// [`finish`] a transaction whose end record, at `end_lsn`, is published,
+/// then queue its write set for the version collector, which rewrites its
+/// entries once the watermark has passed `end_lsn`.
+fn finish_and_collect(shared: &SharedDb, txn: &mut Transaction, state: TxnState, end_lsn: u64) {
+    finish(shared, txn, state);
+    if !txn.write_set.is_empty() {
+        shared.queue_versions(txn.id, end_lsn, std::mem::take(&mut txn.write_set));
+    }
 }
 
 /// Commit: log the commit record, park until it is durable (group-commit
@@ -331,23 +330,13 @@ fn finish(shared: &SharedDb, txn: &mut Transaction, state: TxnState) {
 /// that collects it under that same mutex — after the publication. So at
 /// every instant, a version reader with view `v` sees this transaction's
 /// writes iff `commit_lsn <= v` iff the commit was durable when the reader
-/// began: the fsync wait, the per-table finalization, and this function's
-/// interleaving with readers are all invisible to them.
+/// began: the fsync wait, the collector's later rewrite, and this
+/// function's interleaving with readers are all invisible to them.
 pub fn commit(shared: &SharedDb, txn: &mut Transaction) -> Result<()> {
-    let lsn = shared.with_wal(|w| {
-        let lsn = w.append(LogRecord::Commit { txn: txn.id });
-        shared.publish_commit(txn.id, lsn.0);
-        lsn
-    });
+    let lsn = append_end(shared, txn, LogRecord::Commit { txn: txn.id });
     match shared.sync_wal(lsn) {
         Ok(()) => {
-            // The commit is durable; rewrite the chains physically, then
-            // retire the (now redundant) publication. Order matters: a
-            // reader between retire and finalize would unwind entries its
-            // view covers.
-            finalize_versions(shared, txn, lsn.0);
-            shared.retire_commit(txn.id);
-            finish(shared, txn, TxnState::Committed);
+            finish_and_collect(shared, txn, TxnState::Committed, lsn.0);
             Ok(())
         }
         Err(e) => {
@@ -361,7 +350,6 @@ pub fn commit(shared: &SharedDb, txn: &mut Transaction) -> Result<()> {
             // see the same error at their own commit point. Recovery from
             // the durable prefix decides this transaction's real fate.
             shared.retire_commit(txn.id);
-            shared.deregister_active(txn.id);
             finish(shared, txn, TxnState::Aborted);
             Err(e)
         }
@@ -431,7 +419,6 @@ pub fn rollback(
                     // every waiter behind this transaction. Version chains
                     // stay pending (readers unwind past them — conservative)
                     // but the active-map entry must not pin the watermark.
-                    shared.deregister_active(txn.id);
                     finish(shared, txn, TxnState::Aborted);
                     return Err(Error::Internal(if e.is_transient() {
                         format!(
@@ -447,17 +434,18 @@ pub fn rollback(
         }
     }
 
-    let abort_lsn = shared.with_wal(|w| w.append(LogRecord::Abort { txn: txn.id }));
-    // Batching hint only; an abort needs no durability ack (recovery treats
-    // a missing abort record as in-flight and compensates it the same way).
-    shared.flush_wal_batch();
     // The chains record everything this transaction wrote — forward writes
     // (their physical undo restored the images without touching the chain)
-    // and compensations alike. Finalizing them at the abort LSN makes every
-    // entry's before-image line up with the settled table state: readers at
-    // older views unwind to the same values either way.
-    finalize_versions(shared, txn, abort_lsn.0);
-    finish(shared, txn, TxnState::Aborted);
+    // and compensations alike. Publishing the abort LSN makes every entry
+    // read as committed there, lining its before-image up with the settled
+    // table state: readers at older views unwind to the same values either
+    // way.
+    let abort_lsn = append_end(shared, txn, LogRecord::Abort { txn: txn.id });
+    // Batching hint only; an abort needs no durability ack (recovery treats
+    // a missing abort record as in-flight and compensates it the same way).
+    // The collector waits for the abort to become durable like any other.
+    shared.flush_wal_batch();
+    finish_and_collect(shared, txn, TxnState::Aborted, abort_lsn.0);
     Ok(())
 }
 

@@ -21,6 +21,7 @@
 //! DESIGN.md §Concurrency model for the full diagram.
 
 use crate::parking::Parking;
+use crate::transaction::WriteSet;
 use acc_common::events::{Event, EventSink};
 use acc_common::faults::FaultInjector;
 use acc_common::{Error, ResourceId, Result, Slot, TableId, TxnId, TxnTypeId};
@@ -32,8 +33,8 @@ use acc_lockmgr::{
 use acc_storage::{CommitResolver, Database, Row, Table};
 use acc_wal::{DurableWal, FlushStats, GroupCommitPolicy, LogDevice, LogRecord, Lsn, Wal};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 use std::time::Duration;
 
 /// How a lock request behaves when it cannot be granted immediately.
@@ -44,6 +45,15 @@ pub enum WaitMode {
     /// Withdraw the request and return [`Error::WouldBlock`] (deterministic
     /// single-threaded scheduling).
     Fail,
+}
+
+/// A finished transaction's writes, queued for the version collector.
+struct Finished {
+    txn: TxnId,
+    /// The LSN of its `Commit` or `Abort` record, published for version
+    /// readers until the collector has rewritten its entries.
+    end_lsn: u64,
+    write_set: WriteSet,
 }
 
 /// The shared system: one per simulated database server group.
@@ -61,6 +71,11 @@ pub struct SharedDb {
     parking: Parking,
     /// Transactions ordered to roll back by a compensating step (§3.4).
     doomed: Mutex<HashSet<TxnId>>,
+    /// How many transactions `doomed` holds, changed only inside its
+    /// critical sections. Dooms happen only when a compensating step closes
+    /// a deadlock cycle, so [`SharedDb::is_doomed`] — asked on every lock
+    /// request — skips the mutex while this reads 0.
+    n_doomed: AtomicUsize,
     /// Read views of in-flight transactions. A transaction's view is the
     /// *durable* WAL frontier observed at [`SharedDb::begin_txn`] (the last
     /// fsync-covered LSN), so a version read can never see a commit that was
@@ -70,19 +85,30 @@ pub struct SharedDb {
     /// registered inside one `active` critical section, and
     /// [`SharedDb::version_watermark`] reads the frontier inside the same
     /// critical section, so frontier monotonicity guarantees the watermark
-    /// never passes a view about to be registered. Removed at
-    /// commit/rollback after the transaction's chains are finalized.
+    /// never passes a view about to be registered. Removed at commit and
+    /// rollback before the transaction's writes go to the collector, so its
+    /// own view does not hold back the watermark that collects them.
     active: Mutex<HashMap<TxnId, u64>>,
-    /// Commit LSNs of transactions whose `Commit` record is appended but
-    /// whose version chains are not yet finalized. Published *inside* the
-    /// WAL append mutex (atomically with the `Commit` append, see
-    /// `runner::commit`), so by the time any flush can make the commit LSN
-    /// durable — and hence any new view can cover it — the publication is
-    /// already visible to `reconstruct`. Version readers resolve `Pending`
-    /// chain entries through this map ([`PublishedCommits`]); the per-table
-    /// finalization that follows the fsync is then an invisible physical
-    /// rewrite rather than a visibility event.
+    /// End LSNs of transactions whose `Commit` or `Abort` record is
+    /// appended but whose version chains the collector has not yet
+    /// rewritten. Published *inside* the WAL append mutex (atomically with
+    /// the end record's append, see `runner::commit` and `runner::rollback`),
+    /// so by the time any flush can make the LSN durable — and hence any new
+    /// view can cover it — the publication is already visible to
+    /// `reconstruct`. Version readers resolve `Pending` chain entries
+    /// through this map ([`PublishedCommits`]); the collector's rewrite,
+    /// which retires the publication only afterwards, is then an invisible
+    /// physical change rather than a visibility event.
     committing: Mutex<HashMap<TxnId, u64>>,
+    /// Finished transactions whose writes wait for the version collector,
+    /// in finishing order (see [`SharedDb::queue_versions`]).
+    finished: Mutex<Vec<Finished>>,
+    /// Pushes onto `finished` so far, bumped inside its critical section. A
+    /// collector that sees it move while it ran runs again, so a finisher
+    /// that found the collector busy can leave its work to it.
+    pushes: AtomicU64,
+    /// Held by the one running collector.
+    collector: Mutex<()>,
     next_txn: AtomicU64,
     /// Replication shipped frontier: leader log records verified and
     /// acknowledged by a follower, updated by the shipper at each batch ack.
@@ -114,8 +140,12 @@ impl SharedDb {
             wal: DurableWal::default(),
             parking,
             doomed: Mutex::new(HashSet::new()),
+            n_doomed: AtomicUsize::new(0),
             active: Mutex::new(HashMap::new()),
             committing: Mutex::new(HashMap::new()),
+            finished: Mutex::new(Vec::new()),
+            pushes: AtomicU64::new(0),
+            collector: Mutex::new(()),
             next_txn: AtomicU64::new(1),
             shipped: AtomicU64::new(u64::MAX),
             registry: Arc::new(InterferenceRegistry::new(oracle)),
@@ -405,8 +435,9 @@ impl SharedDb {
             .copied()
     }
 
-    /// Remove a finished transaction from the active map (after its version
-    /// chains are finalized — see `runner::commit` / `runner::rollback`).
+    /// Remove a finished transaction from the active map (before its
+    /// writes go to the collector — see `runner::commit` /
+    /// `runner::rollback`).
     pub fn deregister_active(&self, txn: TxnId) {
         self.active
             .lock()
@@ -414,11 +445,14 @@ impl SharedDb {
             .remove(&txn);
     }
 
-    /// Publish `txn`'s commit LSN for version readers. MUST be called while
-    /// holding the WAL append mutex, immediately after appending the
-    /// `Commit` record: the durable frontier can only cover that LSN via a
-    /// flush that collects staged records under the same mutex, so every
-    /// view that can ever equal-or-pass the commit LSN is minted after this
+    /// Publish the LSN of `txn`'s `Commit` record, or of its `Abort` record
+    /// on rollback, for version readers. (A rolled-back transaction's
+    /// forward and compensating writes compose to the pre-transaction
+    /// image, so its entries may read as committed at the abort.) MUST be
+    /// called while holding the WAL append mutex, immediately after
+    /// appending that record: the durable frontier can only cover that LSN
+    /// via a flush that collects staged records under the same mutex, so
+    /// every view that can ever equal-or-pass it is minted after this
     /// publication is visible. From that point `Pending` chain entries of
     /// `txn` read exactly like `Committed { commit_lsn }`.
     pub fn publish_commit(&self, txn: TxnId, commit_lsn: u64) {
@@ -428,10 +462,10 @@ impl SharedDb {
             .insert(txn, commit_lsn);
     }
 
-    /// Drop `txn`'s commit publication — after per-table finalization has
-    /// rewritten its chains (the publication is then redundant), or on a
-    /// failed commit fsync (the LSN never became durable, so no view ever
-    /// covers it and the chains stay `Pending`).
+    /// Drop `txn`'s publication — after the collector has rewritten its
+    /// chains (the publication is then redundant), or on a failed commit
+    /// fsync (the LSN never became durable, so no view ever covers it and
+    /// the chains stay `Pending`).
     pub fn retire_commit(&self, txn: TxnId) {
         self.committing
             .lock()
@@ -447,9 +481,97 @@ impl SharedDb {
         }
     }
 
+    /// Transactions whose end record is published and not yet collected
+    /// (test/diagnostic helper).
+    pub fn published_count(&self) -> usize {
+        self.committing
+            .lock()
+            .expect("committing map not poisoned")
+            .len()
+    }
+
     /// In-flight transactions (test/diagnostic helper).
     pub fn active_txns(&self) -> usize {
         self.active.lock().expect("active map not poisoned").len()
+    }
+
+    /// Hand a finished transaction's writes to the version collector, then
+    /// run the collector unless another thread is running it. `end_lsn` is
+    /// the LSN of `txn`'s `Commit` or `Abort` record, published (see
+    /// [`SharedDb::publish_commit`]) until the collector has rewritten its
+    /// entries. Called once `txn` released its locks and left the active
+    /// map, so no lock is held while the collector runs and `txn`'s own view
+    /// does not hold back the watermark.
+    pub fn queue_versions(&self, txn: TxnId, end_lsn: u64, write_set: WriteSet) {
+        {
+            let mut finished = self.finished.lock().expect("finished queue not poisoned");
+            finished.push(Finished {
+                txn,
+                end_lsn,
+                write_set,
+            });
+            self.pushes.fetch_add(1, Ordering::SeqCst);
+        }
+        // A running collector runs again if anything was queued while it
+        // ran, so work left to it is not stranded.
+        loop {
+            // The mutex guards no data, so a poisoned one is still usable.
+            let running = match self.collector.try_lock() {
+                Ok(g) => g,
+                Err(TryLockError::Poisoned(p)) => p.into_inner(),
+                Err(TryLockError::WouldBlock) => return,
+            };
+            let seen = self.pushes.load(Ordering::SeqCst);
+            self.collect();
+            drop(running);
+            if self.pushes.load(Ordering::SeqCst) == seen {
+                return;
+            }
+        }
+    }
+
+    /// Wait for a running collector, run the collector once, and return how
+    /// many finished transactions still wait for the watermark to pass their
+    /// end LSN (quiescent checks: zero once every end record is durable and
+    /// no view is left).
+    pub fn drain_versions(&self) -> usize {
+        let _running = self
+            .collector
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.collect();
+        self.finished
+            .lock()
+            .expect("finished queue not poisoned")
+            .len()
+    }
+
+    /// One collector pass; the caller holds `collector`. The watermark is
+    /// read inside that critical section, so passes see it in order, and it
+    /// never falls. Every queued transaction whose end LSN it has passed is
+    /// collected: one leaf visit per written key rewrites its `Pending`
+    /// entries, trims the chain and removes a settled tombstone
+    /// (`Table::collect_versions`); only then is its publication retired,
+    /// so a reader that meets one of its entries still `Pending` under that
+    /// leaf's latch can resolve it.
+    fn collect(&self) {
+        let Some(watermark) = self.version_watermark() else {
+            return;
+        };
+        let ready: Vec<Finished> = self
+            .finished
+            .lock()
+            .expect("finished queue not poisoned")
+            .extract_if(.., |f| f.end_lsn <= watermark)
+            .collect();
+        for f in ready {
+            for (&table, keys) in &f.write_set {
+                if let Ok(t) = self.table(table) {
+                    t.collect_versions(f.txn, f.end_lsn, watermark, keys);
+                }
+            }
+            self.retire_commit(f.txn);
+        }
     }
 
     /// The version-chain pruning low-watermark: a chain entry committed at
@@ -510,29 +632,39 @@ impl SharedDb {
     }
 
     /// True if some other transaction doomed this one (it is delaying a
-    /// compensating step and must roll back, §3.4).
+    /// compensating step and must roll back, §3.4). Reads the doom set only
+    /// while some transaction is doomed: [`SharedDb::doom`] counts the doom
+    /// before it nudges the victim, so a victim woken by the nudge sees the
+    /// count.
     pub fn is_doomed(&self, txn: TxnId) -> bool {
-        self.doomed
-            .lock()
-            .expect("doom set not poisoned")
-            .contains(&txn)
+        self.n_doomed.load(Ordering::SeqCst) > 0
+            && self
+                .doomed
+                .lock()
+                .expect("doom set not poisoned")
+                .contains(&txn)
     }
 
     /// Forget a transaction's doom flag (called once it has rolled back).
     pub fn clear_doom(&self, txn: TxnId) {
-        self.doomed
-            .lock()
-            .expect("doom set not poisoned")
-            .remove(&txn);
+        if self.n_doomed.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        let mut doomed = self.doomed.lock().expect("doom set not poisoned");
+        if doomed.remove(&txn) {
+            self.n_doomed.fetch_sub(1, Ordering::SeqCst);
+        }
     }
 
     /// Doom `txn` (it is delaying a compensating step) and wake any of its
     /// parked lock waits so it notices promptly.
     pub fn doom(&self, txn: TxnId) {
-        self.doomed
-            .lock()
-            .expect("doom set not poisoned")
-            .insert(txn);
+        {
+            let mut doomed = self.doomed.lock().expect("doom set not poisoned");
+            if doomed.insert(txn) {
+                self.n_doomed.fetch_add(1, Ordering::SeqCst);
+            }
+        }
         self.parking.nudge_txn(txn);
     }
 
@@ -723,10 +855,11 @@ impl SharedDb {
 }
 
 /// [`CommitResolver`] over the shared committing-transaction map: version
-/// reads resolve `Pending` chain entries of a transaction whose `Commit`
-/// record is appended but whose chains are not yet finalized (see
-/// [`SharedDb::publish_commit`]). The map mutex is a leaf — resolving takes
-/// no other lock.
+/// reads resolve `Pending` chain entries of a transaction whose `Commit` or
+/// `Abort` record is appended but whose chains the collector has not yet
+/// rewritten (see [`SharedDb::publish_commit`]). The map mutex is a leaf —
+/// resolving takes no other lock, so readers may resolve under a leaf
+/// latch.
 pub struct PublishedCommits<'a> {
     map: &'a Mutex<HashMap<TxnId, u64>>,
 }

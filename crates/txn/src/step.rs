@@ -12,10 +12,10 @@
 //!   the key if it moved while the thread waited;
 //! * the version-read helper (`version_read`) serves a read from committed
 //!   row versions, with no lock traffic, when both halves of the gate agree;
-//! * the logged-write helper (`log_write`) adds the written key to the
-//!   transaction's write set, appends the write's before/after images to the
-//!   WAL and pushes its undo record onto the transaction's current-step undo
-//!   stack.
+//! * the logged-write helper (`log_write`) adds the written key, with the
+//!   leaf hint its write left, to the transaction's write set, appends the
+//!   write's before/after images to the WAL and pushes its undo record onto
+//!   the transaction's current-step undo stack.
 //!
 //! Every write names its row by primary key, and keys never move.
 
@@ -190,13 +190,17 @@ impl<'a> StepCtx<'a> {
     }
 
     /// The logged-write helper, called once the write to `key` is applied
-    /// under its locks: add `key` to the write set (commit and rollback
-    /// finalize exactly the recorded keys), log the before/after images,
-    /// give the batch-flush hint, and push `undo` onto the step's undo
-    /// stack.
-    fn log_write(&mut self, key: Key, undo: UndoRecord, after: Option<Row>) {
+    /// under its locks: record `key` and the `hint` the write left in the
+    /// write set (the version collector revisits exactly the recorded keys,
+    /// through their latest hints), log the before/after images, give the
+    /// batch-flush hint, and push `undo` onto the step's undo stack.
+    fn log_write(&mut self, key: Key, hint: LeafHint, undo: UndoRecord, after: Option<Row>) {
         let table = undo.table();
-        self.txn.write_set.entry(table).or_default().insert(key);
+        self.txn
+            .write_set
+            .entry(table)
+            .or_default()
+            .insert(key, hint);
         let before = match &undo {
             UndoRecord::Insert { .. } => None,
             UndoRecord::Update { before, .. } | UndoRecord::Delete { before, .. } => {
@@ -271,8 +275,10 @@ impl<'a> StepCtx<'a> {
             // row, and records the pending version (before the insert, the
             // row was absent) atomically under one leaf latch; `None` means
             // another insert raced us while we waited for the lock.
-            if let Some((slot, key, undo)) = t.insert_versioned(row.clone(), self.txn.id, slot)? {
-                self.log_write(key, undo, Some(row));
+            if let Some((slot, key, undo, hint)) =
+                t.insert_versioned(row.clone(), self.txn.id, slot)?
+            {
+                self.log_write(key, hint, undo, Some(row));
                 return Ok(slot);
             }
         }
@@ -288,14 +294,14 @@ impl<'a> StepCtx<'a> {
         // for the lock.
         let applied = self.keyed(t, key, true, |slot, hint| {
             Ok(match t.update_versioned(key, slot, hint, txn, &f)? {
-                VersionedUpdate::Applied { undo, after } => Some((undo, after)),
+                VersionedUpdate::Applied { undo, after, hint } => Some((undo, after, hint)),
                 VersionedUpdate::Retry => None,
             })
         })?;
-        let Some((undo, after)) = applied else {
+        let Some((undo, after, hint)) = applied else {
             return Ok(false);
         };
-        self.log_write(key.clone(), undo, Some(after));
+        self.log_write(key.clone(), hint, undo, Some(after));
         Ok(true)
     }
 
@@ -309,12 +315,12 @@ impl<'a> StepCtx<'a> {
         // deleted row's history under its primary key.
         let deleted = self.keyed(t, key, true, |slot, hint| {
             Ok(t.delete_versioned(key, slot, hint, txn)?
-                .map(|(undo, _)| undo))
+                .map(|(undo, _, hint)| (undo, hint)))
         })?;
-        let Some(undo) = deleted else {
+        let Some((undo, hint)) = deleted else {
             return Ok(false);
         };
-        self.log_write(key.clone(), undo, None);
+        self.log_write(key.clone(), hint, undo, None);
         Ok(true)
     }
 

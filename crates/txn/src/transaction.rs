@@ -3,8 +3,15 @@
 use crate::cc::TxnMeta;
 use acc_common::{TableId, TxnId, TxnTypeId};
 use acc_lockmgr::EpochPin;
-use acc_storage::{Key, UndoRecord};
-use std::collections::{BTreeMap, BTreeSet};
+use acc_storage::{Key, LeafHint, UndoRecord};
+use std::collections::BTreeMap;
+
+/// Every key a transaction wrote, by table, each with the hint its latest
+/// write there left (the leaf and the version that write's latch release
+/// left it at). Each write pushed a pending entry onto that key's version
+/// chain; the version collector revisits exactly these keys, one latch
+/// each while no other writer has touched the leaf since.
+pub type WriteSet = BTreeMap<TableId, BTreeMap<Key, LeafHint>>;
 
 /// Lifecycle states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,10 +55,9 @@ pub struct Transaction {
     /// frontier at begin), resolved lazily at the first versioned read
     /// (`StepCtx` caches the `SharedDb` active-map lookup here).
     pub read_view: Option<u64>,
-    /// The write set: every key this transaction wrote, by table. Each
-    /// write pushed a pending entry onto that key's version chain; commit
-    /// and rollback finalize exactly these keys.
-    pub write_set: BTreeMap<TableId, BTreeSet<Key>>,
+    /// The write set: every key this transaction wrote, with its latest
+    /// hint. Commit and rollback hand it to the version collector.
+    pub write_set: WriteSet,
     /// Absolute deadline, if the submitter set one. Checked at every step
     /// boundary by the runner: a transaction past its deadline rolls back
     /// through the ordinary compensation path (never mid-step, so no lock or

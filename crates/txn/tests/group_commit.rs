@@ -237,11 +237,11 @@ fn prune_watermark_clamps_to_the_durable_frontier() {
     assert_eq!(view, durable - 1, "view strayed off the durable frontier");
     assert_eq!(s.version_watermark(), Some(durable - 1));
 
-    // A prune at the clamped watermark keeps the committed bump readable at
-    // the durable view.
+    // Collection at the clamped watermark keeps the committed bump readable
+    // at the durable view.
     let w = s.version_watermark().unwrap();
     let t = s.table(T).unwrap();
-    t.prune_versions(w);
+    assert_eq!(s.drain_versions(), 0);
     let visible = match t.read_at(&Key::ints(&[1]), w, tid, &acc_storage::NoCommits) {
         acc_storage::Visibility::Visible(img) => img.map(|r| r.int(1)),
         acc_storage::Visibility::Tainted => panic!("tainted durable-view read"),

@@ -7,7 +7,7 @@ use acc_common::{
 };
 use acc_lockmgr::{InterferenceOracle, LockKind, LockMode, NoInterference, SharedOracle};
 use acc_storage::{Catalog, ColumnType, Database, Key, Predicate, Row, TableSchema};
-use acc_txn::runner::{commit, run, AbortReason, RunOutcome};
+use acc_txn::runner::{advance, commit, rollback, run, AbortReason, RunOutcome};
 use acc_txn::{
     ConcurrencyControl, SharedDb, StepCtx, StepOutcome, Transaction, TwoPhase, TxnMeta, TxnProgram,
     WaitMode,
@@ -230,14 +230,15 @@ fn write_each_kind(outcome: StepOutcome) -> (Arc<SharedDb>, RunOutcome) {
 }
 
 /// Every key a transaction writes — inserted, updated or deleted — is in
-/// its write set, so commit and rollback finalize every chain entry it
-/// pushed and pruning at the watermark then leaves no chain behind.
+/// its write set, so the collector rewrites every chain entry it pushed,
+/// at commit and at rollback, and trims each chain at the watermark: no
+/// chain is left behind.
 #[test]
 fn every_written_key_is_finalized_on_commit_and_rollback() {
     let (s, ran) = write_each_kind(StepOutcome::Done);
     assert_eq!(ran, RunOutcome::Committed { steps: 1 });
     let t = s.table(T).unwrap();
-    t.prune_versions(s.version_watermark().unwrap());
+    assert_eq!(s.drain_versions(), 0);
     assert_eq!(t.n_version_chains(), 0, "after commit");
 
     let (s, ran) = write_each_kind(StepOutcome::Abort);
@@ -246,8 +247,9 @@ fn every_written_key_is_finalized_on_commit_and_rollback() {
     // watermark covers it.
     s.sync_wal(Lsn(s.wal_len() as u64 - 1)).unwrap();
     let t = s.table(T).unwrap();
-    t.prune_versions(s.version_watermark().unwrap());
+    assert_eq!(s.drain_versions(), 0);
     assert_eq!(t.n_version_chains(), 0, "after rollback");
+    assert_eq!(s.published_count(), 0);
 }
 
 /// Physical undo restores the base image and logs each reversal as an
@@ -476,6 +478,125 @@ fn version_read_gate_emits_one_event_per_reader() {
     }
 }
 
+/// Step 0 moves person 1 to the next team; its compensating step moves
+/// them back.
+struct NextTeam;
+
+impl NextTeam {
+    fn shift(ctx: &mut StepCtx<'_>, by: i64) -> acc_common::Result<()> {
+        let moved = ctx.update_key(T, &Key::ints(&[1]), |r| {
+            let team = r.int(1);
+            r.set(1, Value::Int(team + by));
+        })?;
+        assert!(moved, "person 1 exists");
+        Ok(())
+    }
+}
+
+impl TxnProgram for NextTeam {
+    fn txn_type(&self) -> TxnTypeId {
+        TxnTypeId(0)
+    }
+    fn step(&mut self, _: u32, ctx: &mut StepCtx<'_>) -> acc_common::Result<StepOutcome> {
+        NextTeam::shift(ctx, 1)?;
+        Ok(StepOutcome::Continue)
+    }
+    fn compensate(&mut self, _: u32, ctx: &mut StepCtx<'_>) -> acc_common::Result<()> {
+        NextTeam::shift(ctx, -1)
+    }
+}
+
+/// One step that renames person 1.
+struct Rename;
+
+impl TxnProgram for Rename {
+    fn txn_type(&self) -> TxnTypeId {
+        TxnTypeId(0)
+    }
+    fn step(&mut self, _: u32, ctx: &mut StepCtx<'_>) -> acc_common::Result<StepOutcome> {
+        ctx.update_key(T, &Key::ints(&[1]), |r| {
+            r.set(2, Value::str("lovelace"));
+        })?;
+        Ok(StepOutcome::Done)
+    }
+}
+
+/// Under a decomposed policy, T moves person 1 to team 11 and ends its
+/// step, U renames them and commits on top, and T rolls back by
+/// compensation. Person 1's chain then holds T's forward write under U's
+/// commit under T's compensation. T's `Abort` LSN is published like a
+/// commit LSN, so a reader whose view covers the abort reads the settled
+/// row from versions with no fallback, before and after the collector
+/// rewrites the chain. A reader older than U's commit reads the original
+/// row; one between U's commit and T's abort meets T's unsettled forward
+/// write under U's and falls back.
+#[test]
+fn rolled_back_decomposed_writer_reads_as_settled_once_its_abort_is_durable() {
+    let s = people(Arc::new(VersionSafe));
+    let sink = EventSink::enabled(4096);
+    s.set_event_sink(Arc::clone(&sink));
+    let reader = |s: &SharedDb| {
+        let id = s.begin_txn(TxnTypeId(0));
+        Transaction::new(id, TxnTypeId(0))
+    };
+    let read: Reader = |ctx| ctx.read(T, &Key::ints(&[1])).unwrap().into_iter().collect();
+    let person =
+        |team: i64, name: &str| vec![Row(vec![Value::Int(1), Value::Int(team), Value::str(name)])];
+
+    let mut before_u = reader(&s);
+    let id = s.begin_txn(TxnTypeId(0));
+    let mut t = Transaction::new(id, TxnTypeId(0));
+    assert_eq!(
+        advance(&s, &Guarded, &mut NextTeam, &mut t, WaitMode::Block),
+        Ok(None)
+    );
+    assert_eq!(t.steps_completed, 1);
+    let ran = run(&s, &Guarded, &mut Rename, WaitMode::Block).unwrap();
+    assert_eq!(ran, RunOutcome::Committed { steps: 1 });
+    let mut before_abort = reader(&s);
+    rollback(&s, &Guarded, &mut NextTeam, &mut t).unwrap();
+    let records = s.with_wal(|w| w.records());
+    assert!(matches!(records.last(), Some(LogRecord::Abort { .. })));
+    let abort = records.len() as u64 - 1;
+    s.sync_wal(Lsn(abort)).unwrap();
+    let mut after_abort = reader(&s);
+    assert!(s.read_view_of(after_abort.id).unwrap() >= abort);
+
+    let settled = person(10, "lovelace");
+    let observe_as = |txn: &mut Transaction| {
+        let mut ctx = StepCtx::new(&s, &Guarded, txn, WaitMode::Block);
+        observe(&sink, &mut ctx, read)
+    };
+    assert_eq!(
+        observe_as(&mut after_abort),
+        (settled.clone(), [1, 0, 0]),
+        "covers the abort"
+    );
+    assert_eq!(
+        observe_as(&mut before_u),
+        (person(10, "ada"), [1, 0, 0]),
+        "older than U"
+    );
+    let (rows, [reads, fallbacks, _]) = observe_as(&mut before_abort);
+    assert_eq!(
+        (rows, reads, fallbacks),
+        (settled.clone(), 0, 1),
+        "between U and the abort"
+    );
+
+    commit(&s, &mut before_u).unwrap();
+    commit(&s, &mut before_abort).unwrap();
+    assert_eq!(s.drain_versions(), 0, "no view below the abort is left");
+    assert_eq!(s.table(T).unwrap().n_version_chains(), 0);
+    assert_eq!(s.published_count(), 0);
+    assert_eq!(
+        observe_as(&mut after_abort),
+        (settled, [1, 0, 0]),
+        "after collection"
+    );
+    commit(&s, &mut after_abort).unwrap();
+}
+
 /// `n` people with ids 10, 20, …, 10·n, loaded in id order onto pages of
 /// two rows (and leaves of two entries).
 fn numbered(n: i64) -> Arc<SharedDb> {
@@ -539,6 +660,10 @@ fn parked_reader_returns_the_committed_image_after_its_leaf_split() {
     let s = numbered(100);
     let key = Key::ints(&[500]);
     let two = TwoPhase;
+    // An idle transaction whose view holds the watermark below the
+    // holder's commit, so the collector visits none of the holder's keys
+    // (through hints the inserts left stale) inside the measured window.
+    let idle = s.begin_txn(TxnTypeId(0));
     let holder = s.begin_txn(TxnTypeId(0));
     let mut t1 = Transaction::new(holder, TxnTypeId(0));
     assert!(StepCtx::new(&s, &two, &mut t1, WaitMode::Block)
@@ -581,4 +706,7 @@ fn parked_reader_returns_the_committed_image_after_its_leaf_split() {
     let row = handle.join().expect("reader thread").expect("500 is live");
     assert_eq!(row.str(2), "updated", "the holder's committed image");
     assert_eq!((s.pager_counters() - before).hint_misses, 1);
+    s.deregister_active(idle);
+    assert_eq!(s.drain_versions(), 0);
+    assert_eq!(s.table(T).unwrap().n_version_chains(), 0);
 }

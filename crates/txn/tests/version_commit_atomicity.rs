@@ -5,16 +5,18 @@
 //! Timeline under test, with writer W updating a row:
 //!
 //! ```text
-//!   W: ...writes... | append Commit@c + publish | fsync wait | finalize | retire
-//!   B: begin (view < c)      — pre-commit image, before AND after finalize
+//!   W: ...writes... | append Commit@c + publish | fsync wait | finish, queue | collect
+//!   B: begin (view < c)      — pre-commit image, before AND after W finished
 //!   C:                begin (view >= c) — post-commit image, before AND after
 //! ```
 //!
-//! The window between the fsync and the per-table finalization is exactly
-//! where the old begin-LSN views fractured: a reader minted there covered
-//! `c` but `reconstruct` still unwound W's Pending entries. With durable-
-//! frontier views plus the commit publication, every read below is a pure
-//! function of `commit_lsn <= view` — finalization must be invisible.
+//! The window between the fsync and the collector's rewrite of W's chains
+//! is exactly where the old begin-LSN views fractured: a reader minted
+//! there covered `c` but `reconstruct` still unwound W's Pending entries.
+//! With durable-frontier views plus the commit publication, every read
+//! below is a pure function of `commit_lsn <= view` — collection must be
+//! invisible. B's view holds the watermark below `c`, so the collector
+//! takes W's writes only once B has gone.
 
 use acc_common::{Result, TableId, TxnId, TxnTypeId, Value};
 use acc_lockmgr::NoInterference;
@@ -106,17 +108,24 @@ fn readers_straddling_the_finalize_window_see_one_snapshot() {
     // B's view predates c, so B still reads the old image — no fracture.
     assert_eq!(read_n(&s, b), Some(10), "B inside the window");
 
-    // Finalization + retirement must be invisible to both readers.
-    s.table(T)
-        .unwrap()
-        .finalize_versions(wid, c_lsn.0, None, &w.write_set[&T]);
-    s.retire_commit(wid);
+    // W finishes as `runner::commit` does: it leaves the active map,
+    // releases its locks and queues its writes for the collector, which
+    // leaves them queued while B's view is below c. Neither reader sees a
+    // change.
     s.deregister_active(wid);
     s.release_all(wid, &NoInterference);
-    assert_eq!(read_n(&s, c), Some(20), "C after finalize");
-    assert_eq!(read_n(&s, b), Some(10), "B after finalize");
+    s.queue_versions(wid, c_lsn.0, std::mem::take(&mut w.write_set));
+    assert_eq!(s.drain_versions(), 1, "B holds the watermark below c");
+    assert_eq!(read_n(&s, c), Some(20), "C after W finished");
+    assert_eq!(read_n(&s, b), Some(10), "B after W finished");
 
+    // With B gone the collector rewrites W's chains and retires the
+    // publication, invisibly to C.
     s.deregister_active(b);
+    assert_eq!(s.drain_versions(), 0);
+    assert_eq!(s.published_count(), 0);
+    assert_eq!(read_n(&s, c), Some(20), "C after finalize");
+
     s.deregister_active(c);
 }
 

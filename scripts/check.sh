@@ -24,6 +24,9 @@ cargo test --workspace --offline -q
 echo "== storage tests, optimized (the latch-race tests at tighter interleavings) =="
 cargo test --release --offline -q -p acc-storage
 
+echo "== version collector tests, optimized (collector races at tighter interleavings) =="
+cargo test --release --offline -q -p acc-txn --test version_gc --test version_commit_atomicity
+
 echo "== benchmark package: build and test against its own lockfile =="
 # perfbench/ is a separate package; --locked fails on a dependency-edge
 # change its Cargo.lock does not record, and the build lands under target/.
